@@ -74,7 +74,6 @@ from .polytope import (
     FaceLattice,
     Fan,
     Polytope,
-    enumerate_faces,
     face_interval,
     is_prime,
     is_smooth_cone,

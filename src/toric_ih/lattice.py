@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import gcd
 from .errors import DimensionMismatchError, NonIntegralSpanError, NotUnimodularError
 
-Rat = Fraction
-
 
 def as_rat(x) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational."""
@@ -42,10 +40,6 @@ def lattice_vector(coords) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_integral_vector(u) -> bool:
-    return all(as_rat(c).denominator == 1 for c in u)
-
-
 def pairing(u, v) -> Fraction:
     """The perfect pairing of a rational character with a cocharacter."""
     if len(u) != len(v):
@@ -67,10 +61,6 @@ def vsub(u, v):
 
 def vscale(c, u):
     return tuple(c * a for a in u)
-
-
-def vneg(u):
-    return tuple(-a for a in u)
 
 
 def integerize(u) -> tuple[int, ...]:
@@ -148,23 +138,6 @@ def mat_rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows) -> list[tuple[Fraction, ...]]:
-    """Rational basis of {x : rows @ x = 0}."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    m, pivots = _echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            x[p] = -m[i][f]
-        basis.append(tuple(x))
-    return basis
-
-
 def solve_consistent(rows, rhs):
     """One solution of rows @ x = rhs over Q, or None if inconsistent."""
     if not rows:
@@ -221,40 +194,42 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def cramer_solve_int(rows, rhs):
-    """Solve an integer n x n system exactly.
+def kernel_ray(rows, d):
+    """Primitive integer generator of the kernel of d - 1 integer rows of length d.
 
-    Returns (numerators, denominator > 0) with x_i = numerators[i]/den, or
-    None when the matrix is singular.
+    Fraction-free Gauss-Jordan (Bareiss) elimination: every entry stays an
+    integer minor, and at the end the matrix is D times its reduced echelon
+    form, D the last pivot.  Returns None as soon as a second column without
+    pivot shows the kernel has dimension above one.  The sign is arbitrary.
     """
-    n = len(rows)
-    d = det_int(rows)
-    if d == 0:
-        return None
-    nums = []
-    for i in range(n):
-        col = [r[:i] + (b,) + r[i + 1:] for r, b in zip(rows, rhs)]
-        nums.append(det_int(col))
-    if d < 0:
-        d = -d
-        nums = [-x for x in nums]
-    return nums, d
-
-
-def cofactor_kernel_vector(rows):
-    """Kernel generator of an integer (n-1) x n matrix via signed minors.
-
-    Returns the zero tuple when the rows are dependent; otherwise an integer
-    vector spanning the kernel (the generalized cross product).
-    """
-    n = len(rows[0]) if rows else 1
-    out = []
-    sign = 1
-    for i in range(n):
-        minor = [r[:i] + r[i + 1:] for r in rows]
-        out.append(sign * det_int(minor))
-        sign = -sign
-    return tuple(out)
+    m = [list(r) for r in rows]
+    k = len(m)
+    prev = 1
+    pivots = []
+    free = None
+    for c in range(d):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if m[i][c]), None)
+        if piv is None:
+            if free is not None:
+                return None
+            free = c
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(k):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+        pivots.append(c)
+    x = [0] * d
+    x[free] = prev
+    for i, c in enumerate(pivots):
+        x[c] = -m[i][free]
+    g = vec_gcd(x)
+    return tuple(c // g for c in x)
 
 
 def invert_unimodular(rows) -> list[list[int]]:

@@ -3,9 +3,14 @@
 A ``Polytope`` carries both representations in canonical form: the vertex
 representation (extreme points plus primitive extreme rays) and the facet
 representation (irredundant inequalities ``<u, a> >= b`` with primitive
-integer ``(a, b)``).  Conversion is by exact brute-force subset enumeration,
-which is cheap and unambiguous at desk scale.  Faces are canonically
-identified by their maximal tight row set.
+integer ``(a, b)``).  Both conversions run one polar routine on a
+homogenized cone: the extreme rays of {x : <c, x> >= 0} found by scanning
+(d-1)-subsets of the integer constraints c, with one exact kernel each.
+V->H takes the generators (v, 1) and (r, 0) as constraints, so the rays are
+the facet rows; H->V takes the rows (a, -b) plus (0, ..., 0, 1), so the rays
+(u, t) are the vertices u/t (t > 0) and the rays u (t = 0).  A second,
+shared filter keeps what is irredundant against the other side.  Faces are
+canonically identified by their maximal tight row set.
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -27,12 +32,11 @@ from .errors import (
 )
 from .lattice import (
     as_rat,
-    cofactor_kernel_vector,
-    cramer_solve_int,
     det_int,
     dot,
     integerize,
     invert_unimodular,
+    kernel_ray,
     lattice_vector,
     mat_rank,
     mat_vec,
@@ -65,26 +69,28 @@ def _row_tight_ray(row, r):
     return dot(row[0], r) == 0
 
 
-def _facet_rows(vertices, rays, n):
-    """Irredundant facet inequalities of conv(vertices) + cone(rays).
+def _extreme_rays(cons, d):
+    """Primitive extreme rays of the pointed cone {x in Q^d : <c, x> >= 0 for c in cons}.
 
-    Works with redundant input points: every facet hyperplane contains n
-    affinely independent generators, so scanning n-subsets of homogenized
-    generators finds all of them; a dimension test then discards supporting
-    hyperplanes that only touch lower-dimensional faces.  Generators are
-    scaled to integers once so the inner loop is pure integer arithmetic.
+    Every extreme ray spans the kernel of d - 1 independent constraints, so
+    the scan takes the kernel of each (d-1)-subset of the integer constraint
+    vectors and keeps it, oriented, when every constraint lies on one side.
+    A kernel met before (tight on a larger subset) is skipped.
     """
-    gens = [integerize(tuple(v) + (Fraction(1),)) for v in vertices]
-    gens += [tuple(int(c) for c in r) + (0,) for r in rays]
     seen = set()
-    rows = []
-    for idx in combinations(range(len(gens)), n):
-        w = cofactor_kernel_vector([gens[i] for i in idx])
-        if not any(w):
+    rays = []
+    for sub in combinations(cons, d - 1):
+        w = kernel_ray(sub, d)
+        if w is None:
             continue
+        if next(c for c in w if c) < 0:
+            w = tuple(-c for c in w)
+        if w in seen:
+            continue
+        seen.add(w)
         neg = pos = False
-        for g in gens:
-            val = dot(w, g)
+        for c in cons:
+            val = dot(w, c)
             if val > 0:
                 pos = True
             elif val < 0:
@@ -93,21 +99,18 @@ def _facet_rows(vertices, rays, n):
                 break
         if pos and neg:
             continue
-        if neg:
-            w = tuple(-c for c in w)
-        w = primitive(w)
-        row = (w[:n], -w[n])
-        if row in seen:
-            continue
-        seen.add(row)
-        tight_v = [v for v in vertices if _row_tight_vertex(row, v)]
-        tight_r = [r for r in rays if _row_tight_ray(row, r)]
-        if not tight_v:
-            continue
-        dirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + [tuple(map(Fraction, r)) for r in tight_r]
-        if mat_rank(dirs) == n - 1:
-            rows.append(row)
-    return sorted(rows)
+        rays.append(tuple(-c for c in w) if neg else w)
+    return sorted(rays)
+
+
+def _irredundant(vecs, duals, d):
+    """The vectors whose tight duals have rank d - 1.
+
+    With ``duals`` the extreme rays of the polar cone this picks the extreme
+    generators of a cone; with ``duals`` the extreme rays of the cone itself
+    it picks the facet-defining constraints.
+    """
+    return [v for v in vecs if mat_rank([w for w in duals if dot(v, w) == 0]) == d - 1]
 
 
 class Polytope:
@@ -126,7 +129,11 @@ class Polytope:
 
     @classmethod
     def from_points(cls, points, rays=()):
-        """Convex hull of rational points plus a recession cone of lattice rays."""
+        """Convex hull of rational points plus a recession cone of lattice rays.
+
+        Raises NotFullDimensionalError / NotPointedError for the unsupported
+        degenerate cases.
+        """
         pts = sorted(set(rat_vector(p) for p in points))
         if not pts:
             raise ValueError("need at least one point")
@@ -140,11 +147,15 @@ class Polytope:
         if mat_rank(dirs) < n:
             raise NotFullDimensionalError(
                 "not full-dimensional; reduce to affine span first")
-        rows = _facet_rows(pts, rr, n)
-        verts = [p for p in pts
-                 if mat_rank([r[0] for r in rows if _row_tight_vertex(r, p)]) == n]
-        xrays = [r for r in rr
-                 if mat_rank([row[0] for row in rows if _row_tight_ray(row, r)]) == n - 1]
+        gens = {integerize(p + (Fraction(1),)): p for p in pts}
+        gens.update((r + (0,), r) for r in rr)
+        duals = _extreme_rays(list(gens), n + 1)
+        if mat_rank(duals) <= n:
+            raise NotPointedError("not pointed: the recession cone contains a line")
+        rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
+        keep = _irredundant(list(gens), duals, n + 1)
+        verts = [gens[g] for g in keep if g[n]]
+        xrays = [gens[g] for g in keep if not g[n]]
         return cls(n, verts, xrays, rows)
 
     @classmethod
@@ -173,42 +184,13 @@ class Polytope:
         norm = sorted(set(norm))
         if not norm or mat_rank([r[0] for r in norm]) < n:
             raise NotPointedError("not pointed")
-        verts = set()
-        for idx in combinations(range(len(norm)), n):
-            sol = cramer_solve_int([norm[i][0] for i in idx],
-                                   [norm[i][1] for i in idx])
-            if sol is None:
-                continue
-            nums, den = sol
-            if all(dot(a, nums) >= b * den for a, b in norm):
-                verts.add(tuple(Fraction(x, den) for x in nums))
+        cons = [a + (-b,) for a, b in norm] + [(0,) * n + (1,)]
+        hull = _extreme_rays(cons, n + 1)
+        verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
         if not verts:
             raise EmptyPolyhedronError("empty polyhedron")
-        rays = set()
-        normals = [r[0] for r in norm]
-        if n == 1:
-            cands = [(1,), (-1,)]
-        else:
-            cands = []
-            for idx in combinations(range(len(norm)), n - 1):
-                d = cofactor_kernel_vector([normals[i] for i in idx])
-                if any(d):
-                    cands.append(primitive(d))
-        for d in cands:
-            for cand in (d, tuple(-c for c in d)):
-                if all(dot(a, cand) >= 0 for a in normals):
-                    rays.add(cand)
-        verts = sorted(verts)
-        rays = sorted(rays)
-        facets = []
-        for row in norm:
-            tv = [v for v in verts if _row_tight_vertex(row, v)]
-            tr = [r for r in rays if _row_tight_ray(row, r)]
-            if not tv:
-                continue
-            dirs = [vsub(v, tv[0]) for v in tv[1:]] + [tuple(map(Fraction, r)) for r in tr]
-            if mat_rank(dirs) == n - 1:
-                facets.append(row)
+        rays = [w[:n] for w in hull if not w[n]]
+        facets = [(c[:n], -c[n]) for c in _irredundant(cons[:-1], hull, n + 1)]
         return cls(n, verts, rays, facets)
 
     @classmethod
@@ -374,9 +356,6 @@ class FaceLattice:
         self._gen_sets = [(frozenset(f.vertex_ids), frozenset(f.ray_ids)) for f in faces]
         self.by_active = {frozenset(f.active): f for f in faces}
         self.by_generators = {g: faces[i] for i, g in enumerate(self._gen_sets)}
-        self._covers_up = {f.id: tuple(g.id for g in faces
-                                       if g.dim == f.dim + 1 and self.leq(f.id, g.id))
-                           for f in faces}
 
     # -- poset queries -------------------------------------------------------
 
@@ -390,7 +369,9 @@ class FaceLattice:
         return va <= vb and ra <= rb
 
     def covers_up(self, a: int):
-        return self._covers_up[a]
+        """The faces one dimension above face a that contain it."""
+        d = self.faces[a].dim + 1
+        return tuple(f.id for f in self.faces if f.dim == d and self.leq(a, f.id))
 
     def faces_above(self, a: int, strict=True):
         return tuple(f for f in self.faces
@@ -420,9 +401,6 @@ class FaceLattice:
         if self.polytope.is_cone_with_vertex:
             return next(f.id for f in self.faces if f.dim == 0)
         return None
-
-    def vertex_coords(self, face: Face):
-        return tuple(self.polytope.vertices[i] for i in face.vertex_ids)
 
     def smallest_face_containing(self, point) -> Face:
         p = rat_vector(point)
@@ -472,11 +450,6 @@ class FaceInterval:
         return self.lattice.leq(a, b)
 
 
-def enumerate_faces(p: Polytope) -> FaceLattice:
-    """Complete face lattice (the polytope itself included, with codim 0)."""
-    return p.face_lattice()
-
-
 def face_interval(lattice: FaceLattice, face) -> FaceInterval:
     fid = face.id if isinstance(face, Face) else int(face)
     if not 0 <= fid < len(lattice.faces):
@@ -513,11 +486,6 @@ class Fan:
 
     def cone_for(self, face_id: int) -> FanCone:
         return self.cones[face_id]
-
-    @property
-    def max_cones(self):
-        top = max(c.dim for c in self.cones)
-        return tuple(c for c in self.cones if c.dim == top)
 
 
 def normal_fan(p: Polytope) -> Fan:
@@ -590,13 +558,3 @@ def reduce_to_span(points):
     frame = affine_frame(pts)
     coords = [frame.to_coords(p) for p in pts]
     return Polytope.from_points(coords), frame
-
-
-def vertex_representation(p: Polytope):
-    """(vertices, rays) in canonical order."""
-    return p.vertices, p.rays
-
-
-def inequality_representation(p: Polytope):
-    """Irredundant facet rows (a, b), canonical primitive integer form."""
-    return p.rows

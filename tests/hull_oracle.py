@@ -1,0 +1,187 @@
+"""Brute-force hull oracle: the original two subset scans.
+
+V->H scans n-subsets of homogenized generators with a cofactor kernel and
+keeps supporting hyperplanes whose tight generators span a facet; H->V
+solves every n-subset of rows by Cramer's rule for vertices and takes the
+cofactor kernel of every (n-1)-subset of normals for rays.  Both directions
+are independent of the single polar routine in ``toric_ih.polytope`` and
+serve as the reference for its differential tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+from toric_ih.errors import (
+    EmptyPolyhedronError,
+    NotFullDimensionalError,
+    NotPointedError,
+)
+from toric_ih.lattice import (
+    as_rat,
+    det_int,
+    dot,
+    integerize,
+    mat_rank,
+    primitive,
+    rat_vector,
+    vsub,
+)
+from toric_ih.polytope import Polytope, normalize_row
+
+
+def cramer_solve_int(rows, rhs):
+    """Solve an integer n x n system exactly.
+
+    Returns (numerators, denominator > 0) with x_i = numerators[i]/den, or
+    None when the matrix is singular.
+    """
+    n = len(rows)
+    d = det_int(rows)
+    if d == 0:
+        return None
+    nums = []
+    for i in range(n):
+        col = [r[:i] + (b,) + r[i + 1:] for r, b in zip(rows, rhs)]
+        nums.append(det_int(col))
+    if d < 0:
+        d = -d
+        nums = [-x for x in nums]
+    return nums, d
+
+
+def cofactor_kernel_vector(rows):
+    """Kernel generator of an integer (n-1) x n matrix via signed minors.
+
+    Returns the zero tuple when the rows are dependent; otherwise an integer
+    vector spanning the kernel (the generalized cross product).
+    """
+    n = len(rows[0]) if rows else 1
+    out = []
+    sign = 1
+    for i in range(n):
+        minor = [r[:i] + r[i + 1:] for r in rows]
+        out.append(sign * det_int(minor))
+        sign = -sign
+    return tuple(out)
+
+
+def _tight_vertex(row, v):
+    return dot(row[0], v) == row[1]
+
+
+def _tight_ray(row, r):
+    return dot(row[0], r) == 0
+
+
+def facet_rows(vertices, rays, n):
+    """Irredundant facet inequalities of conv(vertices) + cone(rays)."""
+    gens = [integerize(tuple(v) + (Fraction(1),)) for v in vertices]
+    gens += [tuple(int(c) for c in r) + (0,) for r in rays]
+    seen = set()
+    rows = []
+    for idx in combinations(range(len(gens)), n):
+        w = cofactor_kernel_vector([gens[i] for i in idx])
+        if not any(w):
+            continue
+        neg = pos = False
+        for g in gens:
+            val = dot(w, g)
+            if val > 0:
+                pos = True
+            elif val < 0:
+                neg = True
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        if neg:
+            w = tuple(-c for c in w)
+        w = primitive(w)
+        row = (w[:n], -w[n])
+        if row in seen:
+            continue
+        seen.add(row)
+        tight_v = [v for v in vertices if _tight_vertex(row, v)]
+        tight_r = [r for r in rays if _tight_ray(row, r)]
+        if not tight_v:
+            continue
+        dirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + [tuple(map(Fraction, r)) for r in tight_r]
+        if mat_rank(dirs) == n - 1:
+            rows.append(row)
+    return sorted(rows)
+
+
+def oracle_from_points(points, rays=()):
+    pts = sorted(set(rat_vector(p) for p in points))
+    n = len(pts[0])
+    rr = sorted(set(primitive(r) for r in rays))
+    if n == 0:
+        return Polytope(0, [()], [], [])
+    dirs = [vsub(p, pts[0]) for p in pts[1:]] + [tuple(map(Fraction, r)) for r in rr]
+    if mat_rank(dirs) < n:
+        raise NotFullDimensionalError("not full-dimensional")
+    rows = facet_rows(pts, rr, n)
+    verts = [p for p in pts
+             if mat_rank([r[0] for r in rows if _tight_vertex(r, p)]) == n]
+    xrays = [r for r in rr
+             if mat_rank([row[0] for row in rows if _tight_ray(row, r)]) == n - 1]
+    return Polytope(n, verts, xrays, rows)
+
+
+def oracle_from_inequalities(rows):
+    norm = []
+    n = None
+    for a, b in rows:
+        a = rat_vector(a)
+        b = as_rat(b)
+        if n is None:
+            n = len(a)
+        if not any(a):
+            if b > 0:
+                raise EmptyPolyhedronError("infeasible row")
+            continue
+        norm.append(normalize_row(a, b))
+    if n == 0:
+        return Polytope(0, [()], [], [])
+    norm = sorted(set(norm))
+    if not norm or mat_rank([r[0] for r in norm]) < n:
+        raise NotPointedError("not pointed")
+    verts = set()
+    for idx in combinations(range(len(norm)), n):
+        sol = cramer_solve_int([norm[i][0] for i in idx],
+                               [norm[i][1] for i in idx])
+        if sol is None:
+            continue
+        nums, den = sol
+        if all(dot(a, nums) >= b * den for a, b in norm):
+            verts.add(tuple(Fraction(x, den) for x in nums))
+    if not verts:
+        raise EmptyPolyhedronError("empty polyhedron")
+    rays = set()
+    normals = [r[0] for r in norm]
+    if n == 1:
+        cands = [(1,), (-1,)]
+    else:
+        cands = []
+        for idx in combinations(range(len(norm)), n - 1):
+            d = cofactor_kernel_vector([normals[i] for i in idx])
+            if any(d):
+                cands.append(primitive(d))
+    for d in cands:
+        for cand in (d, tuple(-c for c in d)):
+            if all(dot(a, cand) >= 0 for a in normals):
+                rays.add(cand)
+    verts = sorted(verts)
+    rays = sorted(rays)
+    facets = []
+    for row in norm:
+        tv = [v for v in verts if _tight_vertex(row, v)]
+        tr = [r for r in rays if _tight_ray(row, r)]
+        if not tv:
+            continue
+        dirs = [vsub(v, tv[0]) for v in tv[1:]] + [tuple(map(Fraction, r)) for r in tr]
+        if mat_rank(dirs) == n - 1:
+            facets.append(row)
+    return Polytope(n, verts, rays, facets)

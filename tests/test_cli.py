@@ -185,6 +185,12 @@ def test_missing_file_exits_one(capsys):
     assert main(["faces", "/nonexistent/file.vrep"]) == 1
 
 
+def test_not_pointed_vrep_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "halfplane.vrep", "vrep 2\n0 0\nrays\n1 0\n-1 0\n0 1\n")
+    assert main(["faces", path]) == 1
+    assert "not pointed" in capsys.readouterr().err
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     path = write(tmp_path, "bad.vrep", "vrep 2\n0\n")
     assert main(["faces", path]) == 1
@@ -226,6 +232,28 @@ def test_check_with_cone_input(tmp_path):
     assert code == 0
     sec = find_section(report, "consistency checks")
     assert any(row[0] == "input: punctured duality" for row in sec["rows"])
+
+
+def test_check_with_translated_cone_input(tmp_path):
+    path = write(tmp_path, "cone.vrep", "vrep 2\n1 1\nrays\n1 0\n1 2\n")
+    code, report = run(["check", path])
+    assert code == 0
+    sec = find_section(report, "consistency checks")
+    assert ["input: summand symmetry", "pass"] in sec["rows"]
+
+
+def test_check_fails_on_wrong_summand_table(monkeypatch):
+    from toric_ih import stalks
+
+    def wrong(lat, n=None):
+        return stalks.SummandTable(lat.n, ((0, 1, 0),))
+
+    monkeypatch.setattr(stalks, "decomposition_summands", wrong)
+    code, report = run(["check"])
+    assert code == 2
+    sec = find_section(report, "consistency checks")
+    assert item(sec, "all passed") is False
+    assert ["quadrant: summand symmetry", "FAIL"] in sec["rows"]
 
 
 def test_text_rendering_is_stable(tmp_path, capsys):

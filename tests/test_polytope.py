@@ -19,7 +19,6 @@ from toric_ih.fixtures import (
 )
 from toric_ih.polytope import (
     Polytope,
-    enumerate_faces,
     face_interval,
     is_prime,
     is_smooth_cone,
@@ -65,6 +64,11 @@ def test_hrep_not_pointed():
         Polytope.from_inequalities([((1, 0), 0)])
 
 
+def test_vrep_not_pointed():
+    with pytest.raises(NotPointedError):
+        Polytope.from_points([(0, 0)], rays=[(1, 0), (-1, 0), (0, 1)])
+
+
 def test_vrep_to_hrep_simplex():
     p = Polytope.from_points([(0, 0), (1, 0), (0, 1)])
     assert len(p.rows) == 3
@@ -105,25 +109,25 @@ def test_translate_and_dilate():
 # -- face enumeration --------------------------------------------------------
 
 def test_faces_simplex():
-    lat = enumerate_faces(simplex(2))
+    lat = simplex(2).face_lattice()
     assert len(lat.faces) == 7
     assert lat.f_vector == (3, 3, 1)
 
 
 def test_faces_cube():
-    lat = enumerate_faces(cube(3))
+    lat = cube(3).face_lattice()
     assert len(lat.faces) == 27
     assert lat.f_vector == (8, 12, 6, 1)
 
 
 def test_faces_square_pyramid():
-    lat = enumerate_faces(square_pyramid())
+    lat = square_pyramid().face_lattice()
     assert lat.f_vector == (5, 8, 5, 1)
     assert len(lat.faces) == 19
 
 
 def test_top_face_is_id_zero():
-    lat = enumerate_faces(cube(2))
+    lat = cube(2).face_lattice()
     assert lat.top.id == 0
     assert lat.top.dim == 2
     assert lat.top.codim == 0
@@ -141,14 +145,14 @@ def test_cover_relations_are_graded(rng):
 
 
 def test_face_interval_top():
-    lat = enumerate_faces(simplex(2))
+    lat = simplex(2).face_lattice()
     iv = face_interval(lat, lat.top)
     assert iv.ids == (0,)
     assert iv.counts_by_rel_dim() == (1,)
 
 
 def test_face_interval_cube_vertex_is_boolean():
-    lat = enumerate_faces(cube(3))
+    lat = cube(3).face_lattice()
     v = lat.of_dim(0)[0]
     iv = face_interval(lat, v)
     assert iv.counts_by_rel_dim() == (1, 3, 3, 1)
@@ -163,7 +167,7 @@ def test_face_interval_cube_vertex_is_boolean():
 
 
 def test_face_interval_pyramid_apex():
-    lat = enumerate_faces(square_pyramid())
+    lat = square_pyramid().face_lattice()
     apex = next(f for f in lat.of_dim(0)
                 if lat.polytope.vertices[f.vertex_ids[0]] == (F(0), F(0), F(1)))
     iv = face_interval(lat, apex)
@@ -172,7 +176,7 @@ def test_face_interval_pyramid_apex():
 
 def test_face_interval_matches_cone_poset():
     # the interval over a cube vertex looks like the face poset of the octant
-    lat = enumerate_faces(cube(3))
+    lat = cube(3).face_lattice()
     v = lat.of_dim(0)[0]
     iv = face_interval(lat, v)
     octant = quadrant(3).face_lattice()
@@ -185,7 +189,7 @@ def test_face_interval_matches_cone_poset():
 
 
 def test_face_interval_unknown_face():
-    lat = enumerate_faces(simplex(2))
+    lat = simplex(2).face_lattice()
     with pytest.raises(ValueError):
         face_interval(lat, 99)
 
