@@ -16,7 +16,9 @@ from .counting import (
     count_report,
     ehrhart_eval,
     ehrhart_polynomial,
+    face_counts,
     interior_lattice_points,
+    lattice_count,
     lattice_points,
     reciprocity_check,
     skeleton_count,

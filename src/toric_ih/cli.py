@@ -259,7 +259,7 @@ def report_hypersurface(obj, args):
         section("newton polytope", items=[
             ("dimension", p.n),
             ("vertices", len(p.vertices)),
-            ("lattice points", counting.lattice_points(p)[0]),
+            ("lattice points", counting.lattice_count(p)),
             ("interior points", genus),
             ("skeleton points", counting.skeleton_count(lat)),
         ]),
@@ -316,14 +316,18 @@ def _facet_normal_sum(p):
     return primitive(tuple(sum(a[i] for a, _ in p.rows) for i in range(p.n)))
 
 
+def _at_apex(p):
+    """The polyhedron translated so that its first vertex (a cone's apex) is the origin."""
+    return p.translate(tuple(-c for c in p.vertices[0]))
+
+
 def _figure_summands(p):
     """Summand entries (2k, h_k - g_k, -k) of a cone read off its blow-up figure.
 
     h is the global class of the figure cut at level 1 along the facet normal
     sum (the cone moved to have its vertex at the origin), g its primitive part.
     """
-    cone = p.translate(tuple(-c for c in p.vertices[0]))
-    fig = cutting.vertex_blowup(cone, _facet_normal_sum(p), 1).figure
+    fig = cutting.vertex_blowup(_at_apex(p), _facet_normal_sum(p), 1).figure
     h = stalks.global_ih_class(fig.face_lattice())
     g = stalks.primitive_parts(h, p.n - 1)
     return tuple((2 * k, h.coeff(k) - g.coeff(k), -k)
@@ -331,7 +335,7 @@ def _figure_summands(p):
 
 
 def report_blowup(obj, args):
-    p = _require_polytope(obj)
+    p = _at_apex(_require_polytope(obj))
     if getattr(args, "direction", None):
         v = tuple(int(t) for t in args.direction.split(","))
     else:
@@ -383,8 +387,8 @@ def _check_battery(extra=None):
         if p.is_lattice:
             check(f"{name}: reciprocity", counting.reciprocity_check(p, kmax=2))
             nv = len(lat.of_dim(0))
-            edge_int = sum(counting.interior_lattice_points(lat, f)[0]
-                           for f in lat.of_dim(1))
+            counts = counting.face_counts(lat)
+            edge_int = sum(counts[f.id][1] for f in lat.of_dim(1))
             check(f"{name}: skeleton decomposition",
                   counting.skeleton_count(lat) == nv + edge_int)
             if p.n >= 2:

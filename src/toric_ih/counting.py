@@ -1,9 +1,19 @@
 """Lattice-point counting, Ehrhart polynomials and the cone over a polytope.
 
-Counting is a bounding-box scan with exact membership tests; lower
-dimensional faces are counted in the lattice chart of their affine span.
-Faces whose span carries no lattice point count as 0 rather than erroring,
-so that totals over all faces stay clean.
+Every count is a fiber scan in plain integers: it loops over the integer
+points x of the bounding box's first n-1 coordinates and reads the range
+l <= t <= h of the last coordinate off the integer rows by ceil and floor
+division, so a count adds up interval lengths and its cost follows the
+box's projection, not its volume.  The rows are integral, so the interior
+(a.y > b) is the same scan with b + 1 in place of b.
+
+Per-face counts come from one classified scan of the polytope, memoized on
+its FaceLattice: a lattice point lies in the relative interior of exactly
+one face, the face whose active rows are the rows tight at the point, and
+along a fiber that tight set can change only at the two ends.  Closed counts
+sum the interior counts of the faces below.  A face whose affine span misses
+the lattice collects no points and counts 0, so totals over all faces stay
+clean.
 """
 
 from __future__ import annotations
@@ -11,49 +21,108 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
+from operator import mul
 
-from .errors import NonIntegralSpanError, UnboundedError
+from .errors import UnboundedError
 from .lattice import as_rat, dot
-from .polytope import Face, FaceLattice, Polytope, reduce_to_span
+from .polytope import Face, FaceLattice, Polytope
+
+
+def _box(vertices, k=1):
+    """Smallest integer box holding every lattice point of k * conv(vertices)."""
+    cols = tuple(zip(*vertices))
+    return (tuple(ceil(k * min(c)) for c in cols),
+            tuple(floor(k * max(c)) for c in cols))
+
+
+def _fibers(rows, lo, hi):
+    """Nonempty fibers (x, l, h) of {y in Z^n : a.y >= b for (a, b) in rows} in the box lo..hi.
+
+    x runs over the integer points of the box's first n-1 coordinates in
+    lexicographic order, and the fiber over x is {x + (t,) : l <= t <= h}.
+    A row with last coefficient c > 0 bounds t from below by a ceil division,
+    one with c < 0 from above by a floor division, and one with c = 0 accepts
+    or rejects x whole.
+    """
+    flat, up, down = [], [], []
+    for a, b in rows:
+        c = a[-1]
+        (down if c < 0 else up if c else flat).append((a[:-1], c, b))
+    t_lo, t_hi = [lo[-1]], [hi[-1]]
+    for x in product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
+        if any(sum(map(mul, a, x)) < b for a, _, b in flat):
+            continue
+        l = max(t_lo + [-((sum(map(mul, a, x)) - b) // c) for a, c, b in up])
+        h = min(t_hi + [(b - sum(map(mul, a, x))) // c for a, c, b in down])
+        if l <= h:
+            yield x, l, h
+
+
+def _classified(rows, lo, hi):
+    """The fibers of _fibers cut into pieces (s, e, mask) by tight row set.
+
+    mask has bit j set when rows[j] is tight at every x + (t,) with
+    s <= t <= e.  A row with a zero last coefficient is tight along the whole
+    fiber or nowhere on it; any other row is tight at one t at most, and only
+    at an end of the fiber.  Pieces come in increasing t.
+    """
+    split = [(a[:-1], a[-1], b, 1 << j) for j, (a, b) in enumerate(rows)]
+    for x, l, h in _fibers(rows, lo, hi):
+        inner = at_l = at_h = 0
+        for a, c, b, bit in split:
+            s = b - sum(map(mul, a, x))
+            if not c:
+                if s == 0:
+                    inner |= bit
+            elif c * l == s:
+                at_l |= bit
+            elif c * h == s:
+                at_h |= bit
+        if l == h:
+            yield x, ((l, l, inner | at_l | at_h),)
+        elif h == l + 1:
+            yield x, ((l, l, inner | at_l), (h, h, inner | at_h))
+        else:
+            yield x, ((l, l, inner | at_l), (l + 1, h - 1, inner), (h, h, inner | at_h))
+
+
+def _mask(active):
+    return sum(1 << j for j in active)
+
+
+def _rows(p: Polytope, k=1, strict=False):
+    """The integer rows of kP; for the interior, a.y > kb is a.y >= kb + 1."""
+    return [(a, k * b + int(strict)) for a, b in p.rows]
 
 
 def _scan(p: Polytope, strict: bool):
-    """Lattice points of a full-dimensional compact polytope (or its interior)."""
+    """Lattice points of a full-dimensional compact polytope (or its interior), sorted."""
     if not p.is_compact:
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return ((),)
-    lo, hi = p.bounding_box()
-    member = p.contains_interior if strict else p.contains
-    pts = []
-    for x in product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi))):
-        if member(x):
-            pts.append(x)
-    return tuple(pts)
-
-
-def _face_chart(lattice: FaceLattice, face: Face):
-    """(polytope in frame coordinates, frame) for a lower-dimensional face.
-
-    Returns (None, None) when the face's affine span has no lattice point.
-    """
-    if face.ray_ids:
-        raise UnboundedError("unbounded input")
-    pts = [lattice.polytope.vertices[i] for i in face.vertex_ids]
-    try:
-        return reduce_to_span(pts)
-    except NonIntegralSpanError:
-        return None, None
+    return tuple(x + (t,) for x, l, h in _fibers(_rows(p, strict=strict), *_box(p.vertices))
+                 for t in range(l, h + 1))
 
 
 def _face_points(lattice: FaceLattice, face: Face, strict: bool):
+    """Lattice points of a face (or its relative interior), sorted.
+
+    Scans the face's bounding box against the rows of the whole polytope and
+    keeps the points whose tight rows include (equal, with strict) the face's.
+    """
+    p = lattice.polytope
     if face.dim == lattice.n:
-        return _scan(lattice.polytope, strict)
-    chart, frame = _face_chart(lattice, face)
-    if chart is None:
-        return ()
-    pts = _scan(chart, strict)
-    return tuple(sorted(tuple(frame.from_coords(y)) for y in pts))
+        return _scan(p, strict)
+    if face.ray_ids:
+        raise UnboundedError("unbounded input")
+    want = _mask(face.active)
+    lo, hi = _box([p.vertices[i] for i in face.vertex_ids])
+    return tuple(x + (t,) for x, pieces in _classified(p.rows, lo, hi)
+                 for s, e, mask in pieces
+                 if (mask == want if strict else mask & want == want)
+                 for t in range(s, e + 1))
 
 
 def lattice_points(obj, face: Face | None = None):
@@ -64,8 +133,8 @@ def lattice_points(obj, face: Face | None = None):
     """
     if isinstance(obj, Polytope):
         pts = _scan(obj, strict=False)
-        return len(pts), pts
-    pts = _face_points(obj, face, strict=False)
+    else:
+        pts = _face_points(obj, face, strict=False)
     return len(pts), pts
 
 
@@ -73,43 +142,86 @@ def interior_lattice_points(obj, face: Face | None = None):
     """(count, points) over the relative interior (a point is its own interior)."""
     if isinstance(obj, Polytope):
         pts = _scan(obj, strict=True)
-        return len(pts), pts
-    pts = _face_points(obj, face, strict=True)
+    else:
+        pts = _face_points(obj, face, strict=True)
     return len(pts), pts
 
 
+def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
+    """|kP ∩ Z^n|, or with strict the number of lattice points interior to kP.
+
+    Adds up fiber lengths; no point is listed and no dilate is built.
+    """
+    if k <= 0:
+        raise ValueError("dilation factor must be positive")
+    if not p.is_compact:
+        raise UnboundedError("unbounded input")
+    if p.n == 0:
+        return 1
+    return sum(h - l + 1 for _, l, h in _fibers(_rows(p, k, strict), *_box(p.vertices, k)))
+
+
+def _classify(lattice: FaceLattice):
+    """Relative-interior lattice-point count of every face, by face id.
+
+    One classified scan of the polytope: each lattice point goes to the face
+    whose active rows are exactly the rows tight at it.
+    """
+    p = lattice.polytope
+    if not p.is_compact:
+        raise UnboundedError("unbounded input")
+    inner = [0] * len(lattice.faces)
+    if p.n == 0:
+        inner[0] = 1
+        return inner
+    face_of = {_mask(f.active): f.id for f in lattice.faces}
+    for _, pieces in _classified(p.rows, *_box(p.vertices)):
+        for s, e, mask in pieces:
+            inner[face_of[mask]] += e - s + 1
+    return inner
+
+
+def face_counts(lattice: FaceLattice):
+    """(closed, interior) lattice-point counts of every face, indexed by face id.
+
+    Computed once per lattice of a compact polytope; a closed count sums the
+    interior counts of the faces below.
+    """
+    if lattice._counts is None:
+        inner = _classify(lattice)
+        lattice._counts = tuple(
+            (sum(inner[g.id] for g in lattice.faces_below(f.id, strict=False)), inner[f.id])
+            for f in lattice.faces)
+    return lattice._counts
+
+
 def skeleton_count(lattice: FaceLattice) -> int:
-    """Number of lattice points on the union of the 1-dimensional faces."""
+    """Number of lattice points on the union of the 1-dimensional faces.
+
+    Taken from the edges' point sets, never from face_counts, so that the
+    identity points = vertices + edge interiors stays a check of that table.
+    """
     if not lattice.is_compact:
         raise UnboundedError("unbounded input")
     seen = set()
     for f in lattice.of_dim(1):
-        _, pts = lattice_points(lattice, f)
-        seen.update(pts)
+        seen.update(_face_points(lattice, f, strict=False))
     return len(seen)
 
 
 def ehrhart_counts(p: Polytope):
     """Exact counts |kP ∩ Z^n| for k = 0 .. n."""
-    if not p.is_compact:
-        raise UnboundedError("unbounded input")
-    counts = [1]
-    for k in range(1, p.n + 1):
-        counts.append(lattice_points(p.dilate(k))[0])
-    return counts
+    return [1] + [lattice_count(p, k) for k in range(1, p.n + 1)]
 
 
-def ehrhart_polynomial(p: Polytope):
-    """Coefficients (c_0, ..., c_n) of the lattice-point counting polynomial.
-
-    Only lattice polytopes are supported; rational vertices would need a
-    quasi-polynomial.
-    """
+def _require_lattice(p: Polytope):
     if not p.is_lattice:
         raise ValueError("Ehrhart quasi-polynomial not supported: vertices are not lattice points")
-    counts = ehrhart_counts(p)
-    n = p.n
-    # exact interpolation through k = 0..n
+
+
+def _interpolate(counts):
+    """Coefficients of the polynomial of degree len(counts) - 1 through (k, counts[k])."""
+    n = len(counts) - 1
     coeffs = [Fraction(0)] * (n + 1)
     for k, val in enumerate(counts):
         basis = [Fraction(1)]  # product over j != k of (x - j)/(k - j), as coefficients
@@ -128,6 +240,16 @@ def ehrhart_polynomial(p: Polytope):
     return tuple(coeffs)
 
 
+def ehrhart_polynomial(p: Polytope):
+    """Coefficients (c_0, ..., c_n) of the lattice-point counting polynomial.
+
+    Only lattice polytopes are supported; rational vertices would need a
+    quasi-polynomial.
+    """
+    _require_lattice(p)
+    return _interpolate(ehrhart_counts(p))
+
+
 def ehrhart_eval(coeffs, k) -> Fraction:
     x = as_rat(k)
     acc = Fraction(0)
@@ -139,13 +261,8 @@ def ehrhart_eval(coeffs, k) -> Fraction:
 def reciprocity_check(p: Polytope, kmax: int = 3) -> bool:
     """(-1)^n L(-k) equals the interior count of kP, by direct enumeration."""
     coeffs = ehrhart_polynomial(p)
-    n = p.n
-    for k in range(1, kmax + 1):
-        lhs = (-1) ** n * ehrhart_eval(coeffs, -k)
-        rhs = interior_lattice_points(p.dilate(k))[0]
-        if lhs != rhs:
-            return False
-    return True
+    return all((-1) ** p.n * ehrhart_eval(coeffs, -k) == lattice_count(p, k, strict=True)
+               for k in range(1, kmax + 1))
 
 
 @dataclass(frozen=True)
@@ -158,27 +275,28 @@ class ConeOverPolytope:
     polytope: Polytope
     grading: tuple[int, ...]
 
+    def _slice(self, k: int):
+        """(rows, lo, hi): kP in the first n coordinates and its integer box."""
+        base = self.polytope
+        rows = [(a[:-1], b - a[-1] * k) for a, b in base.rows]
+        verts = [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in base.rays]
+        return (rows,) + _box(verts, k)
+
     def slice_count(self, k: int) -> int:
-        return len(self.slice_points(k))
+        if k < 0:
+            return 0
+        if self.polytope.n == 1:
+            return len(self.slice_points(k))
+        return sum(h - l + 1 for _, l, h in _fibers(*self._slice(k)))
 
     def slice_points(self, k: int):
         if k < 0:
             return ()
         base = self.polytope
-        n = base.n - 1
-        if n == 0:
+        if base.n == 1:
             return ((k,),) if all(dot(a, (k,)) >= b for a, b in base.rows) else ()
-        lo, hi = [], []
-        for i in range(n):
-            cs = [Fraction(k) * r[i] for r in base.rays]
-            lo.append(-((-min(cs)).__ceil__()) if cs else 0)
-            hi.append(max(cs).__floor__() if cs else 0)
-        pts = []
-        for x in product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi))):
-            y = x + (k,)
-            if all(dot(a, y) >= b for a, b in base.rows):
-                pts.append(y)
-        return tuple(pts)
+        return tuple(x + (t, k) for x, l, h in _fibers(*self._slice(k))
+                     for t in range(l, h + 1))
 
 
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
@@ -214,12 +332,8 @@ class CountReport:
 
 def count_report(p: Polytope) -> CountReport:
     lat = p.face_lattice()
-    rows = []
-    for f in lat.faces:
-        l = lattice_points(lat, f)[0] if f.dim < lat.n else lattice_points(p)[0]
-        ls = (interior_lattice_points(lat, f)[0] if f.dim < lat.n
-              else interior_lattice_points(p)[0])
-        rows.append((f.id, f.dim, l, ls))
-    coeffs = ehrhart_polynomial(p)
-    vals = tuple(ehrhart_counts(p))
-    return CountReport(tuple(rows), skeleton_count(lat), vals, coeffs)
+    counts = face_counts(lat)
+    rows = tuple((f.id, f.dim) + counts[f.id] for f in lat.faces)
+    _require_lattice(p)
+    values = tuple(ehrhart_counts(p))
+    return CountReport(rows, skeleton_count(lat), values, _interpolate(values))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .counting import interior_lattice_points, skeleton_count
+from .counting import face_counts, lattice_count, skeleton_count
 from .errors import NotFullDimensionalError, UnboundedError
 from .lattice import lattice_vector
 from .polytope import Face, FaceLattice, Polytope
@@ -257,7 +257,7 @@ def _require_lattice_polytope(p: Polytope):
 def geometric_genus_count(p: Polytope) -> int:
     """Interior lattice-point count: the geometric genus of the hypersurface."""
     _require_lattice_polytope(p)
-    return interior_lattice_points(p)[0]
+    return lattice_count(p, strict=True)
 
 
 def frontier_hodge(p: Polytope, lattice: FaceLattice | None = None,
@@ -274,13 +274,8 @@ def frontier_hodge(p: Polytope, lattice: FaceLattice | None = None,
         raise NotFullDimensionalError("need a polytope of dimension at least 2; "
                                       "reduce to affine span first")
     lattice = lattice or p.face_lattice()
-    out = {}
-    for pp in range(1, p.n):
-        total = 0
-        for f in lattice.of_dim(pp + 1):
-            total += (interior_lattice_points(lattice, f)[0] if f.dim < lattice.n
-                      else interior_lattice_points(p)[0])
-        out[pp] = total
+    counts = face_counts(lattice)
+    out = {pp: sum(counts[f.id][1] for f in lattice.of_dim(pp + 1)) for pp in range(1, p.n)}
     out[0] = skeleton_count(lattice) - components
     return out
 
@@ -348,7 +343,7 @@ def stratum_component_count(lattice: FaceLattice, face: Face) -> int:
     length of the edge (= interior count + 1)."""
     if face.dim != 1:
         raise ValueError("need an edge (1-dimensional face)")
-    return interior_lattice_points(lattice, face)[0] + 1
+    return face_counts(lattice)[face.id][1] + 1
 
 
 def frontier_crosscheck(p: Polytope, lattice: FaceLattice | None = None) -> bool:
@@ -361,8 +356,8 @@ def frontier_crosscheck(p: Polytope, lattice: FaceLattice | None = None) -> bool
     lattice = lattice or p.face_lattice()
     pi = skeleton_count(lattice)
     nv = len(lattice.of_dim(0))
-    edge_interiors = sum(interior_lattice_points(lattice, f)[0]
-                         for f in lattice.of_dim(1))
+    counts = face_counts(lattice)
+    edge_interiors = sum(counts[f.id][1] for f in lattice.of_dim(1))
     if pi != nv + edge_interiors:
         return False
     via_chase = (nv - 1) + edge_interiors
@@ -401,7 +396,7 @@ def curve_e_polynomial(p: Polytope, components: int = 1) -> EPoly2:
     if p.n != 2:
         raise ValueError("need a two-dimensional polytope")
     lat = p.face_lattice()
-    g = interior_lattice_points(p)[0]
+    g = lattice_count(p, strict=True)
     pi = skeleton_count(lat)
     return (EPoly2.lefschetz()
             - g * (EPoly2.monomial(1, 0) + EPoly2.monomial(0, 1))

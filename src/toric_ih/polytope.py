@@ -299,6 +299,7 @@ class FaceLattice:
     def __init__(self, polytope: Polytope):
         self.polytope = polytope
         self.n = polytope.n
+        self._counts = None  # memo of counting.face_counts
         self._build()
 
     def _build(self):

@@ -1,0 +1,59 @@
+"""Brute-force counting oracle: the original bounding-box scan.
+
+Every integer point of the bounding box is tested with exact rational
+membership (``Polytope.contains`` / ``contains_interior``), and a
+lower-dimensional face is counted in the lattice chart of its affine span
+(``reduce_to_span``), where it is full-dimensional.  Dilates are built as
+polytopes.  None of this shares code with the fiber scans in
+``toric_ih.counting``; it is the reference for their differential tests.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from toric_ih.errors import NonIntegralSpanError, UnboundedError
+from toric_ih.polytope import reduce_to_span
+
+
+def oracle_scan(p, strict=False):
+    """Lattice points of a full-dimensional compact polytope (or its interior)."""
+    if not p.is_compact:
+        raise UnboundedError("unbounded input")
+    if p.n == 0:
+        return ((),)
+    lo, hi = p.bounding_box()
+    member = p.contains_interior if strict else p.contains
+    return tuple(x for x in product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi)))
+                 if member(x))
+
+
+def oracle_face_points(lattice, face, strict=False):
+    """Points of a face (or its relative interior), counted in its lattice chart.
+
+    A face whose affine span misses the lattice has no points.
+    """
+    if face.dim == lattice.n:
+        return oracle_scan(lattice.polytope, strict)
+    if face.ray_ids:
+        raise UnboundedError("unbounded input")
+    try:
+        chart, frame = reduce_to_span([lattice.polytope.vertices[i] for i in face.vertex_ids])
+    except NonIntegralSpanError:
+        return ()
+    return tuple(sorted(tuple(frame.from_coords(y)) for y in oracle_scan(chart, strict)))
+
+
+def oracle_face_counts(lattice):
+    """(closed, interior) counts of every face, by face id."""
+    return tuple((len(oracle_face_points(lattice, f)), len(oracle_face_points(lattice, f, True)))
+                 for f in lattice.faces)
+
+
+def oracle_count(p, k=1, strict=False):
+    """|kP ∩ Z^n|, or the interior count, by scanning the dilate's box."""
+    return len(oracle_scan(p.dilate(k), strict))
+
+
+def oracle_ehrhart_counts(p):
+    return [1] + [oracle_count(p, k) for k in range(1, p.n + 1)]

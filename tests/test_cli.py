@@ -265,3 +265,51 @@ def test_text_rendering_is_stable(tmp_path, capsys):
     assert code1 == code2 == 0
     assert first == second
     assert "1 0 5 0 5 0 1" in first
+
+
+def test_blowup_on_translated_cone(tmp_path):
+    moved = run(["blowup", write(tmp_path, "m.vrep", "vrep 2\n1 1\nrays\n1 0\n1 2\n")])
+    origin = run(["blowup", write(tmp_path, "o.vrep", "vrep 2\n0 0\nrays\n1 0\n1 2\n")])
+    assert moved[0] == origin[0] == 0
+    for title in ("blowup", "summands", "face correspondence"):
+        assert find_section(moved[1], title) == find_section(origin[1], title)
+
+
+def test_check_fails_on_wrong_edge_count(monkeypatch):
+    from toric_ih import counting
+
+    classify = counting._classify
+
+    def wrong(lat):
+        inner = classify(lat)
+        if lat.n >= 2:
+            inner[lat.of_dim(1)[0].id] += 1
+        return inner
+
+    monkeypatch.setattr(counting, "_classify", wrong)
+    code, report = run(["check"])
+    assert code == 2
+    sec = find_section(report, "consistency checks")
+    assert item(sec, "all passed") is False
+    assert ["square: skeleton decomposition", "FAIL"] in sec["rows"]
+    assert ["square: frontier crosscheck", "FAIL"] in sec["rows"]
+
+
+@pytest.mark.parametrize("s", [300, 3000])
+def test_big_triangle_counts(tmp_path, s):
+    path = write(tmp_path, "t.vrep", f"vrep 2\n0 0\n{s} 0\n0 {s}\n")
+    points, interior = (s + 1) * (s + 2) // 2, (s - 1) * (s - 2) // 2
+    code, report = run(["ehrhart", path])
+    assert code == 0
+    sec = find_section(report, "ehrhart")
+    assert item(sec, "values k=0..n").split()[:2] == ["1", str(points)]
+    assert item(sec, "skeleton points") == 3 * s
+    assert item(sec, "reciprocity k<=3") is True
+    top = find_section(report, "counts per face")["rows"][0]
+    assert top == [0, 2, points, interior]
+    code, report = run(["hypersurface", path])
+    assert code == 0
+    sec = find_section(report, "newton polytope")
+    assert item(sec, "lattice points") == points
+    assert item(sec, "interior points") == interior
+    assert item(sec, "skeleton points") == 3 * s

@@ -1,0 +1,116 @@
+"""Differential tests: the fiber-interval counts against the box-scan oracle."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from toric_ih.counting import (
+    cone_over_polytope,
+    ehrhart_counts,
+    face_counts,
+    interior_lattice_points,
+    lattice_count,
+    lattice_points,
+    skeleton_count,
+)
+from toric_ih.errors import NotFullDimensionalError
+from toric_ih.fixtures import point, random_lattice_polytope
+from toric_ih.polytope import Polytope
+
+from counting_oracle import (
+    oracle_count,
+    oracle_ehrhart_counts,
+    oracle_face_counts,
+    oracle_face_points,
+    oracle_scan,
+)
+
+# Faces whose affine span misses the lattice: the edge y = 1/2, the facet
+# z = 1/2, and vertices and edges of a half-integral square.
+OFF_LATTICE = (
+    Polytope.from_points([(0, F(1, 2)), (3, F(1, 2)), (1, 3)]),
+    Polytope.from_points([(0, 0, F(1, 2)), (3, 0, F(1, 2)), (0, 3, F(1, 2)), (1, 1, 3)]),
+    Polytope.from_points([(F(1, 2), F(1, 2)), (F(5, 2), F(1, 2)),
+                          (F(1, 2), F(5, 2)), (F(5, 2), F(5, 2))]),
+)
+
+
+def random_rational_polytope(rng, d, npoints, bound):
+    while True:
+        pts = [tuple(F(rng.randint(-2 * bound, 2 * bound), rng.choice((1, 2, 3)))
+                     for _ in range(d)) for _ in range(npoints)]
+        try:
+            return Polytope.from_points(pts)
+        except NotFullDimensionalError:
+            continue
+
+
+def polytopes(d, rational, count):
+    """Seeded random polytopes, small enough for the oracle's box scans."""
+    rng = random.Random(100 * d + rational)
+    bound = {1: 4, 2: 3, 3: 2, 4: 1}[d]
+    for _ in range(count):
+        npoints = rng.randint(d + 1, d + 4 if d < 4 else d + 2)
+        if rational:
+            yield random_rational_polytope(rng, d, npoints, bound)
+        else:
+            yield random_lattice_polytope(rng, d, npoints, bound)
+
+
+CASES = [(d, rational) for d in (1, 2, 3, 4) for rational in (False, True)]
+
+
+@pytest.mark.parametrize("d,rational", CASES)
+def test_face_points_and_counts_match_oracle(d, rational):
+    for p in polytopes(d, rational, 8):
+        lat = p.face_lattice()
+        assert lattice_points(p) == (len(oracle_scan(p)), oracle_scan(p))
+        assert interior_lattice_points(p)[1] == oracle_scan(p, strict=True)
+        closed = [oracle_face_points(lat, f) for f in lat.faces]
+        inner = [oracle_face_points(lat, f, strict=True) for f in lat.faces]
+        for f in lat.faces:
+            assert lattice_points(lat, f)[1] == closed[f.id]
+            assert interior_lattice_points(lat, f)[1] == inner[f.id]
+        assert face_counts(lat) == tuple(zip(map(len, closed), map(len, inner)))
+        edge_points = {x for f in lat.of_dim(1) for x in closed[f.id]}
+        assert skeleton_count(lat) == len(edge_points)
+
+
+@pytest.mark.parametrize("d,rational", CASES)
+def test_dilate_counts_match_oracle(d, rational):
+    kmax = 3 if d <= 2 else 2
+    for p in polytopes(d, rational, 4 if d < 4 else 2):
+        assert ehrhart_counts(p) == oracle_ehrhart_counts(p)
+        cone = cone_over_polytope(p)
+        for k in range(1, kmax + 1):
+            assert lattice_count(p, k, strict=True) == oracle_count(p, k, strict=True)
+            want = tuple(x + (k,) for x in oracle_scan(p.dilate(k)))
+            assert cone.slice_points(k) == want
+            assert cone.slice_count(k) == len(want)
+
+
+def test_point_and_segment():
+    p = point()
+    lat = p.face_lattice()
+    assert face_counts(lat) == oracle_face_counts(lat) == ((1, 1),)
+    assert lattice_points(p) == (1, ((),))
+    assert ehrhart_counts(p) == oracle_ehrhart_counts(p) == [1]
+    assert [cone_over_polytope(p).slice_count(k) for k in range(3)] == [1, 1, 1]
+    seg = Polytope.from_points([(F(1, 2),), (F(7, 2),)])
+    lat = seg.face_lattice()
+    assert face_counts(lat) == oracle_face_counts(lat) == ((3, 3), (0, 0), (0, 0))
+    assert [cone_over_polytope(seg).slice_count(k) for k in range(4)] == [1, 3, 7, 9]
+
+
+@pytest.mark.parametrize("p", OFF_LATTICE, ids=["edge", "facet", "square"])
+def test_faces_off_the_lattice(p):
+    lat = p.face_lattice()
+    assert face_counts(lat) == oracle_face_counts(lat)
+    assert any(closed == 0 for closed, _ in face_counts(lat))
+    for f in lat.faces:
+        assert lattice_points(lat, f)[1] == oracle_face_points(lat, f)
+    for k in (1, 2, 3):
+        assert lattice_count(p, k) == oracle_count(p, k)
+        assert lattice_count(p, k, strict=True) == oracle_count(p, k, strict=True)
+        assert cone_over_polytope(p).slice_count(k) == oracle_count(p, k)
