@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 from operator import mul
 
 from .errors import UnboundedError
@@ -125,6 +125,28 @@ def _face_points(lattice: FaceLattice, face: Face, strict: bool):
                  for t in range(s, e + 1))
 
 
+def _edge_points(u, v):
+    """Lattice points of the segment from u to v, walked along its longest coordinate.
+
+    With U = den u and V = den v integral and i the coordinate where they
+    differ most, the point of the segment at x_i = t is
+    (U D_i + (t den - U_i) D) / (den D_i), D = V - U; it is a lattice point
+    when every coordinate divides out.
+    """
+    den = lcm(*(c.denominator for c in u + v))
+    uu = [int(c * den) for c in u]
+    d = [int(b * den) - a for a, b in zip(uu, v)]
+    i = max(range(len(d)), key=lambda j: abs(d[j]))
+    q = den * d[i]
+    out = []
+    for t in range(ceil(min(u[i], v[i])), floor(max(u[i], v[i])) + 1):
+        s = t * den - uu[i]
+        nums = [a * d[i] + s * c for a, c in zip(uu, d)]
+        if not any(x % q for x in nums):
+            out.append(tuple(x // q for x in nums))
+    return out
+
+
 def lattice_points(obj, face: Face | None = None):
     """(count, points) for a compact polytope or one of its faces.
 
@@ -205,7 +227,7 @@ def skeleton_count(lattice: FaceLattice) -> int:
         raise UnboundedError("unbounded input")
     seen = set()
     for f in lattice.of_dim(1):
-        seen.update(_face_points(lattice, f, strict=False))
+        seen.update(_edge_points(*(lattice.polytope.vertices[i] for i in f.vertex_ids)))
     return len(seen)
 
 

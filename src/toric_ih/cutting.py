@@ -123,26 +123,27 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     q = Polytope.from_inequalities(rows)
     qlat = q.face_lattice()
 
-    # limit position of each vertex of q: re-solve its defining rows at depth 0
+    # limit position of each vertex of q, by vertex index: re-solve its
+    # defining rows at depth 0
     limit_of_vertex = {}
     for vf in qlat.of_dim(0):
         chosen, rhs = [], []
         for j in vf.active:
             kind, data = label_of[q.rows[j]]
             normal = data[0] if kind == "row" else data.functional
-            if mat_rank(chosen + [list(map(Fraction, normal))]) > len(chosen):
-                chosen.append(list(map(Fraction, normal)))
+            if mat_rank(chosen + [normal]) > len(chosen):
+                chosen.append(normal)
                 rhs.append(Fraction(data[1]) if kind == "row" else data.base)
             if len(chosen) == p.n:
                 break
         w0 = solve_square(chosen, rhs)
         if w0 is None or not p.contains(w0):
             raise ValueError("vertex limit escaped the polytope")
-        limit_of_vertex[vf.id] = w0
+        limit_of_vertex[vf.vertex_ids[0]] = w0
 
     face_map = {}
     for f in qlat.faces:
-        verts = [limit_of_vertex[g.id] for g in qlat.of_dim(0) if qlat.leq(g.id, f.id)]
+        verts = [limit_of_vertex[i] for i in f.vertex_ids]
         k = Fraction(1, len(verts))
         bary = tuple(sum(col) * k for col in zip(*verts))
         face_map[f.id] = lattice.smallest_face_containing(bary).id
@@ -186,16 +187,23 @@ def prime_cut(p: Polytope, spec: CutSpec | None = None,
         raise ValueError("epsilon must be positive")
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
+    last = {}  # the last cut built, by its eps: a rejected round's eps/2 cut opens the next
+
+    def cut_at(e):
+        if e not in last:
+            last.clear()
+            try:
+                last[e] = _cut_once(p, lattice, spec, e)
+            except (ValueError, EmptyPolyhedronError):
+                last[e] = None
+        return last[e]
+
     for _ in range(max_rounds):
-        try:
-            q, qlat, labels, face_map = _cut_once(p, lattice, spec, eps)
-            _, qlat2, labels2, face_map2 = _cut_once(p, lattice, spec, eps / 2)
-        except (ValueError, EmptyPolyhedronError):
-            eps = eps / 2
-            continue
-        same = _signature(qlat, labels, face_map) == _signature(qlat2, labels2, face_map2)
-        if same and is_prime(q) and _fan_refines(q, p):
-            return CutResult(q, face_map, eps, spec)
+        cut = cut_at(eps)
+        half = cut and cut_at(eps / 2)
+        if (half and _signature(*cut[1:]) == _signature(*half[1:])
+                and is_prime(cut[0]) and _fan_refines(cut[0], p)):
+            return CutResult(cut[0], cut[3], eps, spec)
         eps = eps / 2
     raise EpsilonUnstableError(f"epsilon unstable after {max_rounds} halvings")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from .errors import DimensionMismatchError, NonIntegralSpanError, NotUnimodularError
 
 
@@ -65,11 +65,12 @@ def vscale(c, u):
 
 def integerize(u) -> tuple[int, ...]:
     """Scale a rational vector by a positive integer to clear denominators."""
+    u = tuple(u)
+    if all(type(c) is int for c in u):
+        return u
     u = rat_vector(u)
-    mult = 1
-    for c in u:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    return tuple(int(c * mult) for c in u)
+    mult = lcm(*(c.denominator for c in u))
+    return tuple(c.numerator * (mult // c.denominator) for c in u)
 
 
 def vec_gcd(u) -> int:
@@ -89,7 +90,8 @@ def primitive(u) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Rational linear algebra (dense, row based; desk scale only).
+# Linear algebra (dense, row based; desk scale only): rank, determinant and
+# kernel by fraction-free elimination on ints, rational solves over Q.
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
@@ -133,9 +135,28 @@ def _echelon(rows):
 
 
 def mat_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_echelon(rows)[1])
+    """Rank over Q by fraction-free Bareiss elimination on plain ints.
+
+    Rational rows are integerized one by one, which keeps the rank; every
+    entry below the pivots stays an integer minor, so each division is exact.
+    """
+    m = [list(integerize(r)) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        p = prow[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def solve_consistent(rows, rhs):

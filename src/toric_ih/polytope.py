@@ -12,6 +12,14 @@ the facet rows; H->V takes the rows (a, -b) plus (0, ..., 0, 1), so the rays
 shared filter keeps what is irredundant against the other side.  Faces are
 canonically identified by their maximal tight row set.
 
+The face lattice comes from the generator-facet incidences in plain ints:
+the vertices are scaled by their common denominator, so a row is tight at a
+vertex when <a, V> = b * den exactly; generator sets are int bitmasks; a
+closure search from the polytope intersects each face with each facet, and
+the results one dimension lower are the face's lower covers.  A face's
+dimension is n minus the rank of its active rows' normals.  Up- and
+down-sets are bitmasks over face ids, unioned along the covers.
+
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
 lower-dimensional data reduce to the affine span first.
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     EmptyPolyhedronError,
@@ -43,8 +52,6 @@ from .lattice import (
     pairing,
     primitive,
     rat_vector,
-    solve_consistent,
-    solve_integer_system,
     transpose,
     vec_gcd,
     vsub,
@@ -60,13 +67,14 @@ def normalize_row(a, b):
     return coeffs[:-1], coeffs[-1]
 
 
-def _row_tight_vertex(row, v):
-    a, b = row
-    return dot(a, v) == b
-
-
-def _row_tight_ray(row, r):
-    return dot(row[0], r) == 0
+def _bits(m):
+    """Positions of the set bits of the int m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 def _extreme_rays(cons, d):
@@ -304,59 +312,80 @@ class FaceLattice:
 
     def _build(self):
         p = self.polytope
-        nv, nr, nrow = len(p.vertices), len(p.rays), len(p.rows)
-        vsets = [frozenset(i for i in range(nv) if _row_tight_vertex(p.rows[j], p.vertices[i]))
-                 for j in range(nrow)]
-        rsets = [frozenset(k for k in range(nr) if _row_tight_ray(p.rows[j], p.rays[k]))
-                 for j in range(nrow)]
+        n, nv = self.n, len(p.vertices)
+        # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
+        # Vertices are scaled by their common denominator, so tightness is integral.
+        den = lcm(*(c.denominator for v in p.vertices for c in v))
+        verts = [tuple(int(c * den) for c in v) for v in p.vertices]
+        row_gens = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b * den)
+                    | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
+                    for a, b in p.rows]
+        vbits, every = (1 << nv) - 1, (1 << (nv + len(p.rays))) - 1
 
-        def close(vs, rs):
-            act = frozenset(j for j in range(nrow) if vs <= vsets[j] and rs <= rsets[j])
-            cvs, crs = set(range(nv)), set(range(nr))
-            for j in act:
-                cvs &= vsets[j]
-                crs &= rsets[j]
-            return act, frozenset(cvs), frozenset(crs)
+        def close(g):
+            """(active row mask, generator mask) of the smallest face holding the generators g."""
+            act, closed = 0, every
+            for j, rg in enumerate(row_gens):
+                if not g & ~rg:
+                    act |= 1 << j
+                    closed &= rg
+            return act, closed
 
-        top = close(frozenset(range(nv)), frozenset(range(nr)))
-        found = {top[0]: top}
+        def dim(act):
+            return n - mat_rank([p.rows[j][0] for j in _bits(act)])
+
+        # Closure search from the top; the faces H & facet_j of dimension one
+        # less than H are exactly the facets of H (its lower covers).
+        act, top = close(every)
+        found = {top: (act, dim(act))}
+        covers = set()
+        closure = {}
         queue = [top]
         while queue:
-            act, vs, rs = queue.pop()
-            for j in range(nrow):
-                if j in act:
+            g = queue.pop()
+            act, d = found[g]
+            for j, rg in enumerate(row_gens):
+                sub = g & rg
+                if act >> j & 1 or not sub & vbits:
                     continue
-                nvs = vs & vsets[j]
-                if not nvs:
-                    continue
-                cand = close(nvs, rs & rsets[j])
-                if cand[0] not in found:
-                    found[cand[0]] = cand
-                    queue.append(cand)
+                if sub not in closure:
+                    closure[sub] = close(sub)
+                cact, cg = closure[sub]
+                if cg not in found:
+                    found[cg] = (cact, dim(cact))
+                    queue.append(cg)
+                if found[cg][1] == d - 1:
+                    covers.add((cg, g))
 
-        def fdim(vs, rs):
-            vv = [p.vertices[i] for i in sorted(vs)]
-            dirs = [vsub(v, vv[0]) for v in vv[1:]]
-            dirs += [tuple(map(Fraction, p.rays[k])) for k in sorted(rs)]
-            return mat_rank(dirs)
+        def key(g):
+            return found[g][1], _bits(g & vbits), _bits(g >> nv)
 
-        entries = []
-        for act, vs, rs in found.values():
-            entries.append((fdim(vs, rs), tuple(sorted(vs)), tuple(sorted(rs)), tuple(sorted(act))))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        top_entry = max(entries, key=lambda e: e[0])
-        if top_entry[0] != self.n:
+        if found[top][1] != n:
             raise InvariantViolation("face enumeration lost the top face")
-        entries.remove(top_entry)
-        ordered = [top_entry] + entries
-
-        faces = []
-        for i, (d, vs, rs, act) in enumerate(ordered):
-            faces.append(Face(i, d, self.n - d, act, vs, rs))
-        self.faces = tuple(faces)
-        self._gen_sets = [(frozenset(f.vertex_ids), frozenset(f.ray_ids)) for f in faces]
-        self.by_active = {frozenset(f.active): f for f in faces}
-        self.by_generators = {g: faces[i] for i, g in enumerate(self._gen_sets)}
+        order = [top] + sorted((g for g in found if g != top), key=key)
+        fid = {g: i for i, g in enumerate(order)}
+        self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *key(g)[1:])
+                           for i, g in enumerate(order))
+        self._gens = order
+        up = [[] for _ in order]
+        down = [[] for _ in order]
+        for lo, hi in sorted((fid[c], fid[g]) for c, g in covers):
+            up[lo].append(hi)
+            down[hi].append(lo)
+        self._covers_up = tuple(map(tuple, up))
+        # Up- and down-sets as bitmasks over face ids: unions along the covers.
+        self._above = [1 << i for i in range(len(order))]
+        self._below = list(self._above)
+        by_dim = sorted(self.faces, key=lambda f: f.dim)
+        for f in reversed(by_dim):
+            for c in up[f.id]:
+                self._above[f.id] |= self._above[c]
+        for f in by_dim:
+            for c in down[f.id]:
+                self._below[f.id] |= self._below[c]
+        self.by_active = {frozenset(f.active): f for f in self.faces}
+        self.by_generators = {(frozenset(f.vertex_ids), frozenset(f.ray_ids)): f
+                              for f in self.faces}
 
     # -- poset queries -------------------------------------------------------
 
@@ -366,21 +395,23 @@ class FaceLattice:
 
     def leq(self, a: int, b: int) -> bool:
         """Containment: face a is a face of face b."""
-        (va, ra), (vb, rb) = self._gen_sets[a], self._gen_sets[b]
-        return va <= vb and ra <= rb
+        ga = self._gens[a]
+        return ga & self._gens[b] == ga
 
     def covers_up(self, a: int):
         """The faces one dimension above face a that contain it."""
-        d = self.faces[a].dim + 1
-        return tuple(f.id for f in self.faces if f.dim == d and self.leq(a, f.id))
+        return self._covers_up[a]
+
+    def _faces_in(self, mask, a, strict):
+        if strict:
+            mask &= ~(1 << a)
+        return tuple(self.faces[i] for i in _bits(mask))
 
     def faces_above(self, a: int, strict=True):
-        return tuple(f for f in self.faces
-                     if self.leq(a, f.id) and (not strict or f.id != a))
+        return self._faces_in(self._above[a], a, strict)
 
     def faces_below(self, a: int, strict=True):
-        return tuple(f for f in self.faces
-                     if self.leq(f.id, a) and (not strict or f.id != a))
+        return self._faces_in(self._below[a], a, strict)
 
     def of_dim(self, d: int):
         return tuple(f for f in self.faces if f.dim == d)
@@ -430,8 +461,8 @@ class FaceInterval:
     @property
     def ids(self):
         L = self.lattice
-        return tuple(sorted((f.id for f in L.faces if L.leq(self.base_id, f.id)),
-                            key=lambda i: (L.faces[i].dim, i)))
+        return tuple(f.id for f in sorted(L.faces_above(self.base_id, strict=False),
+                                          key=lambda f: (f.dim, f.id)))
 
     def rel_dim(self, face_id: int) -> int:
         L = self.lattice
@@ -526,24 +557,21 @@ def is_prime(p: Polytope) -> bool:
 
 def is_smooth_cone(rays) -> bool:
     """True when the cone is simplicial and its generators span the lattice
-    of their linear span (determinant +-1 in a lattice frame)."""
+    of their linear span.
+
+    For d primitive generators in Z^n that is: the gcd of their d x d minors
+    is 1.  The gcd is 0 when the generators are dependent, and |det| when
+    d = n.
+    """
     rr = [primitive(r) for r in rays]
     if not rr:
         return True
-    d = mat_rank([list(r) for r in rr])
-    if len(rr) != d:
-        return False
-    n = len(rr[0])
-    if d == n:
-        return abs(det_int([list(r) for r in rr])) == 1
-    _, normals = solve_integer_system([list(r) for r in rr])
-    _, span_basis = solve_integer_system([list(c) for c in normals])
-    cols = [[Fraction(b[i]) for b in span_basis] for i in range(n)]
-    coords = []
-    for r in rr:
-        y = solve_consistent(cols, list(r))
-        coords.append([int(c) for c in y])
-    return abs(det_int(coords)) == 1
+    g = 0
+    for cols in combinations(range(len(rr[0])), len(rr)):
+        g = gcd(g, det_int([[r[c] for c in cols] for r in rr]))
+        if g == 1:
+            return True
+    return False
 
 
 def reduce_to_span(points):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvariantViolation, PoincareDualityError, UnsupportedShapeError
 from .lattice import as_rat
@@ -184,8 +185,18 @@ def truncate_below(h: TatePoly, alpha) -> TatePoly:
     return h.truncate_below(alpha)
 
 
+@lru_cache(maxsize=None)
 def _tm1(k: int) -> TatePoly:
+    """(t - 1)^k; k never exceeds the largest dimension asked about, which bounds the cache."""
     return (T - 1) ** k
+
+
+def _tm1_sum(terms) -> TatePoly:
+    """The sum of (t - 1)^k * m over pairs (k, m), one product per distinct k."""
+    by_k = {}
+    for k, m in terms:
+        by_k[k] = by_k[k] + m if k in by_k else m
+    return sum((_tm1(k) * m for k, m in by_k.items()), TatePoly.zero())
 
 
 def _require_shape(lattice: FaceLattice) -> str:
@@ -212,9 +223,8 @@ def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
         if face.codim == 0:
             out[face.id] = ONE
             continue
-        acc = TatePoly.zero()
-        for tau in lattice.faces_above(face.id):
-            acc = acc + _tm1(tau.dim - face.dim - 1) * out[tau.id]
+        acc = _tm1_sum((tau.dim - face.dim - 1, out[tau.id])
+                       for tau in lattice.faces_above(face.id))
         m = ((1 - T) * acc).truncate_below(Fraction(face.codim, 2))
         if m.coeff(0) != 1 or any(c < 0 for c in m.coeffs):
             raise InvariantViolation(
@@ -266,9 +276,7 @@ def global_ih_class(lattice: FaceLattice) -> TatePoly:
     if not lattice.is_compact:
         raise UnsupportedShapeError("global class needs a compact polytope")
     ms = stalk_polynomials(lattice)
-    h = TatePoly.zero()
-    for face in lattice.faces:
-        h = h + _tm1(face.dim) * ms[face.id]
+    h = _tm1_sum((face.dim, ms[face.id]) for face in lattice.faces)
     d = lattice.n
     if h.degree != d or any(c < 0 for c in h.coeffs):
         raise InvariantViolation(f"global class has wrong degree or negative ranks: {h}")
@@ -298,14 +306,9 @@ def punctured_cone_classes(lattice: FaceLattice):
         raise UnsupportedShapeError("punctured classes need a cone with a vertex")
     apex = lattice.cone_vertex_id
     ms = stalk_polynomials(lattice)
-    ih = TatePoly.zero()
-    ihc = TatePoly.zero()
-    for face in lattice.faces:
-        if face.id == apex:
-            continue
-        ih = ih + _tm1(face.dim - 1) * ms[face.id]
-        ihc = ihc + _tm1(face.dim) * ms[face.id]
-    ih = (1 - T) * ih
+    faces = [face for face in lattice.faces if face.id != apex]
+    ih = (1 - T) * _tm1_sum((face.dim - 1, ms[face.id]) for face in faces)
+    ihc = _tm1_sum((face.dim, ms[face.id]) for face in faces)
     return ih, ihc
 
 
@@ -353,10 +356,7 @@ def decomposition_summands(lattice: FaceLattice, n: int | None = None) -> Summan
         raise ValueError(f"cone dimension is {lattice.n}, not {n}")
     apex = lattice.cone_vertex_id
     ms = stalk_polynomials(lattice)
-    h = TatePoly.zero()
-    for face in lattice.faces:
-        if face.id != apex:
-            h = h + _tm1(face.dim - 1) * ms[face.id]
+    h = _tm1_sum((face.dim - 1, ms[face.id]) for face in lattice.faces if face.id != apex)
     g = primitive_parts(h, n - 1)
     entries = []
     for k in range(n):

@@ -23,12 +23,13 @@ from toric_ih.lattice import (
     det_int,
     dot,
     integerize,
-    mat_rank,
     primitive,
     rat_vector,
     vsub,
 )
 from toric_ih.polytope import Polytope, normalize_row
+
+from face_oracle import fraction_rank
 
 
 def cramer_solve_int(rows, rhs):
@@ -108,7 +109,7 @@ def facet_rows(vertices, rays, n):
         if not tight_v:
             continue
         dirs = [vsub(v, tight_v[0]) for v in tight_v[1:]] + [tuple(map(Fraction, r)) for r in tight_r]
-        if mat_rank(dirs) == n - 1:
+        if fraction_rank(dirs) == n - 1:
             rows.append(row)
     return sorted(rows)
 
@@ -120,13 +121,13 @@ def oracle_from_points(points, rays=()):
     if n == 0:
         return Polytope(0, [()], [], [])
     dirs = [vsub(p, pts[0]) for p in pts[1:]] + [tuple(map(Fraction, r)) for r in rr]
-    if mat_rank(dirs) < n:
+    if fraction_rank(dirs) < n:
         raise NotFullDimensionalError("not full-dimensional")
     rows = facet_rows(pts, rr, n)
     verts = [p for p in pts
-             if mat_rank([r[0] for r in rows if _tight_vertex(r, p)]) == n]
+             if fraction_rank([r[0] for r in rows if _tight_vertex(r, p)]) == n]
     xrays = [r for r in rr
-             if mat_rank([row[0] for row in rows if _tight_ray(row, r)]) == n - 1]
+             if fraction_rank([row[0] for row in rows if _tight_ray(row, r)]) == n - 1]
     return Polytope(n, verts, xrays, rows)
 
 
@@ -146,7 +147,7 @@ def oracle_from_inequalities(rows):
     if n == 0:
         return Polytope(0, [()], [], [])
     norm = sorted(set(norm))
-    if not norm or mat_rank([r[0] for r in norm]) < n:
+    if not norm or fraction_rank([r[0] for r in norm]) < n:
         raise NotPointedError("not pointed")
     verts = set()
     for idx in combinations(range(len(norm)), n):
@@ -182,6 +183,6 @@ def oracle_from_inequalities(rows):
         if not tv:
             continue
         dirs = [vsub(v, tv[0]) for v in tv[1:]] + [tuple(map(Fraction, r)) for r in tr]
-        if mat_rank(dirs) == n - 1:
+        if fraction_rank(dirs) == n - 1:
             facets.append(row)
     return Polytope(n, verts, rays, facets)

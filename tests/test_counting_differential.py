@@ -114,3 +114,23 @@ def test_faces_off_the_lattice(p):
         assert lattice_count(p, k) == oracle_count(p, k)
         assert lattice_count(p, k, strict=True) == oracle_count(p, k, strict=True)
         assert cone_over_polytope(p).slice_count(k) == oracle_count(p, k)
+
+
+def oracle_skeleton(lat):
+    return len({x for f in lat.of_dim(1) for x in oracle_face_points(lat, f)})
+
+
+def test_skeleton_of_long_diagonal_edges():
+    s = 120
+    lat = Polytope.from_points([(0, 0, 0), (s, s, s), (s, 0, 0), (0, s, 0)]).face_lattice()
+    assert skeleton_count(lat) == oracle_skeleton(lat) == 6 * s - 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_skeleton_of_rational_edges(d):
+    rng = random.Random(8000 + d)
+    for _ in range(10):
+        lat = random_rational_polytope(rng, d, d + 3, 3).face_lattice()
+        assert skeleton_count(lat) == oracle_skeleton(lat)
+    for p in OFF_LATTICE:
+        assert skeleton_count(p.face_lattice()) == oracle_skeleton(p.face_lattice())

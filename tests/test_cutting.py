@@ -1,12 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from toric_ih import cutting
 from toric_ih.cutting import (
+    CutResult,
+    _cut_once,
+    _fan_refines,
+    _signature,
     choose_cut_functionals,
     prime_cut,
     vertex_blowup,
 )
+from toric_ih.errors import EmptyPolyhedronError, EpsilonUnstableError
 from toric_ih.fixtures import (
     cone_over_polygon,
     cube,
@@ -239,3 +246,50 @@ def test_blowup_rational_level():
     assert b.figure.n == 1
     assert not b.lattice_chart or b.lattice_chart  # chart kind recorded either way
     assert len(b.figure.vertices) == 2
+
+
+def seed_prime_cut(p, epsilon=F(1, 8), max_rounds=12):
+    """The original retry loop: both cuts of every round are built afresh."""
+    lattice = p.face_lattice()
+    spec = choose_cut_functionals(p, lattice)
+    eps = epsilon
+    if not spec.entries:
+        return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
+    for _ in range(max_rounds):
+        try:
+            q, qlat, labels, face_map = _cut_once(p, lattice, spec, eps)
+            _, qlat2, labels2, face_map2 = _cut_once(p, lattice, spec, eps / 2)
+        except (ValueError, EmptyPolyhedronError):
+            eps = eps / 2
+            continue
+        same = _signature(qlat, labels, face_map) == _signature(qlat2, labels2, face_map2)
+        if same and is_prime(q) and _fan_refines(q, p):
+            return CutResult(q, face_map, eps, spec)
+        eps = eps / 2
+    raise EpsilonUnstableError("unstable")
+
+
+# Rejected at eps = 1/8: the accepted eps is 1/16.
+RETRY = Polytope.from_points([(-2, -2, 1), (-2, -2, 2), (-2, 0, 2), (-2, 2, -1), (-2, 2, 1),
+                              (0, -1, 1), (1, -2, -1)])
+
+
+def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
+    built = []
+
+    def recording_cut(p, lattice, spec, eps):
+        built.append(eps)
+        return _cut_once(p, lattice, spec, eps)
+
+    monkeypatch.setattr(cutting, "_cut_once", recording_cut)
+    rng = random.Random(11)
+    cases = [RETRY, square_pyramid(), octahedron(), cube(3)]
+    cases += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 8)) for _ in range(4)]
+    for p in cases:
+        built.clear()
+        r = prime_cut(p)
+        assert r == seed_prime_cut(p)
+        assert built == sorted(set(built), reverse=True)
+    built.clear()
+    assert prime_cut(RETRY).epsilon == F(1, 16)
+    assert built == [F(1, 8), F(1, 16), F(1, 32)]

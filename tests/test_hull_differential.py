@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_ih.errors import ToricError
 from toric_ih.lattice import kernel_ray, primitive
@@ -87,3 +89,25 @@ def test_kernel_ray_matches_cofactor_kernel(d):
             assert got is None
         else:
             assert got in (primitive(want), tuple(-x for x in primitive(want)))
+
+
+@st.composite
+def clouds(draw):
+    """(points, rays): a small integer cloud and rays inside one closed orthant."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 4))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * d))
+    rays = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), max_size=3))
+    return pts, [tuple(s * c for s, c in zip(signs, r)) for r in rays if any(r)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cloud=clouds())
+def test_both_representations_rebuild_the_polyhedron(cloud):
+    try:
+        p = Polytope.from_points(*cloud)
+    except ToricError:
+        return
+    assert Polytope.from_inequalities(p.rows) == p
+    assert Polytope.from_points(p.vertices, p.rays) == p
