@@ -17,9 +17,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import counting, cutting, fixtures, hypersurface, stalks
+from . import counting, cutting, fixtures, hypersurface, identities, stalks
 from .errors import InvariantViolation, ParseError, ToricError
-from .lattice import as_rat, primitive
+from .lattice import as_rat
 from .polytope import Polytope, is_prime, is_smooth_cone, normal_fan
 from .hypersurface import MonomialSupport
 
@@ -311,35 +311,12 @@ def report_prime_cut(obj, args):
     ]
 
 
-def _facet_normal_sum(p):
-    """Primitive sum of the facet normals: interior to the dual cone of a cone."""
-    return primitive(tuple(sum(a[i] for a, _ in p.rows) for i in range(p.n)))
-
-
-def _at_apex(p):
-    """The polyhedron translated so that its first vertex (a cone's apex) is the origin."""
-    return p.translate(tuple(-c for c in p.vertices[0]))
-
-
-def _figure_summands(p):
-    """Summand entries (2k, h_k - g_k, -k) of a cone read off its blow-up figure.
-
-    h is the global class of the figure cut at level 1 along the facet normal
-    sum (the cone moved to have its vertex at the origin), g its primitive part.
-    """
-    fig = cutting.vertex_blowup(_at_apex(p), _facet_normal_sum(p), 1).figure
-    h = stalks.global_ih_class(fig.face_lattice())
-    g = stalks.primitive_parts(h, p.n - 1)
-    return tuple((2 * k, h.coeff(k) - g.coeff(k), -k)
-                 for k in range(p.n) if h.coeff(k) != g.coeff(k))
-
-
 def report_blowup(obj, args):
-    p = _at_apex(_require_polytope(obj))
+    p = identities.at_apex(_require_polytope(obj))
     if getattr(args, "direction", None):
         v = tuple(int(t) for t in args.direction.split(","))
     else:
-        v = _facet_normal_sum(p)
+        v = identities.facet_normal_sum(p)
     c = as_rat(getattr(args, "level", 1))
     result = cutting.vertex_blowup(p, v, c)
     lat = p.face_lattice()
@@ -363,64 +340,18 @@ def report_blowup(obj, args):
     ]
 
 
-def _check_battery(extra=None):
-    """(rows, ok): the consistency identities over the bundled fixtures."""
-    rows = []
-    ok = True
-
-    def check(name, value):
-        nonlocal ok
-        rows.append([name, "pass" if value else "FAIL"])
-        ok = ok and bool(value)
-
-    compact = fixtures.standard_fixtures()
-    if extra is not None and extra.is_compact:
-        compact = dict(compact, **{"input": extra})
-    for name, p in compact.items():
-        lat = p.face_lattice()
-        check(f"{name}: euler relation", hypersurface.euler_relation_check(lat)[0])
-        check(f"{name}: euler characteristic",
-              sum((-1) ** f.dim for f in lat.faces) == 1)
-        h = stalks.global_ih_class(lat)
-        check(f"{name}: global class palindromic+unimodal",
-              h.is_palindromic(lat.n) and h.is_unimodal_to_middle(lat.n))
-        if p.is_lattice:
-            check(f"{name}: reciprocity", counting.reciprocity_check(p, kmax=2))
-            nv = len(lat.of_dim(0))
-            counts = counting.face_counts(lat)
-            edge_int = sum(counts[f.id][1] for f in lat.of_dim(1))
-            check(f"{name}: skeleton decomposition",
-                  counting.skeleton_count(lat) == nv + edge_int)
-            if p.n >= 2:
-                check(f"{name}: frontier crosscheck", hypersurface.frontier_crosscheck(p, lat))
-        if is_prime(p):
-            ms = stalks.stalk_polynomials(lat)
-            check(f"{name}: prime has trivial stalks",
-                  all(m == stalks.ONE for m in ms.values()))
-            check(f"{name}: h-polynomial oracle",
-                  stalks.h_polynomial_from_f_vector(lat.f_vector) == h)
-        asg = {f.id: (f.id + 1) * (f.dim + 1) for f in lat.faces}
-        check(f"{name}: alternating identity", hypersurface.alternating_identity_holds(lat, asg))
-
-    cones = fixtures.cone_fixtures()
-    if extra is not None and extra.is_cone_with_vertex:
-        cones = dict(cones, **{"input": extra})
-    for name, p in cones.items():
-        lat = p.face_lattice()
-        ih, ihc = stalks.punctured_cone_classes(lat)
-        check(f"{name}: punctured duality", ih + ihc == stalks.TatePoly.zero())
-        check(f"{name}: summand symmetry",
-              stalks.decomposition_summands(lat).entries == _figure_summands(p))
-
-    for name in ("square-pyramid", "octahedron"):
-        p = fixtures.standard_fixtures()[name]
-        r = cutting.prime_cut(p)
-        check(f"{name}: prime cut is prime", is_prime(r.polytope))
-    return rows, ok
-
-
 def report_check(obj, args):
-    rows, ok = _check_battery(extra=obj if isinstance(obj, Polytope) else None)
+    """The identity tables over the bundled fixtures (and a polyhedral input file)."""
+    compact, cones = fixtures.standard_fixtures(), fixtures.cone_fixtures()
+    if isinstance(obj, Polytope) and obj.is_compact:
+        compact["input"] = obj
+    if isinstance(obj, Polytope) and obj.is_cone_with_vertex:
+        cones["input"] = obj
+    cut = {name: compact[name] for name in ("square-pyramid", "octahedron")}
+    runs = [(identities.COMPACT, compact), (identities.CONES, cones), (identities.PRIME_CUT, cut)]
+    rows = [row for table, inputs in runs for name, p in inputs.items()
+            for row in identities.evaluate(table, name, p)]
+    ok = all(result == "pass" for _, result in rows)
     return [
         section("consistency checks", items=[("all passed", ok)],
                 table=(["check", "result"], rows)),

@@ -109,14 +109,17 @@ def _scan(p: Polytope, strict: bool):
 def _face_points(lattice: FaceLattice, face: Face, strict: bool):
     """Lattice points of a face (or its relative interior), sorted.
 
-    Scans the face's bounding box against the rows of the whole polytope and
-    keeps the points whose tight rows include (equal, with strict) the face's.
+    Walks an edge; scans another face's bounding box against the rows of P,
+    keeping the points whose tight rows include (equal, with strict) the face's.
     """
     p = lattice.polytope
     if face.dim == lattice.n:
         return _scan(p, strict)
     if face.ray_ids:
         raise UnboundedError("unbounded input")
+    if face.dim == 1:
+        ends = [p.vertices[i] for i in face.vertex_ids]
+        return tuple(sorted(x for x in _edge_points(*ends) if not (strict and x in ends)))
     want = _mask(face.active)
     lo, hi = _box([p.vertices[i] for i in face.vertex_ids])
     return tuple(x + (t,) for x, pieces in _classified(p.rows, lo, hi)

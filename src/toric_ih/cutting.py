@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import and_
 
 from .errors import (
     EmptyPolyhedronError,
@@ -46,7 +49,6 @@ from .polytope import (
     Polytope,
     is_prime,
     normalize_row,
-    vertex_normal_cone_contains,
 )
 
 
@@ -107,11 +109,8 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     facet row of p, or the cut entry it came from.  Raises ValueError when the
     labeling is ambiguous (a signal to shrink eps).
     """
-    label_of = {}
-    rows = []
-    for row in p.rows:
-        rows.append(row)
-        label_of[row] = ("row", row)
+    rows = list(p.rows)
+    label_of = {row: ("row", row) for row in p.rows}
     for e in spec.entries:
         width = max(pairing(x, e.functional) for x in p.vertices) - e.base
         depth = width * eps ** e.order
@@ -123,9 +122,9 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     q = Polytope.from_inequalities(rows)
     qlat = q.face_lattice()
 
-    # limit position of each vertex of q, by vertex index: re-solve its
-    # defining rows at depth 0
-    limit_of_vertex = {}
+    # the rows of p tight at the limit of each vertex of q, by vertex index:
+    # re-solve its defining rows at depth 0
+    tight_at_limit = {}
     for vf in qlat.of_dim(0):
         chosen, rhs = [], []
         for j in vf.active:
@@ -139,14 +138,13 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
         w0 = solve_square(chosen, rhs)
         if w0 is None or not p.contains(w0):
             raise ValueError("vertex limit escaped the polytope")
-        limit_of_vertex[vf.vertex_ids[0]] = w0
+        tight_at_limit[vf.vertex_ids[0]] = frozenset(
+            j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
 
-    face_map = {}
-    for f in qlat.faces:
-        verts = [limit_of_vertex[i] for i in f.vertex_ids]
-        k = Fraction(1, len(verts))
-        bary = tuple(sum(col) * k for col in zip(*verts))
-        face_map[f.id] = lattice.smallest_face_containing(bary).id
+    # a row of p is tight at a face's limit barycenter iff tight at each vertex limit
+    face_map = {f.id: lattice.by_active[frozenset.intersection(
+                    *(tight_at_limit[i] for i in f.vertex_ids))].id
+                for f in qlat.faces}
 
     labels = {f.id: frozenset(label_of[q.rows[j]] for j in f.active) for f in qlat.faces}
     return q, qlat, labels, face_map
@@ -157,17 +155,17 @@ def _signature(qlat, labels, face_map):
 
 
 def _fan_refines(q: Polytope, p: Polytope) -> bool:
-    """Every vertex normal cone of q sits inside exactly one of p."""
-    plat = p.face_lattice()
-    p_vertices = plat.of_dim(0)
-    qlat = q.face_lattice()
-    for vf in qlat.of_dim(0):
-        gens = [q.rows[j][0] for j in vf.active]
-        hits = sum(1 for u in p_vertices
-                   if all(vertex_normal_cone_contains(p, u, g) for g in gens))
-        if hits != 1:
-            return False
-    return True
+    """Every vertex normal cone of q sits inside exactly one of p (both compact):
+    the AND of its rows' masks of minimizing vertices of p has exactly one bit."""
+    den = lcm(*(c.denominator for v in p.vertices for c in v))
+    verts = [tuple(int(c * den) for c in v) for v in p.vertices]
+    masks = []
+    for a, _ in q.rows:
+        vals = [dot(v, a) for v in verts]
+        low = min(vals)
+        masks.append(sum(1 << i for i, x in enumerate(vals) if x == low))
+    return all(reduce(and_, (masks[j] for j in vf.active)).bit_count() == 1
+               for vf in q.face_lattice().of_dim(0))
 
 
 def prime_cut(p: Polytope, spec: CutSpec | None = None,

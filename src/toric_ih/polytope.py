@@ -434,14 +434,6 @@ class FaceLattice:
             return next(f.id for f in self.faces if f.dim == 0)
         return None
 
-    def smallest_face_containing(self, point) -> Face:
-        p = rat_vector(point)
-        if not self.polytope.contains(p):
-            raise ValueError("point outside the polytope")
-        act = frozenset(j for j, (a, b) in enumerate(self.polytope.rows)
-                        if dot(a, p) == b)
-        return self.by_active[act]
-
     def interval(self, face_id: int) -> "FaceInterval":
         return FaceInterval(self, face_id)
 

@@ -256,6 +256,31 @@ def test_check_fails_on_wrong_summand_table(monkeypatch):
     assert ["quadrant: summand symmetry", "FAIL"] in sec["rows"]
 
 
+def test_check_reports_an_identity_that_raises(monkeypatch):
+    from toric_ih import hypersurface
+    from toric_ih.errors import InvariantViolation
+
+    euler = hypersurface.euler_relation_check
+
+    def broken(lat):
+        if lat.n == 3:
+            raise InvariantViolation("broken on purpose")
+        return euler(lat)
+
+    monkeypatch.setattr(hypersurface, "euler_relation_check", broken)
+    code, report = run(["check"])
+    assert code == 2
+    sec = find_section(report, "consistency checks")
+    assert item(sec, "all passed") is False
+    error = "ERROR: InvariantViolation: broken on purpose"
+    assert ["cube: euler relation", error] in sec["rows"]
+    assert ["cube: alternating identity", "pass"] in sec["rows"]
+    assert ["square: euler relation", "pass"] in sec["rows"]
+    assert ["octahedron: prime cut is prime", "pass"] in sec["rows"]
+    errors = [r for r in sec["rows"] if r[1] != "pass"]
+    assert errors and all(r[1] == error and r[0].endswith(": euler relation") for r in errors)
+
+
 def test_text_rendering_is_stable(tmp_path, capsys):
     path = write(tmp_path, "o.vrep", OCTA)
     code1, _ = run(["ih", path])

@@ -124,6 +124,9 @@ def test_skeleton_of_long_diagonal_edges():
     s = 120
     lat = Polytope.from_points([(0, 0, 0), (s, s, s), (s, 0, 0), (0, s, 0)]).face_lattice()
     assert skeleton_count(lat) == oracle_skeleton(lat) == 6 * s - 2
+    for f in lat.of_dim(1):
+        assert lattice_points(lat, f)[1] == oracle_face_points(lat, f)
+        assert interior_lattice_points(lat, f)[1] == oracle_face_points(lat, f, strict=True)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -128,6 +128,32 @@ def test_fan_refinement():
             assert len(hits) == 1
 
 
+def fan_refines_oracle(q, p):
+    """One vertex-cone containment test per (vertex of q, vertex of p, generator)."""
+    return all(sum(all(vertex_normal_cone_contains(p, u, q.rows[j][0]) for j in vf.active)
+                   for u in p.face_lattice().of_dim(0)) == 1
+               for vf in q.face_lattice().of_dim(0))
+
+
+def test_fan_refines_matches_vertex_cone_oracle():
+    rng = random.Random(31)
+    polys = [square_pyramid(), octahedron(), cube(3)]
+    polys += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 8)) for _ in range(5)]
+    polys += [p.dilate(F(1, 3)) for p in polys[3:6]]  # rational vertices
+    pairs = [(q, p) for q in polys for p in polys]
+    for p in polys:
+        lat = p.face_lattice()
+        spec = choose_cut_functionals(p, lat)
+        for eps in (F(1, 4), F(1, 8)):
+            try:
+                pairs.append((_cut_once(p, lat, spec, eps)[0], p))
+            except (ValueError, EmptyPolyhedronError):
+                pass
+    outcomes = [_fan_refines(q, p) for q, p in pairs]
+    assert outcomes == [fan_refines_oracle(q, p) for q, p in pairs]
+    assert set(outcomes) == {True, False}
+
+
 def test_prime_cut_random(rng):
     for _ in range(50):
         p = random_lattice_polytope(rng, 3, npoints=rng.randint(5, 9))

@@ -1,0 +1,38 @@
+"""Every entry of the shared identity table on seeded random lattice polytopes and their cones."""
+
+import random
+
+import pytest
+
+from toric_ih.fixtures import cone_over, random_lattice_polytope
+from toric_ih.identities import COMPACT, CONES
+
+
+@pytest.fixture(scope="module")
+def polytopes():
+    rng = random.Random(2006)
+    return [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
+            for d in (2, 3, 4) for _ in range(4)]
+
+
+@pytest.fixture(scope="module")
+def cones(polytopes):
+    return [cone_over(p) for p in polytopes]
+
+
+def run_entry(entry, inputs):
+    label, applies, holds = entry
+    chosen = [p for p in inputs if applies(p)]
+    assert chosen, f"{label} applies to no input"
+    for p in chosen:
+        assert holds(p, p.face_lattice()), (label, p.vertices, p.rays)
+
+
+@pytest.mark.parametrize("entry", COMPACT, ids=lambda e: e[0])
+def test_compact_identity(entry, polytopes):
+    run_entry(entry, polytopes)
+
+
+@pytest.mark.parametrize("entry", CONES, ids=lambda e: e[0])
+def test_cone_identity(entry, cones):
+    run_entry(entry, cones)
