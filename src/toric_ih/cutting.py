@@ -107,7 +107,8 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
 
     ``labels`` assigns each row of the cut polytope its origin: an original
     facet row of p, or the cut entry it came from.  Raises ValueError when the
-    labeling is ambiguous (a signal to shrink eps).
+    labeling is ambiguous, the cut is not full-dimensional or a vertex limit
+    leaves p (each a signal to shrink eps).
     """
     rows = list(p.rows)
     label_of = {row: ("row", row) for row in p.rows}
@@ -120,6 +121,8 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
             raise ValueError("cut row collides with another row")
         label_of[canon] = ("cut", e)
     q = Polytope.from_inequalities(rows)
+    if mat_rank([vsub(v, q.vertices[0]) for v in q.vertices[1:]]) < p.n:
+        raise ValueError("cut polytope is not full-dimensional")
     qlat = q.face_lattice()
 
     # the rows of p tight at the limit of each vertex of q, by vertex index:

@@ -4,13 +4,15 @@ A ``Polytope`` carries both representations in canonical form: the vertex
 representation (extreme points plus primitive extreme rays) and the facet
 representation (irredundant inequalities ``<u, a> >= b`` with primitive
 integer ``(a, b)``).  Both conversions run one polar routine on a
-homogenized cone: the extreme rays of {x : <c, x> >= 0} found by scanning
-(d-1)-subsets of the integer constraints c, with one exact kernel each.
+homogenized cone: the extreme rays of {x : <c, x> >= 0}, found by an integer
+double description that adds the constraints c one at a time and combines
+adjacent rays across each new hyperplane, with tight sets as int bitmasks.
 V->H takes the generators (v, 1) and (r, 0) as constraints, so the rays are
 the facet rows; H->V takes the rows (a, -b) plus (0, ..., 0, 1), so the rays
 (u, t) are the vertices u/t (t > 0) and the rays u (t = 0).  A second,
-shared filter keeps what is irredundant against the other side.  Faces are
-canonically identified by their maximal tight row set.
+shared filter reads the routine's incidences and keeps what is irredundant
+against the other side.  Faces are canonically identified by their maximal
+tight row set.
 
 The face lattice comes from the generator-facet incidences in plain ints:
 the vertices are scaled by their common denominator, so a row is tight at a
@@ -80,45 +82,70 @@ def _bits(m):
 def _extreme_rays(cons, d):
     """Primitive extreme rays of the pointed cone {x in Q^d : <c, x> >= 0 for c in cons}.
 
-    Every extreme ray spans the kernel of d - 1 independent constraints, so
-    the scan takes the kernel of each (d-1)-subset of the integer constraint
-    vectors and keeps it, oriented, when every constraint lies on one side.
-    A kernel met before (tight on a larger subset) is skipped.
+    Integer double description (Motzkin, Raiffa, Thompson & Thrall 1953;
+    Fukuda & Prodon 1996).  It starts from the simplicial cone of d
+    independent constraints, whose rays are the kernels of each d - 1 of
+    them, and adds the other constraints one at a time: the rays on the
+    nonnegative side stay, and each adjacent pair of a positive ray r1 and a
+    negative ray r2 gives the ray <c, r1> r2 - <c, r2> r1 on the new
+    hyperplane, divided by its gcd.  Each ray carries its tight set, an int
+    bitmask over cons (constraint i is bit i); two rays are adjacent when
+    their common tight set has at least d - 2 bits and lies in no third
+    ray's tight set.
+
+    Returns (rays, tight): the rays sorted, and tight[k] the bitmask of the
+    constraints tight on rays[k].
     """
-    seen = set()
+    basis = []
+    for i, c in enumerate(cons):
+        if len(basis) < d and mat_rank([cons[j] for j in basis] + [c]) > len(basis):
+            basis.append(i)
+    if len(basis) < d:
+        raise ValueError("the constraints do not cut out a pointed cone")
     rays = []
-    for sub in combinations(cons, d - 1):
-        w = kernel_ray(sub, d)
-        if w is None:
+    for i in basis:
+        rest = [j for j in basis if j != i]
+        w = kernel_ray([cons[j] for j in rest], d)
+        rays.append((w if dot(w, cons[i]) > 0 else tuple(-x for x in w),
+                     sum(1 << j for j in rest)))
+    for i, c in enumerate(cons):
+        if i in basis:
             continue
-        if next(c for c in w if c) < 0:
-            w = tuple(-c for c in w)
-        if w in seen:
-            continue
-        seen.add(w)
-        neg = pos = False
-        for c in cons:
-            val = dot(w, c)
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for r, z in rays:
+            val = dot(c, r)
             if val > 0:
-                pos = True
+                pos.append((r, z, val))
+                kept.append((r, z))
             elif val < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        rays.append(tuple(-c for c in w) if neg else w)
-    return sorted(rays)
+                neg.append((r, z, val))
+            else:
+                kept.append((r, z | bit))
+        zs = [z for _, z in rays]  # distinct extreme rays have distinct tight sets
+        for r1, z1, v1 in pos:
+            for r2, z2, v2 in neg:
+                common = z1 & z2
+                if common.bit_count() < d - 2 or any(
+                        z & common == common and z != z1 and z != z2 for z in zs):
+                    continue
+                w = tuple(v1 * b - v2 * a for a, b in zip(r1, r2))
+                g = vec_gcd(w)
+                kept.append((tuple(x // g for x in w), common | bit))
+        rays = kept
+    rays.sort()
+    return [r for r, _ in rays], [z for _, z in rays]
 
 
-def _irredundant(vecs, duals, d):
-    """The vectors whose tight duals have rank d - 1.
+def _irredundant(vecs, rays, tight, d):
+    """The vectors vecs[i] whose tight rays (those with bit i in tight) have rank d - 1.
 
-    With ``duals`` the extreme rays of the polar cone this picks the extreme
-    generators of a cone; with ``duals`` the extreme rays of the cone itself
+    With ``rays`` the extreme rays of the polar cone this picks the extreme
+    generators of a cone; with ``rays`` the extreme rays of the cone itself
     it picks the facet-defining constraints.
     """
-    return [v for v in vecs if mat_rank([w for w in duals if dot(v, w) == 0]) == d - 1]
+    return [v for i, v in enumerate(vecs)
+            if mat_rank([r for r, z in zip(rays, tight) if z >> i & 1]) == d - 1]
 
 
 class Polytope:
@@ -157,11 +184,12 @@ class Polytope:
                 "not full-dimensional; reduce to affine span first")
         gens = {integerize(p + (Fraction(1),)): p for p in pts}
         gens.update((r + (0,), r) for r in rr)
-        duals = _extreme_rays(list(gens), n + 1)
+        cons = list(gens)
+        duals, tight = _extreme_rays(cons, n + 1)
         if mat_rank(duals) <= n:
             raise NotPointedError("not pointed: the recession cone contains a line")
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
-        keep = _irredundant(list(gens), duals, n + 1)
+        keep = _irredundant(cons, duals, tight, n + 1)
         verts = [gens[g] for g in keep if g[n]]
         xrays = [gens[g] for g in keep if not g[n]]
         return cls(n, verts, xrays, rows)
@@ -193,12 +221,12 @@ class Polytope:
         if not norm or mat_rank([r[0] for r in norm]) < n:
             raise NotPointedError("not pointed")
         cons = [a + (-b,) for a, b in norm] + [(0,) * n + (1,)]
-        hull = _extreme_rays(cons, n + 1)
+        hull, tight = _extreme_rays(cons, n + 1)
         verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
         if not verts:
             raise EmptyPolyhedronError("empty polyhedron")
         rays = [w[:n] for w in hull if not w[n]]
-        facets = [(c[:n], -c[n]) for c in _irredundant(cons[:-1], hull, n + 1)]
+        facets = [(c[:n], -c[n]) for c in _irredundant(cons[:-1], hull, tight, n + 1)]
         return cls(n, verts, rays, facets)
 
     @classmethod
@@ -526,15 +554,6 @@ def normal_fan(p: Polytope) -> Fan:
             raise InvariantViolation("dual cone dimension differs from face codimension")
         cones.append(FanCone(f.id, f.codim, rays))
     return Fan(tuple(cones))
-
-
-def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:
-    """Is w in the dual cone of a vertex? (<., w> is minimized over p there)."""
-    v = p.vertices[vertex_face.vertex_ids[0]]
-    val = pairing(v, w)
-    if any(pairing(u, w) < val for u in p.vertices):
-        return False
-    return all(dot(r, w) >= 0 for r in p.rays)
 
 
 def is_prime(p: Polytope) -> bool:

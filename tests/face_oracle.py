@@ -4,7 +4,9 @@
 ``oracle_faces`` finds the faces by a closure search over frozensets of
 tight generators and takes each face's dimension as the rank of its vertex
 differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
-lattice basis of their span and takes a determinant.  None of this shares
+lattice basis of their span and takes a determinant.
+``vertex_normal_cone_contains`` tests one direction against one vertex's
+normal cone by pairing it with every vertex.  None of this shares
 code with the integer routines in ``toric_ih.lattice`` and
 ``toric_ih.polytope``; it is the reference for their differential tests.
 """
@@ -18,6 +20,7 @@ from toric_ih.lattice import (
     as_rat,
     det_int,
     dot,
+    pairing,
     primitive,
     solve_consistent,
     solve_integer_system,
@@ -113,3 +116,12 @@ def oracle_is_smooth_cone(rays) -> bool:
         y = solve_consistent(cols, list(r))
         coords.append([int(c) for c in y])
     return abs(det_int(coords)) == 1
+
+
+def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:
+    """Is w in the dual cone of a vertex? (<., w> is minimized over p there)."""
+    v = p.vertices[vertex_face.vertex_ids[0]]
+    val = pairing(v, w)
+    if any(pairing(u, w) < val for u in p.vertices):
+        return False
+    return all(dot(r, w) >= 0 for r in p.rays)

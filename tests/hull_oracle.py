@@ -1,11 +1,14 @@
-"""Brute-force hull oracle: the original two subset scans.
+"""Brute-force hull oracles: the polar subset scan and the seed's two scans.
 
-V->H scans n-subsets of homogenized generators with a cofactor kernel and
-keeps supporting hyperplanes whose tight generators span a facet; H->V
-solves every n-subset of rows by Cramer's rule for vertices and takes the
-cofactor kernel of every (n-1)-subset of normals for rays.  Both directions
-are independent of the single polar routine in ``toric_ih.polytope`` and
-serve as the reference for its differential tests.
+``extreme_rays_by_subsets`` is the subset scan the double-description
+routine in ``toric_ih.polytope`` replaced: the kernel of every
+(d-1)-subset of the constraints, kept when all of them lie on one side.
+The seed's own scans are independent of both: V->H scans n-subsets of
+homogenized generators with a cofactor kernel and keeps supporting
+hyperplanes whose tight generators span a facet; H->V solves every
+n-subset of rows by Cramer's rule for vertices and takes the cofactor
+kernel of every (n-1)-subset of normals for rays.  All of them serve as
+references for the hull's differential tests.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from toric_ih.lattice import (
     det_int,
     dot,
     integerize,
+    kernel_ray,
     primitive,
     rat_vector,
     vsub,
@@ -30,6 +34,40 @@ from toric_ih.lattice import (
 from toric_ih.polytope import Polytope, normalize_row
 
 from face_oracle import fraction_rank
+
+
+def extreme_rays_by_subsets(cons, d):
+    """Primitive extreme rays of the pointed cone {x in Q^d : <c, x> >= 0 for c in cons}.
+
+    Every extreme ray spans the kernel of d - 1 independent constraints, so
+    the scan takes the kernel of each (d-1)-subset of the integer constraint
+    vectors and keeps it, oriented, when every constraint lies on one side.
+    A kernel met before (tight on a larger subset) is skipped.
+    """
+    seen = set()
+    rays = []
+    for sub in combinations(cons, d - 1):
+        w = kernel_ray(sub, d)
+        if w is None:
+            continue
+        if next(c for c in w if c) < 0:
+            w = tuple(-c for c in w)
+        if w in seen:
+            continue
+        seen.add(w)
+        neg = pos = False
+        for c in cons:
+            val = dot(w, c)
+            if val > 0:
+                pos = True
+            elif val < 0:
+                neg = True
+            if pos and neg:
+                break
+        if pos and neg:
+            continue
+        rays.append(tuple(-c for c in w) if neg else w)
+    return sorted(rays)
 
 
 def cramer_solve_int(rows, rhs):

@@ -42,7 +42,7 @@ from toric_ih.hypersurface import (
     prime_cut_multipliers,
 )
 from toric_ih.lattice import primitive, unimodular_image
-from toric_ih.polytope import is_prime, vertex_normal_cone_contains
+from toric_ih.polytope import is_prime
 from toric_ih.stalks import (
     ONE,
     TatePoly,
@@ -55,6 +55,7 @@ from toric_ih.stalks import (
 )
 
 from conftest import face_match_under_map
+from face_oracle import vertex_normal_cone_contains
 
 L = EPoly2.lefschetz()
 

@@ -144,6 +144,11 @@ def test_prime_cut_command(tmp_path):
     assert item(sec, "vertices") == 8
 
 
+def test_prime_cut_from_a_coarse_epsilon(tmp_path):
+    # an exception escaping run() fails this test before the exit code is read
+    assert main(["prime-cut", write(tmp_path, "o.vrep", OCTA), "--epsilon", "1/2"]) in (0, 1)
+
+
 def test_blowup_command(tmp_path):
     code, report = run(["blowup", write(tmp_path, "q.hrep", QUAD)])
     assert code == 0

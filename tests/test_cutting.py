@@ -22,7 +22,7 @@ from toric_ih.fixtures import (
     random_lattice_polytope,
     square_pyramid,
 )
-from toric_ih.polytope import Polytope, is_prime, vertex_normal_cone_contains
+from toric_ih.polytope import Polytope, is_prime
 from toric_ih.stalks import (
     T,
     TatePoly,
@@ -30,6 +30,8 @@ from toric_ih.stalks import (
     global_ih_class,
     stalk_polynomials,
 )
+
+from face_oracle import vertex_normal_cone_contains
 
 
 def apex_face(p):
@@ -93,6 +95,18 @@ def test_prime_cut_octahedron():
     # every vertex truncation leaves a quadrilateral facet
     quad_facets = [f for f in cut_lat.of_dim(2) if len(f.vertex_ids) == 4]
     assert len(quad_facets) == 6
+
+
+def test_octahedron_from_a_coarse_epsilon_retries():
+    # at eps 1/2 the six vertex cuts meet at the origin: the cut is a point,
+    # so that round is rejected and the halving goes on
+    p = octahedron()
+    lat = p.face_lattice()
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        _cut_once(p, lat, choose_cut_functionals(p, lat), F(1, 2))
+    r = prime_cut(p, epsilon=F(1, 2))
+    assert r.epsilon < F(1, 2)
+    assert r.polytope == prime_cut(p).polytope
 
 
 def test_face_map_respects_closure():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from toric_ih.fixtures import cone_over, random_lattice_polytope
-from toric_ih.identities import COMPACT, CONES
+from toric_ih.fixtures import cone_over, cross_polytope, random_lattice_polytope
+from toric_ih.identities import COMPACT, CONES, PRIME_CUT
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +36,17 @@ def test_compact_identity(entry, polytopes):
 @pytest.mark.parametrize("entry", CONES, ids=lambda e: e[0])
 def test_cone_identity(entry, cones):
     run_entry(entry, cones)
+
+
+@pytest.mark.parametrize("entry", PRIME_CUT, ids=lambda e: e[0])
+def test_prime_cut_identity(entry, polytopes):
+    run_entry(entry, polytopes)
+
+
+# reciprocity needs the Ehrhart polynomial, whose box scan of 6P takes about 30 s
+@pytest.mark.parametrize("entry", [e for e in COMPACT if e[0] != "reciprocity"], ids=lambda e: e[0])
+def test_compact_identity_on_cross_polytope_6(entry):
+    label, applies, holds = entry
+    p = cross_polytope(6)
+    if applies(p):
+        assert holds(p, p.face_lattice()), label

@@ -24,10 +24,10 @@ from toric_ih.polytope import (
     is_smooth_cone,
     normal_fan,
     support_face,
-    vertex_normal_cone_contains,
 )
 
 from conftest import poset_isomorphic
+from face_oracle import vertex_normal_cone_contains
 
 
 # -- representation conversion ----------------------------------------------

@@ -8,6 +8,7 @@ from toric_ih.errors import PoincareDualityError, UnsupportedShapeError
 from toric_ih.fixtures import (
     cone_over,
     cone_over_polygon,
+    cross_polytope,
     cube,
     octahedron,
     point,
@@ -172,6 +173,21 @@ def test_simple_polytopes_have_trivial_stalks_and_h_oracle():
         ms = stalk_polynomials(lat)
         assert all(m == ONE for m in ms.values())
         assert global_ih_class(lat) == h_polynomial_from_f_vector(lat.f_vector)
+
+
+def test_six_dimensional_cube_and_cross_polytope():
+    lat = cube(6).face_lattice()
+    assert all(m == ONE for m in stalk_polynomials(lat).values())
+    assert tuple(global_ih_class(lat).coeff(k) for k in range(7)) == (1, 6, 15, 20, 15, 6, 1)
+    # the normal fan of the cross-polytope is the fan over the cube's faces:
+    # not simplicial, so stalks at its vertices are nontrivial
+    lat = cross_polytope(6).face_lattice()
+    stalks = stalk_polynomials(lat)
+    assert stalks[lat.top.id] == ONE
+    assert any(stalks[f.id] != ONE for f in lat.of_dim(0))
+    h = global_ih_class(lat)
+    assert h.is_palindromic(6) and h.is_unimodal_to_middle(6)
+    assert h.coeff(1) == len(lat.polytope.rows) - 6 == 58
 
 
 def test_global_properties_random(rng):
