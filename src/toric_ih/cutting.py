@@ -10,9 +10,11 @@ structure and the identical limit face map, otherwise eps is halved and the
 construction retried.
 
 The limit face map sends each face of the cut polytope to the smallest face
-of the original containing the eps -> 0 limit of its barycenter; vertices of
-the cut polytope are followed through the limit by re-solving their defining
-row systems with the shave depths set to zero.
+of the original containing the eps -> 0 limit of its barycenter.  Every
+vertex limit is a vertex of the original, since at depth zero each row of
+the cut supports the original; so each limit is read off by incidence, as
+the vertex of the original minimizing the normals of n independent rows
+through the cut vertex.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from operator import and_
 
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     EpsilonUnstableError,
     InvariantViolation,
     NonIntegralSpanError,
+    NotFullDimensionalError,
     UnboundedError,
 )
 from .lattice import (
@@ -40,7 +42,6 @@ from .lattice import (
     rat_vector,
     rational_affine_basis,
     solve_consistent,
-    solve_square,
     vscale,
     vsub,
 )
@@ -109,6 +110,12 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     facet row of p, or the cut entry it came from.  Raises ValueError when the
     labeling is ambiguous, the cut is not full-dimensional or a vertex limit
     leaves p (each a signal to shrink eps).
+
+    A vertex of the cut is followed to eps = 0 along n independent rows of
+    its active set.  At depth zero each of them supports p: a facet row with
+    minimum b, a cut entry with minimum ``base`` on exactly its face.  The
+    limit is the one point of the n hyperplanes, so it lies in p exactly
+    when some vertex of p minimizes all n normals, and it is that vertex.
     """
     rows = list(p.rows)
     label_of = {row: ("row", row) for row in p.rows}
@@ -120,29 +127,31 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
         if canon in label_of:
             raise ValueError("cut row collides with another row")
         label_of[canon] = ("cut", e)
-    q = Polytope.from_inequalities(rows)
-    if mat_rank([vsub(v, q.vertices[0]) for v in q.vertices[1:]]) < p.n:
-        raise ValueError("cut polytope is not full-dimensional")
+    try:
+        q = Polytope.from_inequalities(rows)
+    except NotFullDimensionalError:
+        raise ValueError("cut polytope is not full-dimensional") from None
     qlat = q.face_lattice()
 
-    # the rows of p tight at the limit of each vertex of q, by vertex index:
-    # re-solve its defining rows at depth 0
+    # each row of q at depth 0: its normal and the vertices of p minimizing it
+    normals = [data[0] if kind == "row" else data.functional
+               for kind, data in (label_of[row] for row in q.rows)]
+    masks = [lattice.minimizing_vertices(a) for a in normals]
+    active_at = {f.vertex_ids[0]: frozenset(f.active) for f in lattice.of_dim(0)}
+
+    # the rows of p tight at the limit of each vertex of q, by vertex index
     tight_at_limit = {}
     for vf in qlat.of_dim(0):
-        chosen, rhs = [], []
+        chosen, limit = [], -1
         for j in vf.active:
-            kind, data = label_of[q.rows[j]]
-            normal = data[0] if kind == "row" else data.functional
-            if mat_rank(chosen + [normal]) > len(chosen):
-                chosen.append(normal)
-                rhs.append(Fraction(data[1]) if kind == "row" else data.base)
+            if mat_rank(chosen + [normals[j]]) > len(chosen):
+                chosen.append(normals[j])
+                limit &= masks[j]
             if len(chosen) == p.n:
                 break
-        w0 = solve_square(chosen, rhs)
-        if w0 is None or not p.contains(w0):
+        if not limit:
             raise ValueError("vertex limit escaped the polytope")
-        tight_at_limit[vf.vertex_ids[0]] = frozenset(
-            j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
+        tight_at_limit[vf.vertex_ids[0]] = active_at[limit.bit_length() - 1]
 
     # a row of p is tight at a face's limit barycenter iff tight at each vertex limit
     face_map = {f.id: lattice.by_active[frozenset.intersection(
@@ -160,13 +169,8 @@ def _signature(qlat, labels, face_map):
 def _fan_refines(q: Polytope, p: Polytope) -> bool:
     """Every vertex normal cone of q sits inside exactly one of p (both compact):
     the AND of its rows' masks of minimizing vertices of p has exactly one bit."""
-    den = lcm(*(c.denominator for v in p.vertices for c in v))
-    verts = [tuple(int(c * den) for c in v) for v in p.vertices]
-    masks = []
-    for a, _ in q.rows:
-        vals = [dot(v, a) for v in verts]
-        low = min(vals)
-        masks.append(sum(1 << i for i, x in enumerate(vals) if x == low))
+    plat = p.face_lattice()
+    masks = [plat.minimizing_vertices(a) for a, _ in q.rows]
     return all(reduce(and_, (masks[j] for j in vf.active)).bit_count() == 1
                for vf in q.face_lattice().of_dim(0))
 

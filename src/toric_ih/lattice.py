@@ -110,30 +110,6 @@ def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _echelon(rows):
-    """Row reduce over Q; returns (reduced rows, pivot column list)."""
-    m = [[as_rat(c) for c in r] for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def mat_rank(rows) -> int:
     """Rank over Q by fraction-free Bareiss elimination on plain ints.
 
@@ -160,28 +136,34 @@ def mat_rank(rows) -> int:
 
 
 def solve_consistent(rows, rhs):
-    """One solution of rows @ x = rhs over Q, or None if inconsistent."""
+    """One solution of rows @ x = rhs over Q, or None if inconsistent.
+
+    Gauss-Jordan elimination of the augmented rows; free variables are 0.
+    """
     if not rows:
         return None
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _echelon(aug)
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        if p == n:
+    m = [[as_rat(c) for c in r] + [as_rat(b)] for r, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if c == n:
             return None  # pivot in the rhs column
-        x[p] = m[i][n]
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = m[i][n]
     return tuple(x)
-
-
-def solve_square(rows, rhs):
-    """Solve an n x n system; None when the matrix is singular."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _echelon(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        return None
-    return tuple(m[i][n] for i in range(n))
 
 
 def det_int(rows) -> int:
@@ -254,18 +236,15 @@ def kernel_ray(rows, d):
 
 
 def invert_unimodular(rows) -> list[list[int]]:
-    """Inverse of an integer matrix with |det| = 1 (again integral)."""
+    """Inverse of an integer matrix with |det| = 1 (again integral).
+
+    The Hermite form of a unimodular matrix is the identity, so the
+    transform U with U @ A = H is the inverse.
+    """
     d = det_int(rows)
     if d not in (1, -1):
         raise NotUnimodularError(f"not unimodular: determinant {d}")
-    n = len(rows)
-    inv = []
-    for i in range(n):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        col = solve_square(rows, e)
-        inv.append([int(c) for c in col])
-    # solve gave us columns of the inverse; assemble as rows
-    return transpose(inv)
+    return hnf_with_transform(rows)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ vertex when <a, V> = b * den exactly; generator sets are int bitmasks; a
 closure search from the polytope intersects each face with each facet, and
 the results one dimension lower are the face's lower covers.  A face's
 dimension is n minus the rank of its active rows' normals.  Up- and
-down-sets are bitmasks over face ids, unioned along the covers.
+down-sets are bitmasks over face ids, unioned along the covers.  The
+lattice's ``minimizing_vertices`` reads the same scaled vertices for the
+bitmask of vertices where an integer functional is least.
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -31,8 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import and_
 
 from .errors import (
     EmptyPolyhedronError,
@@ -199,7 +203,8 @@ class Polytope:
         """Polyhedron {u : <u, a> >= b for each row (a, b)}.
 
         Raises EmptyPolyhedronError / NotPointedError for the unsupported
-        degenerate cases.
+        degenerate cases, and NotFullDimensionalError when some row is tight
+        at every ray of the homogenized cone (an implicit equality).
         """
         norm = []
         n = None
@@ -225,6 +230,9 @@ class Polytope:
         verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
         if not verts:
             raise EmptyPolyhedronError("empty polyhedron")
+        if reduce(and_, tight):
+            raise NotFullDimensionalError(
+                "not full-dimensional: a row holds with equality on the whole polyhedron")
         rays = [w[:n] for w in hull if not w[n]]
         facets = [(c[:n], -c[n]) for c in _irredundant(cons[:-1], hull, tight, n + 1)]
         return cls(n, verts, rays, facets)
@@ -344,7 +352,7 @@ class FaceLattice:
         # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
         # Vertices are scaled by their common denominator, so tightness is integral.
         den = lcm(*(c.denominator for v in p.vertices for c in v))
-        verts = [tuple(int(c * den) for c in v) for v in p.vertices]
+        self._scaled_vertices = verts = [tuple(int(c * den) for c in v) for v in p.vertices]
         row_gens = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b * den)
                     | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
                     for a, b in p.rows]
@@ -440,6 +448,13 @@ class FaceLattice:
 
     def faces_below(self, a: int, strict=True):
         return self._faces_in(self._below[a], a, strict)
+
+    def minimizing_vertices(self, a) -> int:
+        """Bitmask of the vertices (vertex i is bit i) where the integer
+        functional <., a> attains its minimum over the vertices."""
+        vals = [dot(v, a) for v in self._scaled_vertices]
+        low = min(vals)
+        return sum(1 << i for i, x in enumerate(vals) if x == low)
 
     def of_dim(self, d: int):
         return tuple(f for f in self.faces if f.dim == d)

@@ -1,4 +1,5 @@
-"""Face-lattice oracle: the original Fraction rank, closure search and smoothness test.
+"""Face-lattice oracle: the original Fraction rank, closure search, smoothness
+test and prime-cut vertex limits.
 
 ``fraction_rank`` row reduces over Q with ``Fraction`` entries.
 ``oracle_faces`` finds the faces by a closure search over frozensets of
@@ -6,27 +7,31 @@ tight generators and takes each face's dimension as the rank of its vertex
 differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
 lattice basis of their span and takes a determinant.
 ``vertex_normal_cone_contains`` tests one direction against one vertex's
-normal cone by pairing it with every vertex.  None of this shares
-code with the integer routines in ``toric_ih.lattice`` and
-``toric_ih.polytope``; it is the reference for their differential tests.
+normal cone by pairing it with every vertex.  ``vertex_limits_by_solving``
+builds one prime-cut round with the library's hull, picks rows with its
+rank, and follows each vertex of the cut to eps = 0 by solving those rows
+at depth zero.  Apart from these, none of this shares code with the
+integer routines in ``toric_ih.lattice`` and ``toric_ih.polytope``; it is
+the reference for their differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from toric_ih.errors import InvariantViolation
+from toric_ih.errors import InvariantViolation, NotFullDimensionalError
 from toric_ih.lattice import (
     as_rat,
     det_int,
     dot,
+    mat_rank,
     pairing,
     primitive,
     solve_consistent,
     solve_integer_system,
     vsub,
 )
-from toric_ih.polytope import Face
+from toric_ih.polytope import Face, Polytope, normalize_row
 
 
 def fraction_rank(rows) -> int:
@@ -125,3 +130,51 @@ def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:
     if any(pairing(u, w) < val for u in p.vertices):
         return False
     return all(dot(r, w) >= 0 for r in p.rays)
+
+
+def vertex_limits_by_solving(p, lattice, spec, eps):
+    """One prime-cut round, each vertex limit re-solved over Q at depth zero.
+
+    Builds the cut as ``cutting._cut_once`` does and returns the same
+    (polytope, face lattice, labels, face map), or raises the same
+    ValueError.  A vertex of the cut is followed to eps = 0 by solving n
+    independent rows of its active set with the shave depths set to zero;
+    the solution must lie in p, and its tight rows of p name its face.
+    """
+    rows = list(p.rows)
+    label_of = {row: ("row", row) for row in p.rows}
+    for e in spec.entries:
+        width = max(pairing(x, e.functional) for x in p.vertices) - e.base
+        rhs = e.base + width * eps ** e.order
+        rows.append((e.functional, rhs))
+        label_of[normalize_row(e.functional, rhs)] = ("cut", e)
+    if len(label_of) < len(rows):
+        raise ValueError("cut row collides with another row")
+    try:
+        q = Polytope.from_inequalities(rows)
+    except NotFullDimensionalError:
+        raise ValueError("cut polytope is not full-dimensional") from None
+    qlat = q.face_lattice()
+    tight_of = {}  # the rows of p tight at each limit point met so far
+    tight_at_limit = {}
+    for vf in qlat.of_dim(0):
+        chosen, rhs = [], []
+        for j in vf.active:
+            kind, data = label_of[q.rows[j]]
+            normal = data[0] if kind == "row" else data.functional
+            if mat_rank(chosen + [normal]) > len(chosen):
+                chosen.append(normal)
+                rhs.append(Fraction(data[1]) if kind == "row" else data.base)
+            if len(chosen) == p.n:
+                break
+        w0 = solve_consistent(chosen, rhs) if len(chosen) == p.n else None
+        if w0 not in tight_of:
+            if w0 is None or not p.contains(w0):
+                raise ValueError("vertex limit escaped the polytope")
+            tight_of[w0] = frozenset(j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
+        tight_at_limit[vf.vertex_ids[0]] = tight_of[w0]
+    face_map = {f.id: lattice.by_active[frozenset.intersection(
+                    *(tight_at_limit[i] for i in f.vertex_ids))].id
+                for f in qlat.faces}
+    labels = {f.id: frozenset(label_of[q.rows[j]] for j in f.active) for f in qlat.faces}
+    return q, qlat, labels, face_map

@@ -214,6 +214,9 @@ def oracle_from_inequalities(rows):
                 rays.add(cand)
     verts = sorted(verts)
     rays = sorted(rays)
+    if any(all(_tight_vertex(row, v) for v in verts) and all(_tight_ray(row, r) for r in rays)
+           for row in norm):
+        raise NotFullDimensionalError("not full-dimensional: an implicit equality")
     facets = []
     for row in norm:
         tv = [v for v in verts if _tight_vertex(row, v)]

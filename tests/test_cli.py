@@ -196,6 +196,14 @@ def test_not_pointed_vrep_exits_one(tmp_path, capsys):
     assert "not pointed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["faces", "prime-cut"])
+def test_lower_dimensional_hrep_exits_one(tmp_path, capsys, command):
+    # x = 0, 0 <= y <= 1: a segment in the plane
+    path = write(tmp_path, "seg.hrep", "hrep 2\n1 0 0\n-1 0 0\n0 1 0\n0 -1 -1\n")
+    assert main([command, path]) == 1
+    assert "not full-dimensional" in capsys.readouterr().err
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     path = write(tmp_path, "bad.vrep", "vrep 2\n0\n")
     assert main(["faces", path]) == 1

@@ -21,6 +21,7 @@ from toric_ih.fixtures import (
     quadrant,
     random_lattice_polytope,
     square_pyramid,
+    standard_fixtures,
 )
 from toric_ih.polytope import Polytope, is_prime
 from toric_ih.stalks import (
@@ -31,7 +32,7 @@ from toric_ih.stalks import (
     stalk_polynomials,
 )
 
-from face_oracle import vertex_normal_cone_contains
+from face_oracle import vertex_limits_by_solving, vertex_normal_cone_contains
 
 
 def apex_face(p):
@@ -333,3 +334,30 @@ def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
     built.clear()
     assert prime_cut(RETRY).epsilon == F(1, 16)
     assert built == [F(1, 8), F(1, 16), F(1, 32)]
+
+
+def round_outcome(cut, p, lattice, spec, eps):
+    """(cut polytope, signature, face map) of one round, or its error's type and message."""
+    try:
+        q, qlat, labels, face_map = cut(p, lattice, spec, eps)
+    except (ValueError, EmptyPolyhedronError) as exc:
+        return type(exc), str(exc)
+    return q, _signature(qlat, labels, face_map), face_map
+
+
+def test_vertex_limits_match_the_solving_oracle():
+    rng = random.Random(2006)  # the seeded polytopes of tests/test_identities.py
+    seeded = [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
+              for d in (2, 3, 4) for _ in range(4)][4:]
+    polys = list(standard_fixtures().values()) + [RETRY] + seeded
+    seen = set()
+    for p in polys:
+        lattice = p.face_lattice()
+        spec = choose_cut_functionals(p, lattice)
+        for k in range(3, 12):
+            eps = F(1, 2 ** k)
+            got = round_outcome(_cut_once, p, lattice, spec, eps)
+            assert got == round_outcome(vertex_limits_by_solving, p, lattice, spec, eps), \
+                (p.vertices, eps)
+            seen.add(got[1] if got[0] is ValueError else "accepted")
+    assert {"accepted", "vertex limit escaped the polytope"} <= seen

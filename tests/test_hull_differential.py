@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_ih.errors import ToricError
+from toric_ih.errors import NotFullDimensionalError, ToricError
 from toric_ih.lattice import kernel_ray, primitive
 from toric_ih.polytope import Polytope
 
@@ -60,6 +60,12 @@ def test_from_inequalities_matches_oracle(d):
             if any(a):
                 rows.append((a, F(rng.randint(-6, 6), rng.choice((1, 1, 2)))))
         assert outcome(Polytope.from_inequalities, rows) == outcome(oracle_from_inequalities, rows)
+
+
+def test_lower_dimensional_h_input_raises_in_both():
+    rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 0), ((0, 0, 1), 0), ((0, 0, -1), -1)]
+    assert outcome(Polytope.from_inequalities, rows) is NotFullDimensionalError
+    assert outcome(oracle_from_inequalities, rows) is NotFullDimensionalError
 
 
 def test_round_trip_matches_oracle():

@@ -13,6 +13,7 @@ from toric_ih.lattice import (
     affine_frame,
     det_int,
     hnf_with_transform,
+    identity_rows,
     invert_unimodular,
     mat_mul,
     pairing,
@@ -160,6 +161,15 @@ def test_unimodular_rejects_det_two():
         unimodular_image([(1, 0)], [(2, 0), (0, 1)])
     with pytest.raises(NotUnimodularError):
         invert_unimodular([(2, 0), (0, 1)])
+
+
+def test_invert_unimodular_is_a_left_inverse(rng):
+    from toric_ih.fixtures import random_unimodular_matrix
+
+    for d in range(1, 7):
+        for _ in range(10):
+            a = random_unimodular_matrix(rng, d, ops=3 * d)
+            assert mat_mul(invert_unimodular(a), a) == identity_rows(d)
 
 
 def test_unimodular_preserves_face_lattice(rng):

@@ -64,6 +64,21 @@ def test_hrep_not_pointed():
         Polytope.from_inequalities([((1, 0), 0)])
 
 
+@pytest.mark.parametrize("rows", [
+    # the segment x = 0, 0 <= y <= 1: two opposite rows
+    [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)],
+    # the segment x = y = 0, 0 <= z <= 1: three rows, no two of them opposite
+    [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 0), ((0, 0, 1), 0), ((0, 0, -1), -1)],
+    # a single point
+    [((1, 0), 1), ((0, 1), 1), ((-1, -1), -2)],
+    # the ray x = y >= 0, unbounded
+    [((1, -1), 0), ((-1, 1), 0), ((1, 1), 0)],
+])
+def test_hrep_lower_dimensional(rows):
+    with pytest.raises(NotFullDimensionalError):
+        Polytope.from_inequalities(rows)
+
+
 def test_vrep_not_pointed():
     with pytest.raises(NotPointedError):
         Polytope.from_points([(0, 0)], rays=[(1, 0), (-1, 0), (0, 1)])
