@@ -43,6 +43,15 @@ def _parse_value(tok, lineno):
         raise ParseError(f"bad number {tok!r}", lineno)
 
 
+def _rational_option(args, name, default):
+    """The exact value of a rational command-line option."""
+    tok = getattr(args, name, default)
+    try:
+        return as_rat(tok)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ParseError(f"bad --{name} value {tok!r}")
+
+
 def parse_input(path):
     """Parse a `vrep`, `hrep` or `support` file.
 
@@ -288,7 +297,7 @@ def report_hypersurface(obj, args):
 def report_prime_cut(obj, args):
     p = _require_polytope(obj)
     lat = p.face_lattice()
-    eps = as_rat(getattr(args, "epsilon", Fraction(1, 8)))
+    eps = _rational_option(args, "epsilon", Fraction(1, 8))
     result = cutting.prime_cut(p, epsilon=eps)
     cut_lat = result.polytope.face_lattice()
     mult = hypersurface.prime_cut_multipliers(result, lat, cut_lat)
@@ -317,7 +326,7 @@ def report_blowup(obj, args):
         v = tuple(int(t) for t in args.direction.split(","))
     else:
         v = identities.facet_normal_sum(p)
-    c = as_rat(getattr(args, "level", 1))
+    c = _rational_option(args, "level", 1)
     result = cutting.vertex_blowup(p, v, c)
     lat = p.face_lattice()
     fig_lat = result.figure.face_lattice()

@@ -103,8 +103,16 @@ def choose_cut_functionals(p: Polytope, lattice: FaceLattice | None = None) -> C
     return CutSpec(tuple(entries))
 
 
-def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
+def _cut_widths(lattice: FaceLattice, spec: CutSpec):
+    """Each cut entry's width: the maximum of its functional over p minus its base."""
+    return tuple(lattice.maximum(e.functional) - e.base for e in spec.entries)
+
+
+def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction, widths=None):
     """Build the cut polytope at one eps; returns (polytope, labels, face_map).
+
+    ``widths`` are the ``_cut_widths`` of the spec, which do not depend on
+    eps; they are computed here when not given.
 
     ``labels`` assigns each row of the cut polytope its origin: an original
     facet row of p, or the cut entry it came from.  Raises ValueError when the
@@ -119,8 +127,9 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     """
     rows = list(p.rows)
     label_of = {row: ("row", row) for row in p.rows}
-    for e in spec.entries:
-        width = max(pairing(x, e.functional) for x in p.vertices) - e.base
+    if widths is None:
+        widths = _cut_widths(lattice, spec)
+    for e, width in zip(spec.entries, widths):
         depth = width * eps ** e.order
         rows.append((e.functional, e.base + depth))
         canon = normalize_row(e.functional, e.base + depth)
@@ -192,13 +201,14 @@ def prime_cut(p: Polytope, spec: CutSpec | None = None,
         raise ValueError("epsilon must be positive")
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
+    widths = _cut_widths(lattice, spec)
     last = {}  # the last cut built, by its eps: a rejected round's eps/2 cut opens the next
 
     def cut_at(e):
         if e not in last:
             last.clear()
             try:
-                last[e] = _cut_once(p, lattice, spec, e)
+                last[e] = _cut_once(p, lattice, spec, e, widths)
             except (ValueError, EmptyPolyhedronError):
                 last[e] = None
         return last[e]

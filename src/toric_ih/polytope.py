@@ -17,12 +17,14 @@ tight row set.
 The face lattice comes from the generator-facet incidences in plain ints:
 the vertices are scaled by their common denominator, so a row is tight at a
 vertex when <a, V> = b * den exactly; generator sets are int bitmasks; a
-closure search from the polytope intersects each face with each facet, and
-the results one dimension lower are the face's lower covers.  A face's
-dimension is n minus the rank of its active rows' normals.  Up- and
-down-sets are bitmasks over face ids, unioned along the covers.  The
-lattice's ``minimizing_vertices`` reads the same scaled vertices for the
-bitmask of vertices where an integer functional is least.
+level-by-level search from the polytope intersects each face with each
+facet, and the inclusion-maximal nonempty results are the face's lower
+covers (Kaibel & Pfetsch 2002).  A face's dimension is n minus its cover
+depth below the polytope; ``normal_fan`` checks it against the rank of the
+face's active rows' normals.  Up- and down-sets are bitmasks over face ids,
+unioned along the covers.  The lattice's ``minimizing_vertices`` and
+``maximum`` read the same scaled vertices for the bitmask of vertices where
+an integer functional is least and for its greatest value.
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -351,56 +353,56 @@ class FaceLattice:
         n, nv = self.n, len(p.vertices)
         # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
         # Vertices are scaled by their common denominator, so tightness is integral.
-        den = lcm(*(c.denominator for v in p.vertices for c in v))
+        self._den = den = lcm(*(c.denominator for v in p.vertices for c in v))
         self._scaled_vertices = verts = [tuple(int(c * den) for c in v) for v in p.vertices]
         row_gens = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b * den)
                     | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
                     for a, b in p.rows]
-        vbits, every = (1 << nv) - 1, (1 << (nv + len(p.rays))) - 1
+        vbits, top = (1 << nv) - 1, (1 << (nv + len(p.rays))) - 1
 
-        def close(g):
-            """(active row mask, generator mask) of the smallest face holding the generators g."""
-            act, closed = 0, every
-            for j, rg in enumerate(row_gens):
-                if not g & ~rg:
-                    act |= 1 << j
-                    closed &= rg
-            return act, closed
+        # Search level by level from the top.  The facets of a face H (its
+        # lower covers) are the inclusion-maximal nonempty H & facet_j over
+        # the rows j not active on H; each is already a closed generator set,
+        # and a face's dimension is n minus its depth below the top.  A face
+        # below H meets facet_j in H & facet_j & itself, so each face keeps
+        # only the (j, H & facet_j) with a vertex for its own covers.
+        found = {top: (sum(1 << j for j, rg in enumerate(row_gens) if rg == top), n)}
+        covers = []
+        level = {top: [(j, rg) for j, rg in enumerate(row_gens) if rg != top and rg & vbits]}
+        d = n
+        while level:
+            below = {}
+            for g, subs in level.items():
+                kept = []
+                for s in sorted({t for _, t in subs}, key=int.bit_count, reverse=True):
+                    for k in kept:
+                        if s & k == s:
+                            break  # a strict subset of a larger H & facet_j
+                    else:
+                        kept.append(s)
+                for s in kept:
+                    covers.append((s, g))
+                    if s in found:
+                        if found[s][1] != d - 1:
+                            raise InvariantViolation("face lattice is not graded by cover depth")
+                        continue
+                    act, rest = found[g][0], []
+                    for j, t in subs:
+                        if s & ~t:
+                            if s & t & vbits:
+                                rest.append((j, s & t))
+                        else:
+                            act |= 1 << j
+                    found[s] = (act, d - 1)
+                    below[s] = rest
+            level, d = below, d - 1
+        if sorted(g for g in found if found[g][1] == 0) != [1 << i for i in range(nv)]:
+            raise InvariantViolation("depth n does not hold exactly the vertices")
 
-        def dim(act):
-            return n - mat_rank([p.rows[j][0] for j in _bits(act)])
-
-        # Closure search from the top; the faces H & facet_j of dimension one
-        # less than H are exactly the facets of H (its lower covers).
-        act, top = close(every)
-        found = {top: (act, dim(act))}
-        covers = set()
-        closure = {}
-        queue = [top]
-        while queue:
-            g = queue.pop()
-            act, d = found[g]
-            for j, rg in enumerate(row_gens):
-                sub = g & rg
-                if act >> j & 1 or not sub & vbits:
-                    continue
-                if sub not in closure:
-                    closure[sub] = close(sub)
-                cact, cg = closure[sub]
-                if cg not in found:
-                    found[cg] = (cact, dim(cact))
-                    queue.append(cg)
-                if found[cg][1] == d - 1:
-                    covers.add((cg, g))
-
-        def key(g):
-            return found[g][1], _bits(g & vbits), _bits(g >> nv)
-
-        if found[top][1] != n:
-            raise InvariantViolation("face enumeration lost the top face")
-        order = [top] + sorted((g for g in found if g != top), key=key)
+        keys = {g: (found[g][1], _bits(g & vbits), _bits(g >> nv)) for g in found}
+        order = [top] + sorted((g for g in found if g != top), key=keys.__getitem__)
         fid = {g: i for i, g in enumerate(order)}
-        self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *key(g)[1:])
+        self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *keys[g][1:])
                            for i, g in enumerate(order))
         self._gens = order
         up = [[] for _ in order]
@@ -438,6 +440,10 @@ class FaceLattice:
         """The faces one dimension above face a that contain it."""
         return self._covers_up[a]
 
+    def up_set(self, a: int) -> int:
+        """Bitmask over face ids (face i is bit i) of the faces containing face a, a included."""
+        return self._above[a]
+
     def _faces_in(self, mask, a, strict):
         if strict:
             mask &= ~(1 << a)
@@ -455,6 +461,10 @@ class FaceLattice:
         vals = [dot(v, a) for v in self._scaled_vertices]
         low = min(vals)
         return sum(1 << i for i, x in enumerate(vals) if x == low)
+
+    def maximum(self, a) -> Fraction:
+        """The maximum of the integer functional <., a> over the vertices."""
+        return Fraction(max(dot(v, a) for v in self._scaled_vertices), self._den)
 
     def of_dim(self, d: int):
         return tuple(f for f in self.faces if f.dim == d)

@@ -10,7 +10,12 @@ of faces above it: with c the codimension of the face,
 
 seeded with m = 1 on the whole polytope.  The recursion runs purely on the
 abstract interval poset; no transverse slice is ever constructed, so there is
-no geometry (and no rounding) involved beyond the face lattice itself.
+no geometry (and no rounding) involved beyond the face lattice itself.  It
+runs on plain int coefficient lists: the faces already done are grouped by
+dimension and stalk as bitmasks, so the sum over the faces above a face is
+one popcount per group against the face's up-set, and each relative
+dimension costs one product with (t - 1)^k.  The stalks become ``TatePoly``
+values at the end.
 
 For a compact polytope the sum of (t-1)^dim * m over all faces is the class
 of the intersection cohomology of the associated projective toric variety:
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import InvariantViolation, PoincareDualityError, UnsupportedShapeError
 from .lattice import as_rat
@@ -186,17 +192,37 @@ def truncate_below(h: TatePoly, alpha) -> TatePoly:
 
 
 @lru_cache(maxsize=None)
-def _tm1(k: int) -> TatePoly:
-    """(t - 1)^k; k never exceeds the largest dimension asked about, which bounds the cache."""
-    return (T - 1) ** k
+def _tm1(k: int) -> tuple[int, ...]:
+    """Coefficients of (t - 1)^k, lowest degree first; k never exceeds the
+    largest dimension asked about, which bounds the cache."""
+    return tuple((-1) ** (k - i) * comb(k, i) for i in range(k + 1))
 
 
-def _tm1_sum(terms) -> TatePoly:
-    """The sum of (t - 1)^k * m over pairs (k, m), one product per distinct k."""
-    by_k = {}
+def _tm1_coeffs(rows, size) -> list[int]:
+    """Coefficients of t^0 .. t^(size - 1), lowest degree first, of the sum
+    over k of (t - 1)^k * rows[k], each row a list of int coefficients."""
+    out = [0] * size
+    for k, row in enumerate(rows):
+        tk = _tm1(k)
+        for i, c in enumerate(row[:size]):
+            if c:
+                for j, x in enumerate(tk[:size - i], i):
+                    out[j] += c * x
+    return out
+
+
+def _tm1_class(terms) -> TatePoly:
+    """The sum of (t - 1)^k * m over pairs (k, m) of an int k >= 0 and a
+    sequence m of int coefficients; the m of each k are added into one row,
+    so each distinct k costs one convolution."""
+    rows = []
     for k, m in terms:
-        by_k[k] = by_k[k] + m if k in by_k else m
-    return sum((_tm1(k) * m for k, m in by_k.items()), TatePoly.zero())
+        rows.extend([] for _ in range(k + 1 - len(rows)))
+        row = rows[k]
+        row.extend([0] * (len(m) - len(row)))
+        for i, c in enumerate(m):
+            row[i] += c
+    return TatePoly(_tm1_coeffs(rows, max((k + len(r) for k, r in enumerate(rows)), default=0)))
 
 
 def _require_shape(lattice: FaceLattice) -> str:
@@ -218,21 +244,37 @@ def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
     if cached is not None:
         return cached
     _require_shape(lattice)
-    out: dict[int, TatePoly] = {}
+    # The faces done so far, grouped by (dim, stalk coefficients) as bitmasks
+    # over face ids: a group's share of the sum over the faces above a face
+    # is its stalk times the popcount of the group AND the face's up-set.
+    coeffs: dict[int, tuple[int, ...]] = {}
+    groups: dict[tuple[int, tuple[int, ...]], int] = {}
     for face in sorted(lattice.faces, key=lambda f: -f.dim):
         if face.codim == 0:
-            out[face.id] = ONE
-            continue
-        acc = _tm1_sum((tau.dim - face.dim - 1, out[tau.id])
-                       for tau in lattice.faces_above(face.id))
-        m = ((1 - T) * acc).truncate_below(Fraction(face.codim, 2))
-        if m.coeff(0) != 1 or any(c < 0 for c in m.coeffs):
-            raise InvariantViolation(
-                f"stalk polynomial of face {face.id} is not 1 + nonnegative terms: {m}")
-        if Fraction(m.degree) >= Fraction(face.codim, 2):
-            raise InvariantViolation(
-                f"stalk polynomial of face {face.id} exceeds the degree bound: {m}")
-        out[face.id] = m
+            m = [1]
+        else:
+            size = (face.codim + 1) // 2  # the powers t^k with k < codim / 2
+            above = lattice.up_set(face.id) & ~(1 << face.id)
+            rows = [[0] * size for _ in range(face.codim)]
+            for (dim, cs), mask in groups.items():
+                mult = (above & mask).bit_count()
+                if mult:
+                    row = rows[dim - face.dim - 1]
+                    for i, c in enumerate(cs):
+                        row[i] += mult * c
+            acc = _tm1_coeffs(rows, size)
+            m = [acc[0]] + [acc[k] - acc[k - 1] for k in range(1, size)]  # (1 - t) * acc
+            while m and not m[-1]:
+                m.pop()
+            if not m or m[0] != 1 or any(c < 0 for c in m):
+                raise InvariantViolation(f"stalk polynomial of face {face.id} is not "
+                                         f"1 + nonnegative terms: {TatePoly(m)}")
+            if 2 * (len(m) - 1) >= face.codim:
+                raise InvariantViolation(f"stalk polynomial of face {face.id} exceeds "
+                                         f"the degree bound: {TatePoly(m)}")
+        coeffs[face.id] = m = tuple(m)
+        groups[face.dim, m] = groups.get((face.dim, m), 0) | 1 << face.id
+    out = {fid: TatePoly(m) for fid, m in coeffs.items()}
     lattice._stalk_memo = out
     return out
 
@@ -276,7 +318,7 @@ def global_ih_class(lattice: FaceLattice) -> TatePoly:
     if not lattice.is_compact:
         raise UnsupportedShapeError("global class needs a compact polytope")
     ms = stalk_polynomials(lattice)
-    h = _tm1_sum((face.dim, ms[face.id]) for face in lattice.faces)
+    h = _tm1_class((face.dim, ms[face.id].coeffs) for face in lattice.faces)
     d = lattice.n
     if h.degree != d or any(c < 0 for c in h.coeffs):
         raise InvariantViolation(f"global class has wrong degree or negative ranks: {h}")
@@ -307,8 +349,8 @@ def punctured_cone_classes(lattice: FaceLattice):
     apex = lattice.cone_vertex_id
     ms = stalk_polynomials(lattice)
     faces = [face for face in lattice.faces if face.id != apex]
-    ih = (1 - T) * _tm1_sum((face.dim - 1, ms[face.id]) for face in faces)
-    ihc = _tm1_sum((face.dim, ms[face.id]) for face in faces)
+    ih = (1 - T) * _tm1_class((face.dim - 1, ms[face.id].coeffs) for face in faces)
+    ihc = _tm1_class((face.dim, ms[face.id].coeffs) for face in faces)
     return ih, ihc
 
 
@@ -356,7 +398,8 @@ def decomposition_summands(lattice: FaceLattice, n: int | None = None) -> Summan
         raise ValueError(f"cone dimension is {lattice.n}, not {n}")
     apex = lattice.cone_vertex_id
     ms = stalk_polynomials(lattice)
-    h = _tm1_sum((face.dim - 1, ms[face.id]) for face in lattice.faces if face.id != apex)
+    h = _tm1_class((face.dim - 1, ms[face.id].coeffs)
+                   for face in lattice.faces if face.id != apex)
     g = primitive_parts(h, n - 1)
     entries = []
     for k in range(n):
@@ -379,7 +422,4 @@ def h_polynomial_from_f_vector(f_vector) -> TatePoly:
     For a simple compact polytope this equals the global intersection
     cohomology class, giving an independent check of the stalk recursion.
     """
-    h = TatePoly.zero()
-    for d, count in enumerate(f_vector):
-        h = h + count * _tm1(d)
-    return h
+    return _tm1_class((d, (count,)) for d, count in enumerate(f_vector))

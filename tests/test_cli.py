@@ -149,6 +149,15 @@ def test_prime_cut_from_a_coarse_epsilon(tmp_path):
     assert main(["prime-cut", write(tmp_path, "o.vrep", OCTA), "--epsilon", "1/2"]) in (0, 1)
 
 
+@pytest.mark.parametrize("command, option, file, text", [
+    ("prime-cut", "--epsilon", "t.vrep", TRIANGLE), ("blowup", "--level", "q.hrep", QUAD)])
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_bad_rational_option_exits_one(tmp_path, capsys, command, option, file, text, value):
+    path = write(tmp_path, file, text)
+    assert main([command, path, option, value]) == 1
+    assert f"bad {option} value" in capsys.readouterr().err
+
+
 def test_blowup_command(tmp_path):
     code, report = run(["blowup", write(tmp_path, "q.hrep", QUAD)])
     assert code == 0

@@ -318,9 +318,9 @@ RETRY = Polytope.from_points([(-2, -2, 1), (-2, -2, 2), (-2, 0, 2), (-2, 2, -1),
 def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
     built = []
 
-    def recording_cut(p, lattice, spec, eps):
+    def recording_cut(p, lattice, spec, eps, widths=None):
         built.append(eps)
-        return _cut_once(p, lattice, spec, eps)
+        return _cut_once(p, lattice, spec, eps, widths)
 
     monkeypatch.setattr(cutting, "_cut_once", recording_cut)
     rng = random.Random(11)
