@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,9 +37,21 @@ def _tokens(path):
                 yield lineno, line.split()
 
 
+# Integers and p/q only: Fraction(str) also reads exponent, decimal and
+# underscore forms, and "1e2000000" would build a two-million-digit integer.
+_NUMBER = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
+def _exact(tok):
+    """The exact rational of an integer or 'p/q' token (or of a number given as such)."""
+    if isinstance(tok, str) and not _NUMBER.fullmatch(tok):
+        raise ValueError(f"not an integer or p/q: {tok!r}")
+    return as_rat(tok)
+
+
 def _parse_value(tok, lineno):
     try:
-        return as_rat(tok)
+        return _exact(tok)
     except (ValueError, ZeroDivisionError, TypeError):
         raise ParseError(f"bad number {tok!r}", lineno)
 
@@ -47,7 +60,7 @@ def _rational_option(args, name, default):
     """The exact value of a rational command-line option."""
     tok = getattr(args, name, default)
     try:
-        return as_rat(tok)
+        return _exact(tok)
     except (ValueError, ZeroDivisionError, TypeError):
         raise ParseError(f"bad --{name} value {tok!r}")
 

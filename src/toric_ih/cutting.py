@@ -36,8 +36,8 @@ from .lattice import (
     affine_frame,
     as_rat,
     dot,
+    independent_rows,
     lattice_vector,
-    mat_rank,
     pairing,
     rat_vector,
     rational_affine_basis,
@@ -151,13 +151,8 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction, w
     # the rows of p tight at the limit of each vertex of q, by vertex index
     tight_at_limit = {}
     for vf in qlat.of_dim(0):
-        chosen, limit = [], -1
-        for j in vf.active:
-            if mat_rank(chosen + [normals[j]]) > len(chosen):
-                chosen.append(normals[j])
-                limit &= masks[j]
-            if len(chosen) == p.n:
-                break
+        pick = independent_rows([normals[j] for j in vf.active], p.n)
+        limit = reduce(and_, (masks[vf.active[k]] for k in pick), -1)
         if not limit:
             raise ValueError("vertex limit escaped the polytope")
         tight_at_limit[vf.vertex_ids[0]] = active_at[limit.bit_length() - 1]

@@ -90,8 +90,9 @@ def primitive(u) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra (dense, row based; desk scale only): rank, determinant and
-# kernel by fraction-free elimination on ints, rational solves over Q.
+# Linear algebra (dense, row based; desk scale only): rank, greedy independent
+# rows, determinant and scaled inverse by fraction-free elimination on ints,
+# rational solves over Q.
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
@@ -197,42 +198,60 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def kernel_ray(rows, d):
-    """Primitive integer generator of the kernel of d - 1 integer rows of length d.
+def independent_rows(rows, limit=None):
+    """Indices of the greedy pick of linearly independent rows, in order.
 
-    Fraction-free Gauss-Jordan (Bareiss) elimination: every entry stays an
-    integer minor, and at the end the matrix is D times its reduced echelon
-    form, D the last pivot.  Returns None as soon as a second column without
-    pivot shows the kernel has dimension above one.  The sign is arbitrary.
+    Row i is picked when it is independent of the rows picked before it,
+    until ``limit`` rows are picked.  One incremental fraction-free echelon
+    on plain ints: each picked row is stored reduced against the earlier
+    ones, with its pivot column, so a new row costs one pass over the
+    echelon, not a rank of the whole pick.  Rational rows are integerized.
     """
-    m = [list(r) for r in rows]
-    k = len(m)
+    echelon = []  # (pivot column, reduced row)
+    picked = []
+    for i, row in enumerate(rows):
+        if len(picked) == limit:
+            break
+        r = integerize(row)
+        for c, e in echelon:
+            f = r[c]
+            if f:
+                p = e[c]
+                r = [p * x - f * y for x, y in zip(r, e)]
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is not None:
+            g = gcd(*r)
+            echelon.append((piv, [x // g for x in r]))
+            picked.append(i)
+    return picked
+
+
+def scaled_inverse(rows):
+    """|det B| * B^-1 for a square nonsingular integer matrix B, in ints.
+
+    One fraction-free Gauss-Jordan (Bareiss) elimination of [B | I]: every
+    entry stays an integer minor, and it ends at [D * I | D * B^-1] with D
+    the last pivot, det B up to sign.  Column k of the result is then a
+    positive multiple of the k-th column of B^-1: orthogonal to every row of
+    B but row k, and positive on row k.
+    """
+    d = len(rows)
+    m = [list(r) + e for r, e in zip(rows, identity_rows(d))]
     prev = 1
-    pivots = []
-    free = None
     for c in range(d):
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if m[i][c]), None)
+        piv = next((i for i in range(c, d) if m[i][c]), None)
         if piv is None:
-            if free is not None:
-                return None
-            free = c
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        prow = m[c]
         p = prow[c]
-        for i in range(k):
-            if i != r:
+        for i in range(d):
+            if i != c:
                 f = m[i][c]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
         prev = p
-        pivots.append(c)
-    x = [0] * d
-    x[free] = prev
-    for i, c in enumerate(pivots):
-        x[c] = -m[i][free]
-    g = vec_gcd(x)
-    return tuple(c // g for c in x)
+    s = 1 if prev > 0 else -1
+    return [[s * x for x in r[d:]] for r in m]
 
 
 def invert_unimodular(rows) -> list[list[int]]:
@@ -436,12 +455,8 @@ def rational_affine_basis(points):
     """
     pts = [rat_vector(p) for p in points]
     p0 = pts[0]
-    dirs = []
-    for p in pts[1:]:
-        d = vsub(p, p0)
-        if any(d) and mat_rank(dirs + [d]) > len(dirs):
-            dirs.append(d)
-    return p0, tuple(dirs)
+    dirs = [vsub(p, p0) for p in pts[1:]]
+    return p0, tuple(dirs[i] for i in independent_rows(dirs))
 
 
 def transform_points(points, u_rows):

@@ -9,10 +9,15 @@ double description that adds the constraints c one at a time and combines
 adjacent rays across each new hyperplane, with tight sets as int bitmasks.
 V->H takes the generators (v, 1) and (r, 0) as constraints, so the rays are
 the facet rows; H->V takes the rows (a, -b) plus (0, ..., 0, 1), so the rays
-(u, t) are the vertices u/t (t > 0) and the rays u (t = 0).  A second,
-shared filter reads the routine's incidences and keeps what is irredundant
-against the other side.  Faces are canonically identified by their maximal
-tight row set.
+(u, t) are the vertices u/t (t > 0) and the rays u (t = 0).  Rank is decided
+once, in the double description's pick of d independent constraints to
+start from: fewer than d means the input is not full-dimensional (V->H) or
+not pointed (H->V).  Every other fact is read off the tight bitmasks: a
+constraint tight on every ray is an implicit equality (V->H: not pointed;
+H->V: not full-dimensional), and a shared filter keeps the constraints whose
+sets of tight rays are maximal, the extreme generators (V->H) or the facet
+rows (H->V).  Integer input stays in plain ints until the Fraction vertices
+are built.  Faces are canonically identified by their maximal tight row set.
 
 The face lattice comes from the generator-facet incidences in plain ints:
 the vertices are scaled by their common denominator, so a row is tight at a
@@ -51,26 +56,25 @@ from .lattice import (
     as_rat,
     det_int,
     dot,
+    independent_rows,
     integerize,
     invert_unimodular,
-    kernel_ray,
     lattice_vector,
     mat_rank,
     mat_vec,
     pairing,
     primitive,
     rat_vector,
+    scaled_inverse,
     transpose,
-    vec_gcd,
-    vsub,
 )
 
 
 def normalize_row(a, b):
     """Canonical primitive integer form of the inequality <u, a> >= b."""
-    coeffs = integerize(tuple(a) + (as_rat(b),))
-    g = vec_gcd(coeffs)
-    if g:
+    coeffs = integerize((*a, b))
+    g = gcd(*coeffs)
+    if g > 1:
         coeffs = tuple(c // g for c in coeffs)
     return coeffs[:-1], coeffs[-1]
 
@@ -89,35 +93,36 @@ def _extreme_rays(cons, d):
     """Primitive extreme rays of the pointed cone {x in Q^d : <c, x> >= 0 for c in cons}.
 
     Integer double description (Motzkin, Raiffa, Thompson & Thrall 1953;
-    Fukuda & Prodon 1996).  It starts from the simplicial cone of d
-    independent constraints, whose rays are the kernels of each d - 1 of
-    them, and adds the other constraints one at a time: the rays on the
-    nonnegative side stay, and each adjacent pair of a positive ray r1 and a
-    negative ray r2 gives the ray <c, r1> r2 - <c, r2> r1 on the new
+    Fukuda & Prodon 1996).  It starts from the simplicial cone of the first
+    d independent constraints (the greedy pick of ``independent_rows``, the
+    routine's one rank decision), whose rays are the columns of the basis
+    inverse (``scaled_inverse``), and adds the other constraints one at a
+    time: the rays on the nonnegative side stay, and each adjacent pair of a
+    positive ray r1 and a negative ray r2 gives the ray
+    <c, r1> r2 - <c, r2> r1 on the new
     hyperplane, divided by its gcd.  Each ray carries its tight set, an int
     bitmask over cons (constraint i is bit i); two rays are adjacent when
     their common tight set has at least d - 2 bits and lies in no third
     ray's tight set.
 
     Returns (rays, tight): the rays sorted, and tight[k] the bitmask of the
-    constraints tight on rays[k].
+    constraints tight on rays[k].  Raises ValueError, and only for this,
+    when the constraints have rank below d (the cone is not pointed).
     """
-    basis = []
-    for i, c in enumerate(cons):
-        if len(basis) < d and mat_rank([cons[j] for j in basis] + [c]) > len(basis):
-            basis.append(i)
+    basis = independent_rows(cons, d)
     if len(basis) < d:
         raise ValueError("the constraints do not cut out a pointed cone")
+    inv = scaled_inverse([cons[i] for i in basis])
+    full = sum(1 << i for i in basis)
     rays = []
-    for i in basis:
-        rest = [j for j in basis if j != i]
-        w = kernel_ray([cons[j] for j in rest], d)
-        rays.append((w if dot(w, cons[i]) > 0 else tuple(-x for x in w),
-                     sum(1 << j for j in rest)))
+    for k, i in enumerate(basis):
+        w = [row[k] for row in inv]
+        g = gcd(*w)
+        rays.append((tuple(x // g for x in w), full ^ 1 << i))
     for i, c in enumerate(cons):
-        if i in basis:
-            continue
         bit = 1 << i
+        if full & bit:
+            continue
         kept, pos, neg = [], [], []
         for r, z in rays:
             val = dot(c, r)
@@ -136,22 +141,31 @@ def _extreme_rays(cons, d):
                         z & common == common and z != z1 and z != z2 for z in zs):
                     continue
                 w = tuple(v1 * b - v2 * a for a, b in zip(r1, r2))
-                g = vec_gcd(w)
+                g = gcd(*w)
                 kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
     rays.sort()
     return [r for r, _ in rays], [z for _, z in rays]
 
 
-def _irredundant(vecs, rays, tight, d):
-    """The vectors vecs[i] whose tight rays (those with bit i in tight) have rank d - 1.
+def _irredundant(cons, tight):
+    """The constraints whose set of tight rays is not a strict subset of
+    another constraint's set.
 
-    With ``rays`` the extreme rays of the polar cone this picks the extreme
-    generators of a cone; with ``rays`` the extreme rays of the cone itself
-    it picks the facet-defining constraints.
+    ``tight`` holds the tight bitmasks of the extreme rays of a
+    full-dimensional pointed cone {x : <c, x> >= 0}, and its faces are told
+    apart by their rays; so constraint i is tight on a facet exactly when no
+    other constraint is tight on a strictly larger set of rays, which is the
+    same as its tight rays having rank d - 1.  Read for the polar cone of a
+    generator set, this picks the extreme generators; read for the cone
+    itself, the facet-defining constraints.
     """
-    return [v for i, v in enumerate(vecs)
-            if mat_rank([r for r, z in zip(rays, tight) if z >> i & 1]) == d - 1]
+    masks = [0] * len(cons)
+    for k, z in enumerate(tight):
+        for i in _bits(z):
+            masks[i] |= 1 << k
+    distinct = set(masks)
+    return [c for c, s in zip(cons, masks) if not any(s & t == s != t for t in distinct)]
 
 
 class Polytope:
@@ -184,18 +198,18 @@ class Polytope:
         rr = sorted(set(primitive(r) for r in rays))
         if n == 0:
             return cls(0, [()], [], [])
-        dirs = [vsub(p, pts[0]) for p in pts[1:]] + [tuple(map(Fraction, r)) for r in rr]
-        if mat_rank(dirs) < n:
-            raise NotFullDimensionalError(
-                "not full-dimensional; reduce to affine span first")
-        gens = {integerize(p + (Fraction(1),)): p for p in pts}
+        gens = {integerize(p + (1,)): p for p in pts}
         gens.update((r + (0,), r) for r in rr)
         cons = list(gens)
-        duals, tight = _extreme_rays(cons, n + 1)
-        if mat_rank(duals) <= n:
+        try:
+            duals, tight = _extreme_rays(cons, n + 1)
+        except ValueError:  # the homogenized generators have rank below n + 1
+            raise NotFullDimensionalError(
+                "not full-dimensional; reduce to affine span first") from None
+        if reduce(and_, tight, -1):  # an implicit equality: the dual cone is flat
             raise NotPointedError("not pointed: the recession cone contains a line")
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
-        keep = _irredundant(cons, duals, tight, n + 1)
+        keep = _irredundant(cons, tight)
         verts = [gens[g] for g in keep if g[n]]
         xrays = [gens[g] for g in keep if not g[n]]
         return cls(n, verts, xrays, rows)
@@ -208,27 +222,29 @@ class Polytope:
         degenerate cases, and NotFullDimensionalError when some row is tight
         at every ray of the homogenized cone (an implicit equality).
         """
-        norm = []
+        norm = set()
         n = None
         for a, b in rows:
-            a = rat_vector(a)
-            b = as_rat(b)
+            na, nb = normalize_row(a, b)
             if n is None:
-                n = len(a)
-            elif len(a) != n:
+                n = len(na)
+            elif len(na) != n:
                 raise ValueError("rows of mixed dimension")
-            if not any(a):
-                if b > 0:
-                    raise EmptyPolyhedronError("empty polyhedron: infeasible row 0 >= %s" % b)
+            if not any(na):
+                if nb > 0:
+                    raise EmptyPolyhedronError(
+                        "empty polyhedron: infeasible row 0 >= %s" % as_rat(b))
                 continue  # trivially true
-            norm.append(normalize_row(a, b))
+            norm.add((na, nb))
         if n == 0:
             return cls(0, [()], [], [])
-        norm = sorted(set(norm))
-        if not norm or mat_rank([r[0] for r in norm]) < n:
+        if not norm:
             raise NotPointedError("not pointed")
-        cons = [a + (-b,) for a, b in norm] + [(0,) * n + (1,)]
-        hull, tight = _extreme_rays(cons, n + 1)
+        cons = [a + (-b,) for a, b in sorted(norm)] + [(0,) * n + (1,)]
+        try:
+            hull, tight = _extreme_rays(cons, n + 1)
+        except ValueError:  # the normals have rank below n
+            raise NotPointedError("not pointed") from None
         verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
         if not verts:
             raise EmptyPolyhedronError("empty polyhedron")
@@ -236,7 +252,7 @@ class Polytope:
             raise NotFullDimensionalError(
                 "not full-dimensional: a row holds with equality on the whole polyhedron")
         rays = [w[:n] for w in hull if not w[n]]
-        facets = [(c[:n], -c[n]) for c in _irredundant(cons[:-1], hull, tight, n + 1)]
+        facets = [(c[:n], -c[n]) for c in _irredundant(cons, tight) if any(c[:n])]
         return cls(n, verts, rays, facets)
 
     @classmethod

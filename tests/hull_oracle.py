@@ -1,8 +1,10 @@
-"""Brute-force hull oracles: the polar subset scan and the seed's two scans.
+"""Brute-force hull oracles: the polar subset scan, the rank filter and the seed's two scans.
 
 ``extreme_rays_by_subsets`` is the subset scan the double-description
 routine in ``toric_ih.polytope`` replaced: the kernel of every
-(d-1)-subset of the constraints, kept when all of them lie on one side.
+(d-1)-subset of the constraints (``kernel_ray``), kept when all of them lie
+on one side.  ``irredundant_by_rank`` is the rank test that the hull's
+bitmask filter ``_irredundant`` replaced.
 The seed's own scans are independent of both: V->H scans n-subsets of
 homogenized generators with a cofactor kernel and keeps supporting
 hyperplanes whose tight generators span a facet; H->V solves every
@@ -26,14 +28,64 @@ from toric_ih.lattice import (
     det_int,
     dot,
     integerize,
-    kernel_ray,
+    mat_rank,
     primitive,
     rat_vector,
+    vec_gcd,
     vsub,
 )
 from toric_ih.polytope import Polytope, normalize_row
 
 from face_oracle import fraction_rank
+
+
+def kernel_ray(rows, d):
+    """Primitive integer generator of the kernel of d - 1 integer rows of length d.
+
+    Fraction-free Gauss-Jordan (Bareiss) elimination: every entry stays an
+    integer minor, and at the end the matrix is D times its reduced echelon
+    form, D the last pivot.  Returns None as soon as a second column without
+    pivot shows the kernel has dimension above one.  The sign is arbitrary.
+    """
+    m = [list(r) for r in rows]
+    k = len(m)
+    prev = 1
+    pivots = []
+    free = None
+    for c in range(d):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if m[i][c]), None)
+        if piv is None:
+            if free is not None:
+                return None
+            free = c
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(k):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+        pivots.append(c)
+    x = [0] * d
+    x[free] = prev
+    for i, c in enumerate(pivots):
+        x[c] = -m[i][free]
+    g = vec_gcd(x)
+    return tuple(c // g for c in x)
+
+
+def irredundant_by_rank(vecs, rays, tight, d):
+    """The vectors vecs[i] whose tight rays (those with bit i in tight) have rank d - 1.
+
+    With ``rays`` the extreme rays of the polar cone this picks the extreme
+    generators of a cone; with ``rays`` the extreme rays of the cone itself
+    it picks the facet-defining constraints.
+    """
+    return [v for i, v in enumerate(vecs)
+            if mat_rank([r for r, z in zip(rays, tight) if z >> i & 1]) == d - 1]
 
 
 def extreme_rays_by_subsets(cons, d):
@@ -162,6 +214,8 @@ def oracle_from_points(points, rays=()):
     if fraction_rank(dirs) < n:
         raise NotFullDimensionalError("not full-dimensional")
     rows = facet_rows(pts, rr, n)
+    if fraction_rank([r[0] for r in rows]) < n:
+        raise NotPointedError("not pointed: the facet normals do not span")
     verts = [p for p in pts
              if fraction_rank([r[0] for r in rows if _tight_vertex(r, p)]) == n]
     xrays = [r for r in rr

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import pytest
 
@@ -78,6 +80,16 @@ def test_parse_bad_number(tmp_path):
         parse_input(write(tmp_path, "x.vrep", "vrep 2\n0 zero\n1 1\n"))
 
 
+@pytest.mark.parametrize("token", ["1e2000000", "1E3", "1_000", "0.5", "1/2.0"])
+def test_only_integers_and_fractions_parse(tmp_path, capsys, token):
+    # Fraction(str) takes each of these, and 1e2000000 as a two-million-digit integer
+    path = write(tmp_path, "x.vrep", f"vrep 2\n0 0\n{token} 0\n0 1\n")
+    start = time.perf_counter()
+    assert main(["faces", path]) == 1
+    assert time.perf_counter() - start < 1
+    assert re.match(r"error: line 3: bad number", capsys.readouterr().err)
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def find_section(report, title):
@@ -151,7 +163,7 @@ def test_prime_cut_from_a_coarse_epsilon(tmp_path):
 
 @pytest.mark.parametrize("command, option, file, text", [
     ("prime-cut", "--epsilon", "t.vrep", TRIANGLE), ("blowup", "--level", "q.hrep", QUAD)])
-@pytest.mark.parametrize("value", ["1/0", "x"])
+@pytest.mark.parametrize("value", ["1/0", "x", "0.5", "1e-3"])
 def test_bad_rational_option_exits_one(tmp_path, capsys, command, option, file, text, value):
     path = write(tmp_path, file, text)
     assert main([command, path, option, value]) == 1

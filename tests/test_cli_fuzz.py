@@ -16,7 +16,8 @@ from toric_ih.cli import run
 
 NUMBERS = st.one_of(st.integers(-3, 3).map(str),
                     st.tuples(st.integers(-4, 4), st.integers(1, 3)).map("{0[0]}/{0[1]}".format))
-JUNK = st.sampled_from(["rays", "vrep", "hrep", "#", "x", "1/", "/2", "1/0", "--1", "nan", "1.5"])
+JUNK = st.sampled_from(["rays", "vrep", "hrep", "#", "x", "1/", "/2", "1/0", "--1", "nan", "1.5",
+                        "1e2000000", "1E3", "1_000", "0.5"])
 HEADER = st.tuples(st.sampled_from(["vrep", "hrep"]), st.integers(1, 3).map(str))
 JUNK_HEADER = st.lists(st.one_of(NUMBERS, JUNK, st.sampled_from(["support"])), max_size=3)
 

@@ -2,16 +2,31 @@
 
 import random
 from fractions import Fraction as F
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_ih.errors import NotFullDimensionalError, ToricError
-from toric_ih.lattice import kernel_ray, primitive
-from toric_ih.polytope import Polytope
+from toric_ih import polytope
+from toric_ih.errors import (
+    EmptyPolyhedronError,
+    NotFullDimensionalError,
+    NotPointedError,
+    ToricError,
+)
+from toric_ih.fixtures import cone_fixtures, cross_polytope, cube, standard_fixtures
+from toric_ih.lattice import dot, integerize, mat_rank, primitive
+from toric_ih.polytope import Polytope, _extreme_rays, _irredundant, normalize_row
 
-from hull_oracle import cofactor_kernel_vector, oracle_from_inequalities, oracle_from_points
+from hull_oracle import (
+    cofactor_kernel_vector,
+    irredundant_by_rank,
+    kernel_ray,
+    oracle_from_inequalities,
+    oracle_from_points,
+)
 
 
 def outcome(build, *args):
@@ -117,3 +132,147 @@ def test_both_representations_rebuild_the_polyhedron(cloud):
         return
     assert Polytope.from_inequalities(p.rows) == p
     assert Polytope.from_points(p.vertices, p.rays) == p
+
+
+# -- the bitmask rules against the rank rules they replaced ----------------------
+
+def random_full_cone(rng, d):
+    """Integer constraints of a full-dimensional pointed cone in Q^d: each is
+    positive on a random vector x0, and they have rank d."""
+    x0 = [rng.randint(-3, 3) or 1 for _ in range(d)]
+    cons = []
+    while len(cons) < d + rng.randint(0, 4) or mat_rank(cons) < d:
+        c = tuple(rng.randint(-2, 2) for _ in range(d))
+        if dot(c, x0) < 0:
+            c = tuple(-x for x in c)
+        if dot(c, x0) > 0:
+            cons.append(c)
+    return cons
+
+
+def with_redundant_rows(rng, cons, d):
+    """cons plus rows tight on one face of the cone: the sum of the constraints
+    tight at a random ray or pair of rays (several rows through one face),
+    a sum of two constraints, and a repeated constraint."""
+    rays, tight = _extreme_rays(cons, d)
+    extra = []
+    for _ in range(rng.randint(1, 3)):
+        face = reduce(and_, rng.sample(tight, min(len(tight), rng.randint(1, 2))))
+        if face:
+            extra.append(tuple(sum(cons[i][k] for i in bits(face)) for k in range(d)))
+    a, b = rng.sample(cons, 2)
+    extra += [tuple(x + y for x, y in zip(a, b)), rng.choice(cons)]
+    return cons + extra
+
+
+def bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def assert_filters_agree(cons, d):
+    """The mask filter keeps the same constraints as the rank filter."""
+    rays, tight = _extreme_rays(cons, d)
+    assert not reduce(and_, tight), "the cone must be full-dimensional"
+    want = irredundant_by_rank(cons, rays, tight, d)
+    assert _irredundant(cons, tight) == want, cons
+    return want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_mask_filter_matches_rank_filter_on_random_cones(d):
+    rng = random.Random(8000 + d)
+    dropped = 0
+    for _ in range(40 if d < 6 else 15):
+        cons = with_redundant_rows(rng, random_full_cone(rng, d), d)
+        dropped += len(cons) - len(assert_filters_agree(cons, d))
+    assert dropped  # some rows were redundant
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mask_filter_matches_rank_filter_on_both_hull_directions(n):
+    """The facet rows of random (often unbounded) H input and the extreme
+    generators of their vertices and rays, as from_inequalities and
+    from_points build their cones."""
+    rng = random.Random(8100 + n)
+    seen_rays = 0
+    for _ in range(25 if n < 6 else 8):
+        u0 = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        rows = []
+        for a in random_full_cone(rng, n) + random_full_cone(rng, n)[:rng.randint(0, n)]:
+            rows.append((a, dot(a, u0) - rng.randint(0, 3)))
+        try:
+            p = Polytope.from_inequalities(rows)
+        except ToricError:
+            continue
+        norm = sorted({normalize_row(a, b) for a, b in rows})
+        cons = [a + (-b,) for a, b in norm] + [(0,) * n + (1,)]
+        assert_filters_agree(cons, n + 1)
+        # the vertices and rays, then redundant points: midpoints of two vertices, vertex + ray
+        extra = [tuple((x + y) / 2 for x, y in zip(v, w))
+                 for v, w in zip(p.vertices, p.vertices[1:])]
+        extra += [tuple(x + y for x, y in zip(p.vertices[0], r)) for r in p.rays]
+        gens = [integerize(v + (1,)) for v in p.vertices] + [r + (0,) for r in p.rays]
+        gens = list(dict.fromkeys(gens + [integerize(v + (1,)) for v in extra]))
+        duals, tight = _extreme_rays(gens, n + 1)
+        keep = irredundant_by_rank(gens, duals, tight, n + 1)
+        assert _irredundant(gens, tight) == keep
+        assert keep == gens[:len(p.vertices) + len(p.rays)]
+        seen_rays += bool(p.rays)
+    assert seen_rays
+
+
+def degenerate_inputs(rng, n):
+    """V input and H input in Q^n, each either lower-dimensional, not pointed
+    or (H) empty, mixed with well-formed input."""
+    pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 2)]
+    w = [rng.randint(-2, 2) for _ in range(n - 1)]
+    flat = [p[:-1] + (dot(w, p[:-1]) + 1,) for p in pts]  # on a hyperplane
+    r = tuple(rng.randint(-1, 1) for _ in range(n - 1))
+    tangent = [r + (dot(w, r),)] if any(r) else []
+    line = [(1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)]
+    v_inputs = [(flat, []), (flat, tangent), (pts, line), (pts, [])]
+    a = tuple(rng.randint(-2, 2) for _ in range(n))
+    if not any(a):
+        a = (1,) + a[1:]
+    neg = tuple(-x for x in a)
+    box = [(tuple(int(i == k) for k in range(n)), 0) for i in range(n)]
+    box += [(tuple(-int(i == k) for k in range(n)), -2) for i in range(n)]
+    h_inputs = [box + [(a, 1), (neg, 0)],          # empty
+                box + [(a, 1), (neg, -1)],         # an implicit equality
+                [(a, 0), (neg, -3)],               # normals of rank 1
+                [((0,) * n, 1)] + box,             # an infeasible zero row
+                box[:n] + [(a, rng.randint(-2, 2))],
+                box]
+    return v_inputs, h_inputs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_degenerate_inputs_raise_as_the_oracles(n):
+    rng = random.Random(8200 + n)
+    kinds = set()
+    for _ in range(6 if n < 6 else 2):
+        v_inputs, h_inputs = degenerate_inputs(rng, n)
+        for pts, rays in v_inputs:
+            got = outcome(Polytope.from_points, pts, rays)
+            assert got == outcome(oracle_from_points, pts, rays)
+            kinds.add(got if isinstance(got, type) else "polytope")
+        for rows in h_inputs:
+            got = outcome(Polytope.from_inequalities, rows)
+            assert got == outcome(oracle_from_inequalities, rows)
+            kinds.add(got if isinstance(got, type) else "polytope")
+    assert kinds >= {NotFullDimensionalError, NotPointedError, EmptyPolyhedronError, "polytope"}
+
+
+def test_hull_takes_no_rank_call(monkeypatch):
+    """Both hull directions build every fixture with polytope.mat_rank gone:
+    the double description's basis pick is the one rank decision."""
+    fixtures = list(standard_fixtures().values()) + list(cone_fixtures().values())
+    fixtures += [cube(6), cross_polytope(6)]
+
+    def no_rank(rows):
+        raise AssertionError("the hull called mat_rank")
+
+    monkeypatch.setattr(polytope, "mat_rank", no_rank)
+    for p in fixtures:
+        assert Polytope.from_points(p.vertices, p.rays) == p
+        assert Polytope.from_inequalities(p.rows) == p

@@ -14,10 +14,13 @@ from toric_ih.lattice import (
     det_int,
     hnf_with_transform,
     identity_rows,
+    independent_rows,
     invert_unimodular,
     mat_mul,
+    mat_rank,
     pairing,
     primitive,
+    scaled_inverse,
     solve_integer_system,
     unimodular_image,
 )
@@ -206,3 +209,40 @@ def test_primitive():
     assert primitive((F(2, 3), F(4, 3))) == (1, 2)
     with pytest.raises(ValueError):
         primitive((0, 0))
+
+
+def greedy_pick_by_rank(rows, limit=None):
+    """The greedy pick of independent rows by one rank per candidate."""
+    chosen, picked = [], []
+    for i, r in enumerate(rows):
+        if len(picked) == limit:
+            break
+        if mat_rank(chosen + [r]) > len(chosen):
+            chosen.append(r)
+            picked.append(i)
+    return picked
+
+
+def test_independent_rows_matches_greedy_rank_pick(rng):
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        rows = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(d)]
+                for _ in range(rng.randint(0, d + 3))]
+        if len(rows) > 2 and rng.random() < 0.5:  # a combination of two earlier rows
+            a, b = rng.sample(rows[:-1], 2)
+            rows.insert(rng.randrange(len(rows)), [2 * x - y for x, y in zip(a, b)])
+        limit = rng.choice((None, d, rng.randint(0, d)))
+        assert independent_rows(rows, limit) == greedy_pick_by_rank(rows, limit)
+
+
+def test_scaled_inverse_is_det_times_inverse(rng):
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        det = det_int(rows)
+        if not det:
+            with pytest.raises(ValueError):
+                scaled_inverse(rows)
+            continue
+        assert mat_mul(rows, scaled_inverse(rows)) == [[abs(det) * x for x in r]
+                                                        for r in identity_rows(d)]
