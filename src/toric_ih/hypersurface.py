@@ -3,7 +3,9 @@
 The hypersurface itself never appears: non-degeneracy is an input assumption
 and every quantity here is computed from the Newton polytope's lattice data.
 Classes of mixed Hodge structures are tracked as two-variable integer
-polynomials E(u, v), with the Tate class represented as L = uv.
+polynomials E(u, v) (``EPoly2``, the (u, v) case of the sparse integer ring
+``stalks.IntPoly``), with the Tate class represented as L = uv, so a Tate
+class h(t) lands here as h(uv).
 
 With n the polytope dimension, l* the interior lattice count of a face and
 Pi the number of lattice points on the 1-skeleton:
@@ -28,36 +30,21 @@ from .counting import face_counts, lattice_count, skeleton_count
 from .errors import NotFullDimensionalError, UnboundedError
 from .lattice import lattice_vector
 from .polytope import Face, FaceLattice, Polytope
-from .stalks import TatePoly
+from .stalks import IntPoly, TatePoly
 
 
-class EPoly2:
+class EPoly2(IntPoly):
     """Integer polynomial in (u, v): Hodge-Deligne class bookkeeping.
 
-    Immutable.  Coefficient of u^p v^q is the signed count of (p, q) pieces;
-    classes of real Hodge structures arising here are symmetric under u <-> v.
+    Immutable; built from a dict or pairs ((p, q), c).  Coefficient of
+    u^p v^q is the signed count of (p, q) pieces; classes of real Hodge
+    structures arising here are symmetric under u <-> v.  Printed by
+    descending total degree.
     """
 
-    __slots__ = ("_t",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        for (p, q), c in (terms.items() if isinstance(terms, dict) else terms):
-            c = int(c)
-            if c:
-                acc[(int(p), int(q))] = acc.get((int(p), int(q)), 0) + c
-        object.__setattr__(self, "_t", tuple(sorted((k, c) for k, c in acc.items() if c)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("EPoly2 is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
+    __slots__ = ()
+    _vars = ("u", "v")
+    _order = staticmethod(lambda exps: (-sum(exps), exps))
 
     @classmethod
     def lefschetz(cls):
@@ -68,91 +55,8 @@ class EPoly2:
     def monomial(cls, p, q, c=1):
         return cls({(p, q): c})
 
-    @property
-    def terms(self):
-        return self._t
-
-    def coeff(self, p, q) -> int:
-        for (pp, qq), c in self._t:
-            if (pp, qq) == (p, q):
-                return c
-        return 0
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = EPoly2({(0, 0): other})
-        return isinstance(other, EPoly2) and self._t == other._t
-
-    def __hash__(self):
-        return hash(self._t)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = EPoly2({(0, 0): other})
-        return EPoly2(list(self._t) + list(other._t))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EPoly2([(k, -c) for k, c in self._t])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = EPoly2({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return EPoly2([(k, other * c) for k, c in self._t])
-        out = {}
-        for (p1, q1), c1 in self._t:
-            for (p2, q2), c2 in other._t:
-                k = (p1 + p2, q1 + q2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return EPoly2(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = EPoly2.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __call__(self, u, v):
-        return sum(c * u ** p * v ** q for (p, q), c in self._t)
-
     def is_uv_symmetric(self) -> bool:
-        return all(self.coeff(q, p) == c for (p, q), c in self._t)
-
-    def __repr__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for (p, q), c in sorted(self._t, key=lambda e: (-(e[0][0] + e[0][1]), e[0])):
-            mono = "".join(s for s, e in (("u", p), ("v", q)) for s in
-                           ([s] if e == 1 else [f"{s}^{e}"] if e else []))
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return all(self.coeff(q, p) == c for (p, q), c in self._d.items())
 
 
 def tate_to_e(h: TatePoly) -> EPoly2:
@@ -347,15 +251,22 @@ def stratum_component_count(lattice: FaceLattice, face: Face) -> int:
 
 
 def frontier_crosscheck(p: Polytope, lattice: FaceLattice | None = None) -> bool:
-    """Re-derive the p = 0 frontier number through the dimension chase.
+    """Re-derive the frontier numbers of frontier_hodge by other routes.
 
-    Recomputes h = (#vertices - 1) + sum of edge interior counts and compares
-    it with the skeleton-count route of frontier_hodge, Pi - 1.
+    Their total: Danilov and Khovanskii give (-1)^(n-1) e^0, with e^0 the
+    sum over q of e^(0,q), from interior counts of the dilates of P alone:
+    n + sum over i < n of (-1)^i C(n+1, i) l*((n-i)P); by u <-> v symmetry
+    it is the sum of the (p, 0) numbers.  The p = 0 number, Pi - 1, is also
+    #vertices - 1 + the edge interior counts of face_counts.
     """
     lattice = lattice or p.face_lattice()
-    counts = face_counts(lattice)
+    n, counts = p.n, face_counts(lattice)
+    frontier = frontier_hodge(p, lattice)
+    subtotal = n + sum((-1) ** i * comb(n + 1, i) * lattice_count(p, n - i, strict=True)
+                       for i in range(n))
     edge_interiors = sum(counts[f.id][1] for f in lattice.of_dim(1))
-    return len(lattice.of_dim(0)) - 1 + edge_interiors == frontier_hodge(p, lattice)[0]
+    return (sum(frontier.values()) == subtotal
+            and frontier[0] == len(lattice.of_dim(0)) - 1 + edge_interiors)
 
 
 def prime_cut_multipliers(cut, lattice: FaceLattice, cut_lattice: FaceLattice) -> dict:

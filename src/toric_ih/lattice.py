@@ -51,10 +51,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -73,17 +69,10 @@ def integerize(u) -> tuple[int, ...]:
     return tuple(c.numerator * (mult // c.denominator) for c in u)
 
 
-def vec_gcd(u) -> int:
-    g = 0
-    for c in u:
-        g = gcd(g, abs(int(c)))
-    return g
-
-
 def primitive(u) -> tuple[int, ...]:
     """Primitive integer vector on the same ray (direction preserved)."""
     w = integerize(u)
-    g = vec_gcd(w)
+    g = gcd(*w)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(c // g for c in w)
@@ -100,11 +89,6 @@ def transpose(rows):
 
 def mat_vec(rows, x):
     return tuple(dot(r, x) for r in rows)
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[dot(r, c) for c in bt] for r in a]
 
 
 def identity_rows(n):
@@ -420,7 +404,7 @@ class AffineLatticeFrame:
     def from_coords(self, coords) -> tuple:
         p = rat_vector(self.base)
         for c, b in zip(coords, self.basis):
-            p = vadd(p, vscale(as_rat(c), b))
+            p = tuple(x + as_rat(c) * y for x, y in zip(p, b))
         if all(x.denominator == 1 for x in p):
             return tuple(int(x) for x in p)
         return p
@@ -459,10 +443,6 @@ def rational_affine_basis(points):
     return p0, tuple(dirs[i] for i in independent_rows(dirs))
 
 
-def transform_points(points, u_rows):
-    return tuple(mat_vec(u_rows, p) for p in points)
-
-
 def unimodular_image(obj, u_rows):
     """Image of a point set (or anything with apply_unimodular) under x -> Ux."""
     d = det_int(u_rows)
@@ -473,4 +453,4 @@ def unimodular_image(obj, u_rows):
     seq = list(obj)
     if seq and isinstance(seq[0], (int, Fraction)):
         return mat_vec(u_rows, seq)
-    return transform_points(seq, u_rows)
+    return tuple(mat_vec(u_rows, p) for p in seq)

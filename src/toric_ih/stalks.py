@@ -1,26 +1,30 @@
 """Intersection-complex stalk polynomials of toric varieties.
 
 Everything lives in the Tate subring of the Grothendieck ring of mixed Hodge
-structures, identified with Z[t] where t has weight two.  The local stalk
-polynomial of a face is produced by a truncated recursion over the interval
-of faces above it: with c the codimension of the face,
+structures, identified with Z[t] where t has weight two: ``TatePoly``, the
+one-variable case of ``IntPoly``, the package's one sparse integer
+polynomial ring (``hypersurface.EPoly2`` is its (u, v) case).
 
-    m_face = truncate_below_{c/2}( (1 - t) * sum over strictly larger faces
-             of (t - 1)^(relative dim - 1) * m_larger ),
+Every class here is one interval sum over the face lattice: the sum over
+faces G in a set S of (t - 1)^(dim G - b - 1) * m_G, where b is the
+dimension of the interval's bottom, -1 for the empty face.  The local stalk
+polynomial of a face Q, of codimension c, takes S the faces strictly above
+Q and b = dim Q, seeded with m = 1 on the whole polytope:
 
-seeded with m = 1 on the whole polytope.  The recursion runs purely on the
-abstract interval poset; no transverse slice is ever constructed, so there is
-no geometry (and no rounding) involved beyond the face lattice itself.  It
-runs on plain int coefficient lists: the faces already done are grouped by
-dimension and stalk as bitmasks, so the sum over the faces above a face is
-one popcount per group against the face's up-set, and each relative
-dimension costs one product with (t - 1)^k.  The stalks become ``TatePoly``
-values at the end.
+    m_Q = truncate_below_{c/2}( (1 - t) * sum ).
 
-For a compact polytope the sum of (t-1)^dim * m over all faces is the class
-of the intersection cohomology of the associated projective toric variety:
+The recursion runs purely on the abstract interval poset; no transverse slice
+is ever constructed, so there is no geometry (and no rounding) involved
+beyond the face lattice itself.  It runs on plain int coefficient lists:
+faces are grouped by dimension and stalk as bitmasks, so a sum is one
+popcount per group against S and one product with (t - 1)^k per relative
+dimension.
+
+For a compact polytope, all faces summed from the empty bottom give the
+class of the intersection cohomology of the projective toric variety:
 palindromic, nonnegative and unimodal up to the middle.  For a cone with a
-vertex the same data yields the classes of the punctured cone and the
+vertex, the faces other than the apex summed from the apex (b = 0) and from
+the empty face give the classes of the punctured cone and the
 point-supported summands of the decomposition of the blow-up pushforward.
 """
 
@@ -29,38 +33,149 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
+from operator import add
 
 from .errors import InvariantViolation, PoincareDualityError, UnsupportedShapeError
 from .lattice import as_rat
 from .polytope import Face, FaceLattice
 
 
-class TatePoly:
-    """Integer polynomial in the weight-two Tate class t.
+class IntPoly:
+    """Sparse immutable polynomial with integer coefficients.
 
-    Immutable; supports exact ring arithmetic, coefficient truncation and the
-    palindromy/unimodality predicates the structure theory guarantees.
+    The ring shared by ``TatePoly`` (in t) and ``EPoly2`` (in u, v): a dict
+    from exponent tuples to nonzero ints, built from a dict or from pairs
+    (exponents, coefficient).  An int on either side of an operation is the
+    constant polynomial.  A subclass names its variables in ``_vars`` and
+    its print order of exponent tuples in ``_order``.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_d",)
+    _vars: tuple[str, ...] = ()
+    _order = staticmethod(lambda exps: exps)
 
-    def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_c", tuple(cs))
+    def __init__(self, terms=()):
+        acc = {}
+        for exps, c in (terms.items() if isinstance(terms, dict) else terms):
+            exps = tuple(map(int, exps))
+            acc[exps] = acc.get(exps, 0) + int(c)
+        object.__setattr__(self, "_d", {k: c for k, c in acc.items() if c})
+
+    @classmethod
+    def _of(cls, d):
+        """Wrap a dict of exponent tuples to ints, dropping the zero terms."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_d", {k: c for k, c in d.items() if c})
+        return out
 
     def __setattr__(self, *a):
-        raise AttributeError("TatePoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._of({(0,) * len(cls._vars): 1})
+
+    @property
+    def terms(self):
+        """(exponents, coefficient) pairs, sorted by exponents."""
+        return tuple(sorted(self._d.items()))
+
+    def coeff(self, *exps) -> int:
+        return self._d.get(exps, 0)
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._of({(0,) * len(self._vars): other})
+        return other if type(other) is type(self) else None
+
+    def __bool__(self):
+        return bool(self._d)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return other is not None and self._d == other._d
+
+    def __hash__(self):
+        return hash(frozenset(self._d.items()))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        d = dict(self._d)
+        for k, c in other._d.items():
+            d[k] = d.get(k, 0) + c
+        return self._of(d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self._d.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        d = {}
+        for k1, c1 in self._d.items():
+            for k2, c2 in other._d.items():
+                k = tuple(map(add, k1, k2))
+                d[k] = d.get(k, 0) + c1 * c2
+        return self._of(d)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out, base = self.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __call__(self, *values):
+        return sum(c * prod(x ** e for x, e in zip(values, k)) for k, c in self._d.items())
+
+    def __repr__(self):
+        parts = []
+        for k, c in sorted(self._d.items(), key=lambda kc: self._order(kc[0])):
+            mono = "".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self._vars, k) if e)
+            if not mono:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class TatePoly(IntPoly):
+    """Integer polynomial in the weight-two Tate class t, built from its
+    coefficients lowest degree first.
+
+    Immutable; adds to the ring the coefficient truncation and the
+    palindromy/unimodality predicates the structure theory guarantees.
+    """
+
+    __slots__ = ()
+    _vars = ("t",)
+
+    def __init__(self, coeffs=()):
+        super().__init__(((k,), c) for k, c in enumerate(coeffs))
 
     @classmethod
     def t(cls):
@@ -72,87 +187,20 @@ class TatePoly:
 
     @property
     def coeffs(self):
-        return self._c
-
-    def coeff(self, k: int) -> int:
-        return self._c[k] if 0 <= k < len(self._c) else 0
+        return tuple(self.coeff(k) for k in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._c) - 1
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = TatePoly((other,))
-        return isinstance(other, TatePoly) and self._c == other._c
-
-    def __hash__(self):
-        return hash(self._c)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TatePoly((other,))
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        return TatePoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TatePoly([-x for x in self._c])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TatePoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TatePoly([other * x for x in self._c])
-        out = [0] * (len(self._c) + len(other._c))
-        for i, x in enumerate(self._c):
-            if x:
-                for j, y in enumerate(other._c):
-                    out[i + j] += x * y
-        return TatePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = TatePoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __call__(self, value):
-        acc = 0
-        for c in reversed(self._c):
-            acc = acc * value + c
-        return acc
+        return max((k for k, in self._d), default=-1)
 
     def truncate_below(self, alpha) -> "TatePoly":
         """Keep exactly the terms of degree k < alpha."""
         alpha = as_rat(alpha)
-        return TatePoly([c for k, c in enumerate(self._c) if Fraction(k) < alpha])
+        return self._of({k: c for k, c in self._d.items() if k[0] < alpha})
 
     def is_palindromic(self, d=None) -> bool:
         d = self.degree if d is None else d
-        if d < 0:
-            return True
         cs = [self.coeff(k) for k in range(d + 1)]
         return cs == cs[::-1]
 
@@ -160,26 +208,6 @@ class TatePoly:
         d = self.degree if d is None else d
         cs = [self.coeff(k) for k in range(d + 1)]
         return all(cs[k] <= cs[k + 1] for k in range(len(cs) // 2))
-
-    def __repr__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._c):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
 
 
 T = TatePoly.t()
@@ -198,55 +226,44 @@ def _tm1(k: int) -> tuple[int, ...]:
     return tuple((-1) ** (k - i) * comb(k, i) for i in range(k + 1))
 
 
-def _tm1_coeffs(rows, size) -> list[int]:
+def _interval_sum(groups, faces: int, bottom: int, size: int) -> list[int]:
     """Coefficients of t^0 .. t^(size - 1), lowest degree first, of the sum
-    over k of (t - 1)^k * rows[k], each row a list of int coefficients."""
+    over the faces G in the bitmask ``faces`` of (t - 1)^(dim G - bottom - 1)
+    * m_G, where ``bottom`` is the dimension of the interval's bottom face
+    (-1 for the empty face).
+
+    ``groups`` maps (dim, stalk coefficients) to the bitmask of the faces
+    with that dimension and stalk, so a group's share is its stalk times one
+    popcount, and each distinct exponent costs one product with (t - 1)^k.
+    """
+    rows = {}
+    for (dim, cs), mask in groups.items():
+        mult = (faces & mask).bit_count()
+        if mult:
+            row = rows.setdefault(dim - bottom - 1, [0] * size)
+            for i, c in enumerate(cs[:size]):
+                row[i] += mult * c
     out = [0] * size
-    for k, row in enumerate(rows):
+    for k, row in rows.items():
         tk = _tm1(k)
-        for i, c in enumerate(row[:size]):
+        for i, c in enumerate(row):
             if c:
                 for j, x in enumerate(tk[:size - i], i):
                     out[j] += c * x
     return out
 
 
-def _tm1_class(terms) -> TatePoly:
-    """The sum of (t - 1)^k * m over pairs (k, m) of an int k >= 0 and a
-    sequence m of int coefficients; the m of each k are added into one row,
-    so each distinct k costs one convolution."""
-    rows = []
-    for k, m in terms:
-        rows.extend([] for _ in range(k + 1 - len(rows)))
-        row = rows[k]
-        row.extend([0] * (len(m) - len(row)))
-        for i, c in enumerate(m):
-            row[i] += c
-    return TatePoly(_tm1_coeffs(rows, max((k + len(r) for k, r in enumerate(rows)), default=0)))
-
-
-def _require_shape(lattice: FaceLattice) -> str:
-    if lattice.is_compact:
-        return "compact"
-    if lattice.cone_vertex_id is not None:
-        return "cone"
-    raise UnsupportedShapeError(
-        "unsupported shape: need a compact polytope or a cone with a vertex")
-
-
-def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
-    """Local stalk polynomial of every face, keyed by face id.
-
-    Results are memoized on the lattice; values are immutable so the cache
-    is safe to publish across threads.
-    """
+def _stalks(lattice: FaceLattice):
+    """(stalk by face id, groups): the truncated recursion from the top down,
+    memoized on the lattice.  ``groups`` maps (dim, stalk coefficients) to a
+    bitmask over face ids, as ``_interval_sum`` takes it; values are
+    immutable, so the memo is safe to publish across threads."""
     cached = getattr(lattice, "_stalk_memo", None)
     if cached is not None:
         return cached
-    _require_shape(lattice)
-    # The faces done so far, grouped by (dim, stalk coefficients) as bitmasks
-    # over face ids: a group's share of the sum over the faces above a face
-    # is its stalk times the popcount of the group AND the face's up-set.
+    if not lattice.is_compact and lattice.cone_vertex_id is None:
+        raise UnsupportedShapeError(
+            "unsupported shape: need a compact polytope or a cone with a vertex")
     coeffs: dict[int, tuple[int, ...]] = {}
     groups: dict[tuple[int, tuple[int, ...]], int] = {}
     for face in sorted(lattice.faces, key=lambda f: -f.dim):
@@ -255,14 +272,7 @@ def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
         else:
             size = (face.codim + 1) // 2  # the powers t^k with k < codim / 2
             above = lattice.up_set(face.id) & ~(1 << face.id)
-            rows = [[0] * size for _ in range(face.codim)]
-            for (dim, cs), mask in groups.items():
-                mult = (above & mask).bit_count()
-                if mult:
-                    row = rows[dim - face.dim - 1]
-                    for i, c in enumerate(cs):
-                        row[i] += mult * c
-            acc = _tm1_coeffs(rows, size)
+            acc = _interval_sum(groups, above, face.dim, size)
             m = [acc[0]] + [acc[k] - acc[k - 1] for k in range(1, size)]  # (1 - t) * acc
             while m and not m[-1]:
                 m.pop()
@@ -274,9 +284,14 @@ def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
                                          f"the degree bound: {TatePoly(m)}")
         coeffs[face.id] = m = tuple(m)
         groups[face.dim, m] = groups.get((face.dim, m), 0) | 1 << face.id
-    out = {fid: TatePoly(m) for fid, m in coeffs.items()}
-    lattice._stalk_memo = out
-    return out
+    polys = {m: TatePoly(m) for m in set(coeffs.values())}
+    lattice._stalk_memo = memo = ({fid: polys[m] for fid, m in coeffs.items()}, groups)
+    return memo
+
+
+def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
+    """Local stalk polynomial of every face, keyed by face id (memoized)."""
+    return _stalks(lattice)[0]
 
 
 def local_ic_polynomial(lattice: FaceLattice, face) -> TatePoly:
@@ -317,9 +332,9 @@ def global_ih_class(lattice: FaceLattice) -> TatePoly:
     compact polytope: coefficient of t^k is dim IH^{2k}; odd degrees vanish."""
     if not lattice.is_compact:
         raise UnsupportedShapeError("global class needs a compact polytope")
-    ms = stalk_polynomials(lattice)
-    h = _tm1_class((face.dim, ms[face.id].coeffs) for face in lattice.faces)
     d = lattice.n
+    everything = (1 << len(lattice.faces)) - 1
+    h = TatePoly(_interval_sum(_stalks(lattice)[1], everything, -1, d + 1))
     if h.degree != d or any(c < 0 for c in h.coeffs):
         raise InvariantViolation(f"global class has wrong degree or negative ranks: {h}")
     if not h.is_palindromic(d):
@@ -346,11 +361,10 @@ def punctured_cone_classes(lattice: FaceLattice):
     """
     if lattice.cone_vertex_id is None:
         raise UnsupportedShapeError("punctured classes need a cone with a vertex")
-    apex = lattice.cone_vertex_id
-    ms = stalk_polynomials(lattice)
-    faces = [face for face in lattice.faces if face.id != apex]
-    ih = (1 - T) * _tm1_class((face.dim - 1, ms[face.id].coeffs) for face in faces)
-    ihc = _tm1_class((face.dim, ms[face.id].coeffs) for face in faces)
+    apex, n, groups = lattice.cone_vertex_id, lattice.n, _stalks(lattice)[1]
+    rest = lattice.up_set(apex) & ~(1 << apex)  # every face but the apex
+    ih = (1 - T) * TatePoly(_interval_sum(groups, rest, 0, n))
+    ihc = TatePoly(_interval_sum(groups, rest, -1, n + 1))
     return ih, ihc
 
 
@@ -397,9 +411,8 @@ def decomposition_summands(lattice: FaceLattice, n: int | None = None) -> Summan
     elif n != lattice.n:
         raise ValueError(f"cone dimension is {lattice.n}, not {n}")
     apex = lattice.cone_vertex_id
-    ms = stalk_polynomials(lattice)
-    h = _tm1_class((face.dim - 1, ms[face.id].coeffs)
-                   for face in lattice.faces if face.id != apex)
+    rest = lattice.up_set(apex) & ~(1 << apex)  # every face but the apex
+    h = TatePoly(_interval_sum(_stalks(lattice)[1], rest, 0, n))
     g = primitive_parts(h, n - 1)
     entries = []
     for k in range(n):
@@ -422,4 +435,4 @@ def h_polynomial_from_f_vector(f_vector) -> TatePoly:
     For a simple compact polytope this equals the global intersection
     cohomology class, giving an independent check of the stalk recursion.
     """
-    return _tm1_class((d, (count,)) for d, count in enumerate(f_vector))
+    return sum((count * (T - 1) ** d for d, count in enumerate(f_vector)), TatePoly.zero())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from toric_ih.errors import (
     EmptyPolyhedronError,
@@ -31,7 +32,6 @@ from toric_ih.lattice import (
     mat_rank,
     primitive,
     rat_vector,
-    vec_gcd,
     vsub,
 )
 from toric_ih.polytope import Polytope, normalize_row
@@ -73,7 +73,7 @@ def kernel_ray(rows, d):
     x[free] = prev
     for i, c in enumerate(pivots):
         x[c] = -m[i][free]
-    g = vec_gcd(x)
+    g = gcd(*x)
     return tuple(c // g for c in x)
 
 

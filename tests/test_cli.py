@@ -354,6 +354,26 @@ def test_check_fails_on_wrong_edge_count(monkeypatch):
     assert ["square: frontier crosscheck", "FAIL"] in sec["rows"]
 
 
+def test_check_fails_on_wrong_top_frontier_number(monkeypatch):
+    from toric_ih import hypersurface
+
+    frontier_hodge = hypersurface.frontier_hodge
+
+    def wrong(p, lattice=None, components=1):
+        out = frontier_hodge(p, lattice, components)
+        out[p.n - 1] += 1
+        return out
+
+    monkeypatch.setattr(hypersurface, "frontier_hodge", wrong)
+    code, report = run(["check"])
+    assert code == 2
+    rows = dict(map(tuple, find_section(report, "consistency checks")["rows"]))
+    crosschecks = [r for label, r in rows.items() if label.endswith(": frontier crosscheck")]
+    skeletons = [r for label, r in rows.items() if label.endswith(": skeleton decomposition")]
+    assert crosschecks and set(crosschecks) == {"FAIL"}
+    assert skeletons and set(skeletons) == {"pass"}
+
+
 @pytest.mark.parametrize("s", [300, 3000])
 def test_big_triangle_counts(tmp_path, s):
     path = write(tmp_path, "t.vrep", f"vrep 2\n0 0\n{s} 0\n0 {s}\n")

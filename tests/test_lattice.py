@@ -16,7 +16,6 @@ from toric_ih.lattice import (
     identity_rows,
     independent_rows,
     invert_unimodular,
-    mat_mul,
     mat_rank,
     pairing,
     primitive,
@@ -27,6 +26,11 @@ from toric_ih.lattice import (
 from toric_ih.polytope import Polytope
 
 from conftest import brute_span_lattice_points, poset_isomorphic
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
