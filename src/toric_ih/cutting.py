@@ -4,17 +4,25 @@ A compact polytope is shaved into a prime one by pushing a supporting
 hyperplane past every face whose dual cone is not simplicial.  The shave
 depths form a cascade: a face of dimension d is cut at depth proportional to
 eps^(d+1), so the depth ratio between a face and any larger face vanishes
-with eps.  Exactness is restored by a stability protocol: the construction
-is repeated with eps/2 and must reproduce the identical labeled face
-structure and the identical limit face map, otherwise eps is halved and the
-construction retried.
+with eps.  Exactness is restored by a stability protocol: the round at eps is
+accepted when the round at eps/2 has the same signature; otherwise eps is
+halved and the next round compared.
+
+A round is decided by its labeled incidences alone.  Each row of the cut
+carries a label bit: row j of the original is bit j, cut entry k is bit
+m + k (m rows).  A face's label mask is the OR of the bits of its rows, and
+the round's signature is the set of (label mask, limit face) pairs, one per
+face of the cut; the face dimensions are implied by the set of masks.
 
 The limit face map sends each face of the cut polytope to the smallest face
-of the original containing the eps -> 0 limit of its barycenter.  Every
-vertex limit is a vertex of the original, since at depth zero each row of
-the cut supports the original; so each limit is read off by incidence, as
-the vertex of the original minimizing the normals of n independent rows
-through the cut vertex.
+of the original containing the eps -> 0 limit of its barycenter.  At depth
+zero each row of the cut supports the original, so a vertex of the cut
+tends to the vertex of the original that minimizes the normals of all its
+rows: the AND of their bitmasks of minimizing vertices.  Those rows span,
+so the AND has at most one bit.  With none, the limit leaves the polytope,
+the vertex's normal cone lies in no vertex cone of the original (the fan
+does not refine), and the round is rejected, as is a cut that is not prime.
+Both are functions of the signature, so checking both rounds changes no eps.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import (
     EmptyPolyhedronError,
@@ -36,21 +44,16 @@ from .lattice import (
     affine_frame,
     as_rat,
     dot,
-    independent_rows,
     lattice_vector,
-    pairing,
     rat_vector,
     rational_affine_basis,
     solve_consistent,
     vscale,
     vsub,
 )
-from .polytope import (
-    FaceLattice,
-    Polytope,
-    is_prime,
-    normalize_row,
-)
+from .polytope import FaceLattice, Polytope, is_prime, normalize_row
+
+ROUNDS = 12  # halvings of eps before prime_cut gives up
 
 
 @dataclass(frozen=True)
@@ -83,139 +86,103 @@ class CutResult:
     spec: CutSpec
 
 
-def choose_cut_functionals(p: Polytope, lattice: FaceLattice | None = None) -> CutSpec:
+def choose_cut_functionals(p: Polytope) -> CutSpec:
     """Select the faces with non-simplicial dual cone and a functional for each.
 
     The functional is the sum of the primitive inner normals of the facets
     through the face, which lies in the relative interior of the dual cone,
-    so its minimum face on the polytope is exactly the selected face.
+    so its minimum face on the polytope is exactly the selected face.  Each
+    of those facet rows is tight on the face, so the minimum (``base``) is
+    the sum of their right-hand sides.
     """
     if not p.is_compact:
         raise UnboundedError("prime cutting needs a compact polytope")
-    lattice = lattice or p.face_lattice()
     entries = []
-    for f in lattice.faces:
+    for f in p.face_lattice().faces:
         if len(f.active) <= f.codim:
             continue
         v = tuple(sum(p.rows[j][0][i] for j in f.active) for i in range(p.n))
-        base = min(pairing(x, v) for x in p.vertices)
+        base = Fraction(sum(p.rows[j][1] for j in f.active))
         entries.append(CutEntry(f.id, v, base, f.dim + 1))
     return CutSpec(tuple(entries))
 
 
-def _cut_widths(lattice: FaceLattice, spec: CutSpec):
-    """Each cut entry's width: the maximum of its functional over p minus its base."""
-    return tuple(lattice.maximum(e.functional) - e.base for e in spec.entries)
+def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
+    """Build one round at eps; returns (polytope, face_map, signature).
 
-
-def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction, widths=None):
-    """Build the cut polytope at one eps; returns (polytope, labels, face_map).
-
-    ``widths`` are the ``_cut_widths`` of the spec, which do not depend on
-    eps; they are computed here when not given.
-
-    ``labels`` assigns each row of the cut polytope its origin: an original
-    facet row of p, or the cut entry it came from.  Raises ValueError when the
-    labeling is ambiguous, the cut is not full-dimensional or a vertex limit
-    leaves p (each a signal to shrink eps).
-
-    A vertex of the cut is followed to eps = 0 along n independent rows of
-    its active set.  At depth zero each of them supports p: a facet row with
-    minimum b, a cut entry with minimum ``base`` on exactly its face.  The
-    limit is the one point of the n hyperplanes, so it lies in p exactly
-    when some vertex of p minimizes all n normals, and it is that vertex.
+    Cut entry e is the row <e.functional, x> >= base + width * eps^order,
+    with width the maximum of the functional over p minus its base.  Raises
+    ValueError when a cut row collides with another row, the cut is not
+    full-dimensional, not prime, or its fan does not refine p's (each a
+    signal to shrink eps).
     """
     rows = list(p.rows)
-    label_of = {row: ("row", row) for row in p.rows}
-    if widths is None:
-        widths = _cut_widths(lattice, spec)
-    for e, width in zip(spec.entries, widths):
-        depth = width * eps ** e.order
-        rows.append((e.functional, e.base + depth))
-        canon = normalize_row(e.functional, e.base + depth)
-        if canon in label_of:
+    bit_of = {row: 1 << j for j, row in enumerate(rows)}
+    for e in spec.entries:
+        rhs = e.base + (lattice.maximum(e.functional) - e.base) * eps ** e.order
+        canon = normalize_row(e.functional, rhs)
+        if canon in bit_of:
             raise ValueError("cut row collides with another row")
-        label_of[canon] = ("cut", e)
+        bit_of[canon] = 1 << len(rows)
+        rows.append((e.functional, rhs))
     try:
         q = Polytope.from_inequalities(rows)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
+    if not is_prime(q):
+        raise ValueError("cut is not prime")
     qlat = q.face_lattice()
 
-    # each row of q at depth 0: its normal and the vertices of p minimizing it
-    normals = [data[0] if kind == "row" else data.functional
-               for kind, data in (label_of[row] for row in q.rows)]
-    masks = [lattice.minimizing_vertices(a) for a in normals]
+    # each row of q at depth 0: the vertices of p minimizing its normal
+    masks = [lattice.minimizing_vertices(a) for a, _ in q.rows]
     active_at = {f.vertex_ids[0]: frozenset(f.active) for f in lattice.of_dim(0)}
 
     # the rows of p tight at the limit of each vertex of q, by vertex index
     tight_at_limit = {}
     for vf in qlat.of_dim(0):
-        pick = independent_rows([normals[j] for j in vf.active], p.n)
-        limit = reduce(and_, (masks[vf.active[k]] for k in pick), -1)
+        limit = reduce(and_, (masks[j] for j in vf.active))
         if not limit:
-            raise ValueError("vertex limit escaped the polytope")
+            raise ValueError("fan does not refine")
         tight_at_limit[vf.vertex_ids[0]] = active_at[limit.bit_length() - 1]
 
     # a row of p is tight at a face's limit barycenter iff tight at each vertex limit
     face_map = {f.id: lattice.by_active[frozenset.intersection(
                     *(tight_at_limit[i] for i in f.vertex_ids))].id
                 for f in qlat.faces}
-
-    labels = {f.id: frozenset(label_of[q.rows[j]] for j in f.active) for f in qlat.faces}
-    return q, qlat, labels, face_map
-
-
-def _signature(qlat, labels, face_map):
-    return tuple(sorted((labels[f.id], f.dim, face_map[f.id]) for f in qlat.faces))
+    signature = frozenset((reduce(or_, (bit_of[q.rows[j]] for j in f.active), 0),
+                           face_map[f.id]) for f in qlat.faces)
+    return q, face_map, signature
 
 
-def _fan_refines(q: Polytope, p: Polytope) -> bool:
-    """Every vertex normal cone of q sits inside exactly one of p (both compact):
-    the AND of its rows' masks of minimizing vertices of p has exactly one bit."""
-    plat = p.face_lattice()
-    masks = [plat.minimizing_vertices(a) for a, _ in q.rows]
-    return all(reduce(and_, (masks[j] for j in vf.active)).bit_count() == 1
-               for vf in q.face_lattice().of_dim(0))
-
-
-def prime_cut(p: Polytope, spec: CutSpec | None = None,
-              epsilon=Fraction(1, 8), max_rounds: int = 12) -> CutResult:
+def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
     """Shave the polytope into a prime one, with the limit face map.
 
-    The result is recomputed at eps/2 and must agree exactly (same labeled
-    face lattice, same face map) before being accepted; disagreement, an
-    empty intersection, a non-prime result or a non-refining fan all shrink
-    eps and retry.  Raises EpsilonUnstableError after max_rounds failures.
+    The round at eps is accepted when the round at eps/2 has the same
+    signature; a rejected or differing round halves eps, and the half round
+    built for the comparison opens the next one, so each eps is built once.
+    Raises EpsilonUnstableError after ROUNDS halvings.
     """
     lattice = p.face_lattice()
-    if spec is None:
-        spec = choose_cut_functionals(p, lattice)
+    spec = choose_cut_functionals(p)
     eps = as_rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
-    widths = _cut_widths(lattice, spec)
-    last = {}  # the last cut built, by its eps: a rejected round's eps/2 cut opens the next
 
-    def cut_at(e):
-        if e not in last:
-            last.clear()
-            try:
-                last[e] = _cut_once(p, lattice, spec, e, widths)
-            except (ValueError, EmptyPolyhedronError):
-                last[e] = None
-        return last[e]
+    def round_at(e):
+        try:
+            return _cut_once(p, lattice, spec, e)
+        except (ValueError, EmptyPolyhedronError):
+            return None
 
-    for _ in range(max_rounds):
-        cut = cut_at(eps)
-        half = cut and cut_at(eps / 2)
-        if (half and _signature(*cut[1:]) == _signature(*half[1:])
-                and is_prime(cut[0]) and _fan_refines(cut[0], p)):
-            return CutResult(cut[0], cut[3], eps, spec)
-        eps = eps / 2
-    raise EpsilonUnstableError(f"epsilon unstable after {max_rounds} halvings")
+    this = round_at(eps)
+    for _ in range(ROUNDS):
+        half = round_at(eps / 2)
+        if this and half and this[2] == half[2]:
+            return CutResult(this[0], this[1], eps, spec)
+        this, eps = half, eps / 2
+    raise EpsilonUnstableError(f"epsilon unstable after {ROUNDS} halvings")
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ def primitive(u) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra (dense, row based; desk scale only): rank, greedy independent
-# rows, determinant and scaled inverse by fraction-free elimination on ints,
+# Linear algebra (dense, row based; desk scale only): greedy independent rows
+# and rank, determinant and scaled inverse by fraction-free elimination on ints,
 # rational solves over Q.
 
 def transpose(rows):
@@ -93,31 +93,6 @@ def mat_vec(rows, x):
 
 def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_rank(rows) -> int:
-    """Rank over Q by fraction-free Bareiss elimination on plain ints.
-
-    Rational rows are integerized one by one, which keeps the rank; every
-    entry below the pivots stays an integer minor, so each division is exact.
-    """
-    m = [list(integerize(r)) for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        p = prow[c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def solve_consistent(rows, rhs):
@@ -208,6 +183,11 @@ def independent_rows(rows, limit=None):
             echelon.append((piv, [x // g for x in r]))
             picked.append(i)
     return picked
+
+
+def mat_rank(rows) -> int:
+    """Rank over Q: the size of the greedy pick of independent rows."""
+    return len(independent_rows(rows))
 
 
 def scaled_inverse(rows):

@@ -62,7 +62,6 @@ from .lattice import (
     lattice_vector,
     mat_rank,
     mat_vec,
-    pairing,
     primitive,
     rat_vector,
     scaled_inverse,
@@ -556,11 +555,9 @@ def support_face(p: Polytope, v) -> Face:
     for r in p.rays:
         if dot(r, v) < 0:
             raise UnboundedError("unbounded direction")
-    vals = [pairing(x, v) for x in p.vertices]
-    m = min(vals)
-    vset = frozenset(i for i, val in enumerate(vals) if val == m)
-    rset = frozenset(k for k, r in enumerate(p.rays) if dot(r, v) == 0)
     lat = p.face_lattice()
+    vset = frozenset(_bits(lat.minimizing_vertices(v)))
+    rset = frozenset(k for k, r in enumerate(p.rays) if dot(r, v) == 0)
     return lat.by_generators[(vset, rset)]
 
 

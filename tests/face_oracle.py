@@ -7,10 +7,12 @@ tight generators and takes each face's dimension as the rank of its vertex
 differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
 lattice basis of their span and takes a determinant.
 ``vertex_normal_cone_contains`` tests one direction against one vertex's
-normal cone by pairing it with every vertex.  ``vertex_limits_by_solving``
-builds one prime-cut round with the library's hull, picks rows with its
-rank, and follows each vertex of the cut to eps = 0 by solving those rows
-at depth zero.  Apart from these, none of this shares code with the
+normal cone by pairing it with every vertex.  ``cut_rows`` gives a prime-cut
+round's shave rows from widths found by pairing.  ``vertex_limits_by_solving``
+builds one prime-cut round with the library's hull, checks primality and
+fan refinement with those cone tests, picks rows with ``fraction_rank``, and
+follows each vertex of the cut to eps = 0 by solving those rows at depth
+zero.  Apart from these, none of this shares code with the
 integer routines in ``toric_ih.lattice`` and ``toric_ih.polytope``; it is
 the reference for their differential tests.
 """
@@ -24,7 +26,6 @@ from toric_ih.lattice import (
     as_rat,
     det_int,
     dot,
-    mat_rank,
     pairing,
     primitive,
     solve_consistent,
@@ -132,49 +133,58 @@ def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:
     return all(dot(r, w) >= 0 for r in p.rays)
 
 
+def cut_rows(p, spec, eps):
+    """The cut entries' rows at eps, each width read off the vertices by pairing."""
+    return [(e.functional,
+             e.base + (max(pairing(x, e.functional) for x in p.vertices) - e.base) * eps ** e.order)
+            for e in spec.entries]
+
+
 def vertex_limits_by_solving(p, lattice, spec, eps):
     """One prime-cut round, each vertex limit re-solved over Q at depth zero.
 
     Builds the cut as ``cutting._cut_once`` does and returns the same
-    (polytope, face lattice, labels, face map), or raises the same
-    ValueError.  A vertex of the cut is followed to eps = 0 by solving n
-    independent rows of its active set with the shave depths set to zero;
-    the solution must lie in p, and its tight rows of p name its face.
+    (polytope, face map, signature), or raises the same ValueError after the
+    same checks in the same order.  Primality is read off the vertices: each
+    lies on exactly n rows.  The fan refines when, for each vertex of the
+    cut, exactly one vertex cone of p holds all its rows' normals
+    (``vertex_normal_cone_contains``).  A vertex of the cut is then followed
+    to eps = 0 by solving n independent rows of its active set with the shave
+    depths set to zero, and the solution's tight rows of p name its face.
     """
-    rows = list(p.rows)
-    label_of = {row: ("row", row) for row in p.rows}
-    for e in spec.entries:
-        width = max(pairing(x, e.functional) for x in p.vertices) - e.base
-        rhs = e.base + width * eps ** e.order
-        rows.append((e.functional, rhs))
-        label_of[normalize_row(e.functional, rhs)] = ("cut", e)
-    if len(label_of) < len(rows):
+    rows = list(p.rows) + cut_rows(p, spec, eps)
+    depth_zero = list(p.rows) + cut_rows(p, spec, 0)
+    index_of = {normalize_row(a, b): i for i, (a, b) in enumerate(rows)}
+    if len(index_of) < len(rows):
         raise ValueError("cut row collides with another row")
     try:
         q = Polytope.from_inequalities(rows)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
     qlat = q.face_lattice()
+    if any(len(vf.active) != p.n for vf in qlat.of_dim(0)):
+        raise ValueError("cut is not prime")
+    cones = [frozenset(u.id for u in lattice.of_dim(0) if vertex_normal_cone_contains(p, u, a))
+             for a, _ in q.rows]
     tight_of = {}  # the rows of p tight at each limit point met so far
     tight_at_limit = {}
     for vf in qlat.of_dim(0):
+        if len(frozenset.intersection(*(cones[j] for j in vf.active))) != 1:
+            raise ValueError("fan does not refine")
         chosen, rhs = [], []
         for j in vf.active:
-            kind, data = label_of[q.rows[j]]
-            normal = data[0] if kind == "row" else data.functional
-            if mat_rank(chosen + [normal]) > len(chosen):
-                chosen.append(normal)
-                rhs.append(Fraction(data[1]) if kind == "row" else data.base)
-            if len(chosen) == p.n:
-                break
-        w0 = solve_consistent(chosen, rhs) if len(chosen) == p.n else None
+            a, b = depth_zero[index_of[q.rows[j]]]
+            if fraction_rank(chosen + [a]) > len(chosen):
+                chosen.append(a)
+                rhs.append(b)
+        w0 = solve_consistent(chosen, rhs)
         if w0 not in tight_of:
-            if w0 is None or not p.contains(w0):
-                raise ValueError("vertex limit escaped the polytope")
             tight_of[w0] = frozenset(j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
         tight_at_limit[vf.vertex_ids[0]] = tight_of[w0]
     face_map = {f.id: lattice.by_active[frozenset.intersection(
                     *(tight_at_limit[i] for i in f.vertex_ids))].id
                 for f in qlat.faces}
-    labels = {f.id: frozenset(label_of[q.rows[j]] for j in f.active) for f in qlat.faces}
-    return q, qlat, labels, face_map
+    # label bits: row j of p is bit j, cut entry k is bit len(p.rows) + k
+    signature = frozenset((sum(1 << index_of[q.rows[j]] for j in f.active), face_map[f.id])
+                          for f in qlat.faces)
+    return q, face_map, signature

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,22 +8,22 @@ from toric_ih import cutting
 from toric_ih.cutting import (
     CutResult,
     _cut_once,
-    _fan_refines,
-    _signature,
     choose_cut_functionals,
     prime_cut,
     vertex_blowup,
 )
-from toric_ih.errors import EmptyPolyhedronError, EpsilonUnstableError
+from toric_ih.errors import EmptyPolyhedronError, EpsilonUnstableError, NotFullDimensionalError
 from toric_ih.fixtures import (
     cone_over_polygon,
     cube,
     octahedron,
     quadrant,
     random_lattice_polytope,
+    random_unimodular_matrix,
     square_pyramid,
     standard_fixtures,
 )
+from toric_ih.lattice import pairing
 from toric_ih.polytope import Polytope, is_prime
 from toric_ih.stalks import (
     T,
@@ -32,7 +33,7 @@ from toric_ih.stalks import (
     stalk_polynomials,
 )
 
-from face_oracle import vertex_limits_by_solving, vertex_normal_cone_contains
+from face_oracle import cut_rows, vertex_limits_by_solving, vertex_normal_cone_contains
 
 
 def apex_face(p):
@@ -58,6 +59,19 @@ def test_pyramid_cut_spec():
     assert entry.functional == tuple(sum(col) for col in zip(*side_normals))
     assert entry.base == min(sum(a * b for a, b in zip(entry.functional, v))
                              for v in p.vertices)
+
+
+def test_cut_entry_is_least_exactly_on_its_face(rng):
+    # base, the sum of the face's facet right-hand sides, is the functional's minimum
+    polys = [p for p in standard_fixtures().values() if p.is_compact]
+    polys += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 9)) for _ in range(10)]
+    for p in polys:
+        lat = p.face_lattice()
+        for e in choose_cut_functionals(p).entries:
+            vals = [pairing(x, e.functional) for x in p.vertices]
+            assert e.base == min(vals)
+            least = {i for i, x in enumerate(vals) if x == e.base}
+            assert least == set(lat.faces[e.face_id].vertex_ids)
 
 
 def test_octahedron_cut_spec():
@@ -104,7 +118,7 @@ def test_octahedron_from_a_coarse_epsilon_retries():
     p = octahedron()
     lat = p.face_lattice()
     with pytest.raises(ValueError, match="not full-dimensional"):
-        _cut_once(p, lat, choose_cut_functionals(p, lat), F(1, 2))
+        _cut_once(p, lat, choose_cut_functionals(p), F(1, 2))
     r = prime_cut(p, epsilon=F(1, 2))
     assert r.epsilon < F(1, 2)
     assert r.polytope == prime_cut(p).polytope
@@ -151,21 +165,30 @@ def fan_refines_oracle(q, p):
 
 
 def test_fan_refines_matches_vertex_cone_oracle():
+    # a prime cut is rejected for its fan exactly where the cone oracle says it does not refine
     rng = random.Random(31)
     polys = [square_pyramid(), octahedron(), cube(3)]
     polys += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 8)) for _ in range(5)]
     polys += [p.dilate(F(1, 3)) for p in polys[3:6]]  # rational vertices
-    pairs = [(q, p) for q in polys for p in polys]
+    outcomes = []
     for p in polys:
         lat = p.face_lattice()
-        spec = choose_cut_functionals(p, lat)
-        for eps in (F(1, 4), F(1, 8)):
+        spec = choose_cut_functionals(p)
+        for eps in (F(1, 2), F(1, 4), F(1, 8)):
             try:
-                pairs.append((_cut_once(p, lat, spec, eps)[0], p))
-            except (ValueError, EmptyPolyhedronError):
-                pass
-    outcomes = [_fan_refines(q, p) for q, p in pairs]
-    assert outcomes == [fan_refines_oracle(q, p) for q, p in pairs]
+                q = Polytope.from_inequalities(list(p.rows) + cut_rows(p, spec, eps))
+            except (EmptyPolyhedronError, NotFullDimensionalError):
+                continue
+            if not is_prime(q):
+                continue
+            try:
+                _cut_once(p, lat, spec, eps)
+                refines = True
+            except ValueError as exc:
+                assert str(exc) == "fan does not refine"
+                refines = False
+            assert refines == fan_refines_oracle(q, p)
+            outcomes.append(refines)
     assert set(outcomes) == {True, False}
 
 
@@ -205,6 +228,25 @@ def test_prime_cut_epsilon_halving_converges():
     r = prime_cut(square_pyramid(), epsilon=F(2, 3))
     assert is_prime(r.polytope)
     assert r.epsilon <= F(2, 3)
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield [tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)]
+
+
+def test_prime_cut_commutes_with_unimodular_maps():
+    # the signature is order-free, so a change of lattice basis changes no accepted eps
+    rng = random.Random(7)
+    for _ in range(3):
+        p = random_lattice_polytope(rng, 3, npoints=rng.randint(5, 7), bound=2)
+        r = prime_cut(p)
+        maps = list(signed_permutations(3)) + [random_unimodular_matrix(rng, 3) for _ in range(4)]
+        for u in maps:
+            image = prime_cut(p.apply_unimodular(u))
+            assert image.epsilon == r.epsilon, (p.vertices, u)
+            assert image.polytope == r.polytope.apply_unimodular(u), (p.vertices, u)
 
 
 def test_prime_cut_needs_compact():
@@ -289,22 +331,21 @@ def test_blowup_rational_level():
     assert len(b.figure.vertices) == 2
 
 
-def seed_prime_cut(p, epsilon=F(1, 8), max_rounds=12):
-    """The original retry loop: both cuts of every round are built afresh."""
+def seed_prime_cut(p, epsilon=F(1, 8)):
+    """The retry loop on the solving oracle: both rounds of every comparison built afresh."""
     lattice = p.face_lattice()
-    spec = choose_cut_functionals(p, lattice)
+    spec = choose_cut_functionals(p)
     eps = epsilon
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
-    for _ in range(max_rounds):
+    for _ in range(12):
         try:
-            q, qlat, labels, face_map = _cut_once(p, lattice, spec, eps)
-            _, qlat2, labels2, face_map2 = _cut_once(p, lattice, spec, eps / 2)
+            q, face_map, signature = vertex_limits_by_solving(p, lattice, spec, eps)
+            half_signature = vertex_limits_by_solving(p, lattice, spec, eps / 2)[2]
         except (ValueError, EmptyPolyhedronError):
             eps = eps / 2
             continue
-        same = _signature(qlat, labels, face_map) == _signature(qlat2, labels2, face_map2)
-        if same and is_prime(q) and _fan_refines(q, p):
+        if signature == half_signature:
             return CutResult(q, face_map, eps, spec)
         eps = eps / 2
     raise EpsilonUnstableError("unstable")
@@ -318,9 +359,9 @@ RETRY = Polytope.from_points([(-2, -2, 1), (-2, -2, 2), (-2, 0, 2), (-2, 2, -1),
 def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
     built = []
 
-    def recording_cut(p, lattice, spec, eps, widths=None):
+    def recording_cut(p, lattice, spec, eps):
         built.append(eps)
-        return _cut_once(p, lattice, spec, eps, widths)
+        return _cut_once(p, lattice, spec, eps)
 
     monkeypatch.setattr(cutting, "_cut_once", recording_cut)
     rng = random.Random(11)
@@ -337,12 +378,11 @@ def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
 
 
 def round_outcome(cut, p, lattice, spec, eps):
-    """(cut polytope, signature, face map) of one round, or its error's type and message."""
+    """(cut polytope, face map, signature) of one round, or its error's type and message."""
     try:
-        q, qlat, labels, face_map = cut(p, lattice, spec, eps)
+        return cut(p, lattice, spec, eps)
     except (ValueError, EmptyPolyhedronError) as exc:
         return type(exc), str(exc)
-    return q, _signature(qlat, labels, face_map), face_map
 
 
 def test_vertex_limits_match_the_solving_oracle():
@@ -353,11 +393,11 @@ def test_vertex_limits_match_the_solving_oracle():
     seen = set()
     for p in polys:
         lattice = p.face_lattice()
-        spec = choose_cut_functionals(p, lattice)
+        spec = choose_cut_functionals(p)
         for k in range(3, 12):
             eps = F(1, 2 ** k)
             got = round_outcome(_cut_once, p, lattice, spec, eps)
             assert got == round_outcome(vertex_limits_by_solving, p, lattice, spec, eps), \
                 (p.vertices, eps)
             seen.add(got[1] if got[0] is ValueError else "accepted")
-    assert {"accepted", "vertex limit escaped the polytope"} <= seen
+    assert {"accepted", "cut is not prime", "fan does not refine"} <= seen

@@ -111,7 +111,7 @@ def cut_systems(p, eps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "_extreme_rays", record)
         try:
-            _cut_once(p, lattice, choose_cut_functionals(p, lattice), eps)
+            _cut_once(p, lattice, choose_cut_functionals(p), eps)
         except ValueError:
             pass  # a rejected round still built its cut
     return calls

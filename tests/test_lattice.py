@@ -16,7 +16,6 @@ from toric_ih.lattice import (
     identity_rows,
     independent_rows,
     invert_unimodular,
-    mat_rank,
     pairing,
     primitive,
     scaled_inverse,
@@ -26,6 +25,7 @@ from toric_ih.lattice import (
 from toric_ih.polytope import Polytope
 
 from conftest import brute_span_lattice_points, poset_isomorphic
+from face_oracle import fraction_rank
 
 
 def mat_mul(a, b):
@@ -221,7 +221,7 @@ def greedy_pick_by_rank(rows, limit=None):
     for i, r in enumerate(rows):
         if len(picked) == limit:
             break
-        if mat_rank(chosen + [r]) > len(chosen):
+        if fraction_rank(chosen + [r]) > len(chosen):
             chosen.append(r)
             picked.append(i)
     return picked
