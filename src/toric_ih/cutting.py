@@ -18,7 +18,9 @@ The limit face map sends each face of the cut polytope to the smallest face
 of the original containing the eps -> 0 limit of its barycenter.  At depth
 zero each row of the cut supports the original, so a vertex of the cut
 tends to the vertex of the original that minimizes the normals of all its
-rows: the AND of their bitmasks of minimizing vertices.  Those rows span,
+rows: the AND of their bitmasks of minimizing vertices, each read off the
+original's lattice by the row's label (a facet's vertices, or those of the
+face a cut entry shaves).  Those rows span,
 so the AND has at most one bit.  With none, the limit leaves the polytope,
 the vertex's normal cone lies in no vertex cone of the original (the fan
 does not refine), and the round is rejected, as is a cut that is not prime.
@@ -107,34 +109,45 @@ def choose_cut_functionals(p: Polytope) -> CutSpec:
     return CutSpec(tuple(entries))
 
 
-def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
-    """Build one round at eps; returns (polytope, face_map, signature).
+def _labeled_rows(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
+    """The rows of the round at eps in canonical form, each with its
+    (label bit, depth-0 mask): a dict in row order, p's rows first.
 
     Cut entry e is the row <e.functional, x> >= base + width * eps^order,
-    with width the maximum of the functional over p minus its base.  Raises
-    ValueError when a cut row collides with another row, the cut is not
-    full-dimensional, not prime, or its fan does not refine p's (each a
-    signal to shrink eps).
+    with width the maximum of the functional over p minus its base.  The
+    depth-0 mask is the bitmask of the vertices of p where the row's normal
+    is least, read off p's lattice by label: row j of p gives facet j's
+    vertices, and entry e, whose functional lies in the relative interior of
+    the normal cone of face e.face_id, that face's vertices.  Raises
+    ValueError when a cut row collides with another row.
     """
-    rows = list(p.rows)
-    bit_of = {row: 1 << j for j, row in enumerate(rows)}
+    labels = {row: (1 << j, rg) for j, (row, rg) in enumerate(zip(p.rows, lattice.row_gens))}
     for e in spec.entries:
         rhs = e.base + (lattice.maximum(e.functional) - e.base) * eps ** e.order
         canon = normalize_row(e.functional, rhs)
-        if canon in bit_of:
+        if canon in labels:
             raise ValueError("cut row collides with another row")
-        bit_of[canon] = 1 << len(rows)
-        rows.append((e.functional, rhs))
+        labels[canon] = (1 << len(labels), lattice.vertex_mask(e.face_id))
+    return labels
+
+
+def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
+    """Build one round at eps; returns (polytope, face_map, signature).
+
+    Raises ValueError when a cut row collides with another row, the cut is
+    not full-dimensional, not prime, or its fan does not refine p's (each a
+    signal to shrink eps).
+    """
+    labels = _labeled_rows(p, lattice, spec, eps)
     try:
-        q = Polytope.from_inequalities(rows)
+        q = Polytope.from_inequalities(labels)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
     if not is_prime(q):
         raise ValueError("cut is not prime")
     qlat = q.face_lattice()
 
-    # each row of q at depth 0: the vertices of p minimizing its normal
-    masks = [lattice.minimizing_vertices(a) for a, _ in q.rows]
+    masks = [labels[row][1] for row in q.rows]
     active_at = {f.vertex_ids[0]: frozenset(f.active) for f in lattice.of_dim(0)}
 
     # the rows of p tight at the limit of each vertex of q, by vertex index
@@ -149,7 +162,7 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     face_map = {f.id: lattice.by_active[frozenset.intersection(
                     *(tight_at_limit[i] for i in f.vertex_ids))].id
                 for f in qlat.faces}
-    signature = frozenset((reduce(or_, (bit_of[q.rows[j]] for j in f.active), 0),
+    signature = frozenset((reduce(or_, (labels[q.rows[j]][0] for j in f.active), 0),
                            face_map[f.id]) for f in qlat.faces)
     return q, face_map, signature
 

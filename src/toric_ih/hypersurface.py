@@ -281,13 +281,14 @@ def prime_cut_multipliers(cut, lattice: FaceLattice, cut_lattice: FaceLattice) -
     if missing:
         raise ValueError(f"face map not total: missing faces {missing}")
     lm1 = EPoly2.lefschetz() - 1
+    powers = [lm1 ** k for k in range(cut_lattice.n + 1)]  # (L-1)^drop, drop <= n
     out = {f.id: EPoly2.zero() for f in lattice.faces}
     for tau in cut_lattice.faces:
         sigma = face_map[tau.id]
         drop = tau.dim - lattice.faces[sigma].dim
         if drop < 0:
             raise ValueError("face map increases codimension the wrong way")
-        out[sigma] = out[sigma] + lm1 ** drop
+        out[sigma] = out[sigma] + powers[drop]
     return out
 
 

@@ -19,17 +19,22 @@ sets of tight rays are maximal, the extreme generators (V->H) or the facet
 rows (H->V).  Integer input stays in plain ints until the Fraction vertices
 are built.  Faces are canonically identified by their maximal tight row set.
 
-The face lattice comes from the generator-facet incidences in plain ints:
-the vertices are scaled by their common denominator, so a row is tight at a
-vertex when <a, V> = b * den exactly; generator sets are int bitmasks; a
-level-by-level search from the polytope intersects each face with each
-facet, and the inclusion-maximal nonempty results are the face's lower
-covers (Kaibel & Pfetsch 2002).  A face's dimension is n minus its cover
-depth below the polytope; ``normal_fan`` checks it against the rank of the
-face's active rows' normals.  Up- and down-sets are bitmasks over face ids,
-unioned along the covers.  The lattice's ``minimizing_vertices`` and
-``maximum`` read the same scaled vertices for the bitmask of vertices where
-an integer functional is least and for its greatest value.
+The face lattice comes from the generator-facet incidences in plain ints,
+as int bitmasks of generators per facet row.  A polytope built by the hull
+keeps the double description's tight bitmasks, and the lattice's first
+build maps them to the sorted generator order: no pairing is recomputed.
+Any other polytope (an image under ``translate``, ``dilate`` or
+``apply_unimodular``, or one made from known data) pairs each row with the
+vertices scaled by their common denominator, a row being tight at a vertex
+when <a, V> = b * den exactly.  A level-by-level search from the polytope
+intersects each face with each facet, and the inclusion-maximal nonempty
+results are the face's lower covers (Kaibel & Pfetsch 2002).  A face's
+dimension is n minus its cover depth below the polytope; ``normal_fan``
+checks it against the rank of the face's active rows' normals.  Up- and
+down-sets are bitmasks over face ids, unioned along the covers on first
+use.  The lattice's ``minimizing_vertices`` and ``maximum`` read the scaled
+vertices, also made on first use, for the bitmask of vertices where an
+integer functional is least and for its greatest value.
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_
@@ -148,8 +153,8 @@ def _extreme_rays(cons, d):
 
 
 def _irredundant(cons, tight):
-    """The constraints whose set of tight rays is not a strict subset of
-    another constraint's set.
+    """Indices of the constraints whose set of tight rays is not a strict
+    subset of another constraint's set.
 
     ``tight`` holds the tight bitmasks of the extreme rays of a
     full-dimensional pointed cone {x : <c, x> >= 0}, and its faces are told
@@ -164,13 +169,47 @@ def _irredundant(cons, tight):
         for i in _bits(z):
             masks[i] |= 1 << k
     distinct = set(masks)
-    return [c for c, s in zip(cons, masks) if not any(s & t == s != t for t in distinct)]
+    return [i for i, s in enumerate(masks) if not any(s & t == s != t for t in distinct)]
+
+
+def _points_row_gens(duals, tight, keep, p):
+    """row_gens of a V->H hull: tight[k] is the generator set of the facet
+    row duals[k] over the hull's constraints, whose extreme ones (``keep``,
+    or all when None) already sit in the polytope's generator order."""
+    masks = [z for w, z in zip(duals, tight) if any(w[:p.n])]
+    if keep is None:
+        return masks
+    newbit = {i: 1 << t for t, i in enumerate(keep)}
+    return [sum(newbit.get(i, 0) for i in _bits(m)) for m in masks]
+
+
+def _rows_row_gens(hull, tight, facets, p):
+    """row_gens of an H->V hull: transpose the rays' tight sets onto the
+    facet constraints, sending ray k of ``hull`` to its generator bit.
+
+    The vertices (x, t) sort like x * (den // t) with den the lcm of the t,
+    so their sorted order comes from int tuples; the rays (x, 0) follow in
+    the order ``hull`` already has.
+    """
+    n = p.n
+    den = lcm(*(w[n] for w in hull if w[n]))
+    order = sorted((k for k, w in enumerate(hull) if w[n]),
+                   key=lambda k: tuple(x * (den // hull[k][n]) for x in hull[k][:n]))
+    order += [k for k, w in enumerate(hull) if not w[n]]
+    newbit = {k: 1 << i for i, k in enumerate(order)}
+    by_cons = dict.fromkeys(facets, 0)
+    fbits = sum(1 << i for i in facets)
+    for k, z in enumerate(tight):
+        b = newbit[k]
+        for i in _bits(z & fbits):
+            by_cons[i] |= b
+    return list(by_cons.values())
 
 
 class Polytope:
     """Immutable rational polytope / pointed polyhedron with both representations."""
 
-    __slots__ = ("n", "vertices", "rays", "rows", "_faces")
+    __slots__ = ("n", "vertices", "rays", "rows", "_faces", "_incidence")
 
     def __init__(self, n, vertices, rays, rows):
         self.n = n
@@ -178,6 +217,10 @@ class Polytope:
         self.rays = tuple(sorted(rays))
         self.rows = tuple(sorted(normalize_row(a, b) for a, b in rows))
         self._faces = None
+        # The hull's own incidences, a function of the polytope that gives
+        # the row_gens of ``FaceLattice`` on its first build.  None when the
+        # polytope was not built by the hull.
+        self._incidence = None
 
     # -- constructors -------------------------------------------------------
 
@@ -209,9 +252,14 @@ class Polytope:
             raise NotPointedError("not pointed: the recession cone contains a line")
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
         keep = _irredundant(cons, tight)
-        verts = [gens[g] for g in keep if g[n]]
-        xrays = [gens[g] for g in keep if not g[n]]
-        return cls(n, verts, xrays, rows)
+        verts = [gens[cons[i]] for i in keep if cons[i][n]]
+        xrays = [gens[cons[i]] for i in keep if not cons[i][n]]
+        poly = cls(n, verts, xrays, rows)
+        # cons holds the sorted points, then the sorted rays; and the facets,
+        # of distinct normals a, sort alike as (a, -b) and as (a, b)
+        poly._incidence = partial(_points_row_gens, duals, tight,
+                                  None if len(keep) == len(cons) else keep)
+        return poly
 
     @classmethod
     def from_inequalities(cls, rows):
@@ -251,8 +299,11 @@ class Polytope:
             raise NotFullDimensionalError(
                 "not full-dimensional: a row holds with equality on the whole polyhedron")
         rays = [w[:n] for w in hull if not w[n]]
-        facets = [(c[:n], -c[n]) for c in _irredundant(cons, tight) if any(c[:n])]
-        return cls(n, verts, rays, facets)
+        facets = [i for i in _irredundant(cons, tight) if any(cons[i][:n])]
+        poly = cls(n, verts, rays, [(cons[i][:n], -cons[i][n]) for i in facets])
+        # the facets keep the order of the sorted rows in cons
+        poly._incidence = partial(_rows_row_gens, hull, tight, facets)
+        return poly
 
     @classmethod
     def _trusted(cls, n, vertices, rays, rows):
@@ -367,13 +418,15 @@ class FaceLattice:
         p = self.polytope
         n, nv = self.n, len(p.vertices)
         # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
-        # Vertices are scaled by their common denominator, so tightness is integral.
-        self._den = den = lcm(*(c.denominator for v in p.vertices for c in v))
-        self._scaled_vertices = verts = [tuple(int(c * den) for c in v) for v in p.vertices]
-        row_gens = [sum(1 << i for i, v in enumerate(verts) if dot(a, v) == b * den)
-                    | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
-                    for a, b in p.rows]
-        vbits, top = (1 << nv) - 1, (1 << (nv + len(p.rays))) - 1
+        # row_gens[j] is the generator set of facet row j: the hull's own
+        # incidences, or, for a polytope the hull did not build, tight pairings.
+        if p._incidence is not None:
+            row_gens = p._incidence(p)
+        else:
+            row_gens = self._paired_row_gens()
+        self.row_gens = tuple(row_gens)
+        self._vbits = vbits = (1 << nv) - 1
+        top = (1 << (nv + len(p.rays))) - 1
 
         # Search level by level from the top.  The facets of a face H (its
         # lower covers) are the inclusion-maximal nonempty H & facet_j over
@@ -420,25 +473,63 @@ class FaceLattice:
         self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *keys[g][1:])
                            for i, g in enumerate(order))
         self._gens = order
-        up = [[] for _ in order]
-        down = [[] for _ in order]
-        for lo, hi in sorted((fid[c], fid[g]) for c, g in covers):
+        self._covers = [(fid[c], fid[g]) for c, g in covers]
+
+    def _paired_row_gens(self):
+        """The generator set of each row from pairings: <a, V> = b * den at
+        the scaled vertices V, and <a, r> = 0 at the rays."""
+        p, den, nv = self.polytope, self._den, len(self.polytope.vertices)
+        return [sum(1 << i for i, v in enumerate(self._scaled_vertices) if dot(a, v) == b * den)
+                | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
+                for a, b in p.rows]
+
+    # -- tables built on first use -------------------------------------------
+
+    @cached_property
+    def _den(self):
+        return lcm(*(c.denominator for v in self.polytope.vertices for c in v))
+
+    @cached_property
+    def _scaled_vertices(self):
+        """The vertices times their common denominator, so pairings are integral."""
+        den = self._den
+        return [tuple(int(c * den) for c in v) for v in self.polytope.vertices]
+
+    @cached_property
+    def _covers_up(self):
+        up = [[] for _ in self.faces]
+        for lo, hi in sorted(self._covers):
             up[lo].append(hi)
+        return tuple(map(tuple, up))
+
+    @cached_property
+    def _above(self):
+        """Up-sets as bitmasks over face ids: unions along the covers, from the top down."""
+        above = [1 << i for i in range(len(self.faces))]
+        for f in sorted(self.faces, key=lambda f: f.dim, reverse=True):
+            for c in self._covers_up[f.id]:
+                above[f.id] |= above[c]
+        return above
+
+    @cached_property
+    def _below(self):
+        """Down-sets as bitmasks over face ids: unions along the covers, from the vertices up."""
+        down = [[] for _ in self.faces]
+        for lo, hi in self._covers:
             down[hi].append(lo)
-        self._covers_up = tuple(map(tuple, up))
-        # Up- and down-sets as bitmasks over face ids: unions along the covers.
-        self._above = [1 << i for i in range(len(order))]
-        self._below = list(self._above)
-        by_dim = sorted(self.faces, key=lambda f: f.dim)
-        for f in reversed(by_dim):
-            for c in up[f.id]:
-                self._above[f.id] |= self._above[c]
-        for f in by_dim:
+        below = [1 << i for i in range(len(self.faces))]
+        for f in sorted(self.faces, key=lambda f: f.dim):
             for c in down[f.id]:
-                self._below[f.id] |= self._below[c]
-        self.by_active = {frozenset(f.active): f for f in self.faces}
-        self.by_generators = {(frozenset(f.vertex_ids), frozenset(f.ray_ids)): f
-                              for f in self.faces}
+                below[f.id] |= below[c]
+        return below
+
+    @cached_property
+    def by_active(self):
+        return {frozenset(f.active): f for f in self.faces}
+
+    @cached_property
+    def by_generators(self):
+        return {(frozenset(f.vertex_ids), frozenset(f.ray_ids)): f for f in self.faces}
 
     # -- poset queries -------------------------------------------------------
 
@@ -469,6 +560,10 @@ class FaceLattice:
 
     def faces_below(self, a: int, strict=True):
         return self._faces_in(self._below[a], a, strict)
+
+    def vertex_mask(self, a: int) -> int:
+        """Bitmask of the vertices of face a (vertex i is bit i)."""
+        return self._gens[a] & self._vbits
 
     def minimizing_vertices(self, a) -> int:
         """Bitmask of the vertices (vertex i is bit i) where the integer

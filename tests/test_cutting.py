@@ -8,6 +8,7 @@ from toric_ih import cutting
 from toric_ih.cutting import (
     CutResult,
     _cut_once,
+    _labeled_rows,
     choose_cut_functionals,
     prime_cut,
     vertex_blowup,
@@ -325,9 +326,15 @@ def test_blowup_rejects_non_cone():
 
 
 def test_blowup_rational_level():
+    # the line x + 2y = 1/3 meets no lattice point: the figure gets a rational chart
     b = vertex_blowup(quadrant(2), (1, 2), F(1, 3))
     assert b.figure.n == 1
-    assert not b.lattice_chart or b.lattice_chart  # chart kind recorded either way
+    assert b.lattice_chart is False
+    assert len(b.figure.vertices) == 2
+    # x + y = 2 does: a lattice chart
+    b = vertex_blowup(quadrant(2), (1, 1), 2)
+    assert b.figure.n == 1
+    assert b.lattice_chart is True
     assert len(b.figure.vertices) == 2
 
 
@@ -385,11 +392,36 @@ def round_outcome(cut, p, lattice, spec, eps):
         return type(exc), str(exc)
 
 
+def seeded_polytopes():
+    """The seeded 3- and 4-polytopes of tests/test_identities.py."""
+    rng = random.Random(2006)
+    return [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
+            for d in (2, 3, 4) for _ in range(4)][4:]
+
+
+def test_label_masks_match_minimizing_vertices():
+    # each row's depth-0 mask, read off p's lattice by its label, is where its normal is least
+    checked = 0
+    for p in [RETRY] + seeded_polytopes():
+        lattice = p.face_lattice()
+        spec = choose_cut_functionals(p)
+        for k in range(3, 12):
+            try:
+                labels = _labeled_rows(p, lattice, spec, F(1, 2 ** k))
+            except ValueError:
+                continue
+            try:
+                q = Polytope.from_inequalities(labels)
+            except (EmptyPolyhedronError, NotFullDimensionalError):
+                continue
+            for row in q.rows:
+                assert labels[row][1] == lattice.minimizing_vertices(row[0]), (p.vertices, k, row)
+                checked += 1
+    assert checked > 1000
+
+
 def test_vertex_limits_match_the_solving_oracle():
-    rng = random.Random(2006)  # the seeded polytopes of tests/test_identities.py
-    seeded = [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
-              for d in (2, 3, 4) for _ in range(4)][4:]
-    polys = list(standard_fixtures().values()) + [RETRY] + seeded
+    polys = list(standard_fixtures().values()) + [RETRY] + seeded_polytopes()
     seen = set()
     for p in polys:
         lattice = p.face_lattice()

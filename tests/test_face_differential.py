@@ -1,4 +1,5 @@
-"""Differential tests: integer rank, face lattice and smoothness against the Fraction oracle."""
+"""Differential tests: integer rank, face lattice and smoothness against the
+Fraction oracle, and the hull's handed-over incidences against the pairings."""
 
 import random
 from fractions import Fraction as F
@@ -6,9 +7,16 @@ from fractions import Fraction as F
 import pytest
 
 from toric_ih.errors import ToricError
-from toric_ih.fixtures import cone_fixtures, cross_polytope, cube, point, standard_fixtures
+from toric_ih.fixtures import (
+    cone_fixtures,
+    cross_polytope,
+    cube,
+    point,
+    random_unimodular_matrix,
+    standard_fixtures,
+)
 from toric_ih.lattice import mat_rank
-from toric_ih.polytope import Polytope, is_smooth_cone, normal_fan
+from toric_ih.polytope import Polytope, is_prime, is_smooth_cone, normal_fan
 
 from face_oracle import fraction_rank, oracle_faces, oracle_is_smooth_cone
 
@@ -120,3 +128,91 @@ def test_is_smooth_cone_matches_oracle(d):
             rays[0] = tuple(2 * a - b for a, b in zip(rays[1], rays[2]))
             rays = [r for r in rays if any(r)]
         assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
+
+
+# -- the hull's own incidences against the pairing path ---------------------------
+
+def check_handed_over(p):
+    """The row_gens the hull hands over are the pairings' tight sets, and the
+    lattice equals the one built from pairings on the same data."""
+    lat = p.face_lattice()
+    assert p._incidence is not None
+    assert list(lat.row_gens) == lat._paired_row_gens()
+    paired = Polytope(p.n, p.vertices, p.rays, p.rows)  # not built by the hull
+    assert paired._incidence is None
+    plat = paired.face_lattice()
+    assert plat.row_gens == lat.row_gens
+    assert plat.faces == lat.faces
+    assert [plat.vertex_mask(f.id) for f in plat.faces] == [lat.vertex_mask(f.id) for f in lat.faces]
+
+
+def with_redundant_rows(rng, p):
+    """p's facet rows plus loosened copies and sums of two rows, shuffled: H input
+    whose facets are a strict subsequence of the sorted rows."""
+    rows = list(p.rows)
+    extra = [(a, b - rng.randint(1, 3)) for a, b in rng.sample(rows, min(2, len(rows)))]
+    if len(rows) > 1:
+        (a1, b1), (a2, b2) = rng.sample(rows, 2)
+        if any(x + y for x, y in zip(a1, a2)):
+            extra.append((tuple(x + y for x, y in zip(a1, a2)), b1 + b2))
+    rows += extra
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["lattice", "rational", "rays"])
+def test_handed_over_incidence_matches_pairings(d, kind):
+    # V input (with non-extreme points) and H input (with redundant rows)
+    rng = random.Random(6500 + 10 * d + ("lattice", "rational", "rays").index(kind))
+    for _ in range(10 if d < 5 else 3):
+        p = random_polyhedron(rng, d, kind)
+        check_handed_over(p)
+        h = Polytope.from_inequalities(with_redundant_rows(rng, p))
+        assert h == p
+        check_handed_over(h)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in FIXTURES if n != "point"))
+def test_handed_over_incidence_on_fixtures(name):
+    p = FIXTURES[name]
+    check_handed_over(Polytope.from_points(p.vertices, p.rays))
+    check_handed_over(Polytope.from_inequalities(p.rows))
+
+
+def test_handed_over_incidence_on_every_cut_round(monkeypatch):
+    # every cut polytope the rounds build on the seeded 3- and 4-polytopes of test_identities
+    from test_cutting import seeded_polytopes
+    from toric_ih import cutting
+
+    built = []
+
+    def recording_is_prime(q):
+        built.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(cutting, "is_prime", recording_is_prime)
+    seeded = seeded_polytopes()
+    for p in seeded:
+        cutting.prime_cut(p)
+    assert len(built) > len(seeded)
+    for q in built:
+        check_handed_over(q)
+
+
+def test_images_match_their_hull_rebuild():
+    # translate, dilate and apply_unimodular keep the pairing path; their lattices
+    # equal those of the same polytope rebuilt by the hull, face by face
+    rng = random.Random(6600)
+    polys = [random_polyhedron(rng, d, kind) for d in (2, 3, 4)
+             for kind in ("lattice", "rational", "rays")]
+    polys += [FIXTURES[n] for n in ("cube-4", "cross-4") + tuple(sorted(cone_fixtures()))]
+    for p in polys:
+        u = random_unimodular_matrix(rng, p.n)
+        t = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.n))
+        for image in (p.translate(t), p.dilate(rng.randint(2, 4)), p.apply_unimodular(u)):
+            assert image._incidence is None
+            rebuilt = Polytope.from_points(image.vertices, image.rays)
+            assert rebuilt == image
+            assert image.face_lattice().row_gens == rebuilt.face_lattice().row_gens
+            assert image.face_lattice().faces == rebuilt.face_lattice().faces

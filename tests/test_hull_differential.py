@@ -174,7 +174,7 @@ def assert_filters_agree(cons, d):
     rays, tight = _extreme_rays(cons, d)
     assert not reduce(and_, tight), "the cone must be full-dimensional"
     want = irredundant_by_rank(cons, rays, tight, d)
-    assert _irredundant(cons, tight) == want, cons
+    assert [cons[i] for i in _irredundant(cons, tight)] == want, cons
     return want
 
 
@@ -215,7 +215,7 @@ def test_mask_filter_matches_rank_filter_on_both_hull_directions(n):
         gens = list(dict.fromkeys(gens + [integerize(v + (1,)) for v in extra]))
         duals, tight = _extreme_rays(gens, n + 1)
         keep = irredundant_by_rank(gens, duals, tight, n + 1)
-        assert _irredundant(gens, tight) == keep
+        assert [gens[i] for i in _irredundant(gens, tight)] == keep
         assert keep == gens[:len(p.vertices) + len(p.rays)]
         seen_rays += bool(p.rays)
     assert seen_rays
