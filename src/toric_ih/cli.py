@@ -327,6 +327,9 @@ def report_prime_cut(obj, args):
             ("facets", len(result.polytope.rows)),
             ("prime", is_prime(result.polytope)),
         ]),
+        section("eps history", items=[("rejected", len(result.history))],
+                table=(["epsilon", "reason"],
+                       [[fmt_q(e), why] for e, why in result.history])),
         section("face map", table=(["cut face", "dim", "image face", "image dim"], pi_rows)),
         section("multipliers", table=(["face", "dim", "multiplier in L"],
                                       [[f.id, f.dim, repr(mult[f.id])] for f in lat.faces])),

@@ -8,11 +8,17 @@ with eps.  Exactness is restored by a stability protocol: the round at eps is
 accepted when the round at eps/2 has the same signature; otherwise eps is
 halved and the next round compared.
 
-A round is decided by its labeled incidences alone.  Each row of the cut
-carries a label bit: row j of the original is bit j, cut entry k is bit
-m + k (m rows).  A face's label mask is the OR of the bits of its rows, and
-the round's signature is the set of (label mask, limit face) pairs, one per
-face of the cut; the face dimensions are implied by the set of masks.
+A round is decided on the integer hull of its rows (``hull_of_rows``)
+alone.  Each row of the cut carries a label bit: row j of the original is
+bit j, cut entry k is bit m + k (m rows).  The cut is compact, so it is
+prime when each vertex lies on exactly n facets, and a vertex's label mask
+is the OR of the bits of its facets.  The round's signature is the set of
+its vertices' label masks.  In a prime cut every subset of a vertex's
+facets is the active set of a face, and every face's set is one, so this
+set determines each face's label mask and, through the limits below, its
+limit face: comparing it decides as comparing every face would.  Only the
+accepted round builds its polytope, with ``Fraction`` vertices, its face
+lattice and the face map.
 
 The limit face map sends each face of the cut polytope to the smallest face
 of the original containing the eps -> 0 limit of its barycenter.  At depth
@@ -20,11 +26,12 @@ zero each row of the cut supports the original, so a vertex of the cut
 tends to the vertex of the original that minimizes the normals of all its
 rows: the AND of their bitmasks of minimizing vertices, each read off the
 original's lattice by the row's label (a facet's vertices, or those of the
-face a cut entry shaves).  Those rows span,
-so the AND has at most one bit.  With none, the limit leaves the polytope,
-the vertex's normal cone lies in no vertex cone of the original (the fan
-does not refine), and the round is rejected, as is a cut that is not prime.
-Both are functions of the signature, so checking both rounds changes no eps.
+face a cut entry shaves).  A label bit's mask does not depend on eps, so
+the limit is a function of the label mask.  Those rows span, so the AND has
+at most one bit.  With none, the limit leaves the polytope, the vertex's
+normal cone lies in no vertex cone of the original (the fan does not
+refine), and the round is rejected, as is a cut that is not prime.  Both
+are functions of the signature, so checking both rounds changes no eps.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .lattice import (
     vscale,
     vsub,
 )
-from .polytope import FaceLattice, Polytope, is_prime, normalize_row
+from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
 
 ROUNDS = 12  # halvings of eps before prime_cut gives up
 
@@ -79,13 +86,16 @@ class CutResult:
 
     ``face_map`` sends face ids of the cut polytope to face ids of the
     original; ``spec`` records the functionals used (the cut is canonical
-    only relative to this choice).
+    only relative to this choice); ``history`` holds one (eps, reason) per
+    rejected eps, largest first: the rejected round's error message, or
+    "unstable signature" when the round at eps/2 was rejected or differed.
     """
 
     polytope: Polytope
     face_map: dict
     epsilon: Fraction
     spec: CutSpec
+    history: tuple = ()
 
 
 def choose_cut_functionals(p: Polytope) -> CutSpec:
@@ -132,7 +142,8 @@ def _labeled_rows(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fractio
 
 
 def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
-    """Build one round at eps; returns (polytope, face_map, signature).
+    """Decide one round at eps on the hull's integers; returns (labels,
+    stage, signature), stage being the round's ``hull_of_rows`` result.
 
     Raises ValueError when a cut row collides with another row, the cut is
     not full-dimensional, not prime, or its fan does not refine p's (each a
@@ -140,31 +151,42 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     """
     labels = _labeled_rows(p, lattice, spec, eps)
     try:
-        q = Polytope.from_inequalities(labels)
+        stage = hull_of_rows(labels)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
-    if not is_prime(q):
+    n, cons, hull, tight, facets = stage
+    # the cut is compact, so every hull ray is a vertex; prime: each on n facets
+    fbits = sum(1 << i for i in facets)
+    if any((z & fbits).bit_count() != n for z in tight):
         raise ValueError("cut is not prime")
-    qlat = q.face_lattice()
+    row_labels = {i: labels[cons[i][:n], -cons[i][n]] for i in facets}
 
+    signature = set()
+    for z in tight:
+        vertex = [row_labels[i] for i in _bits(z & fbits)]
+        if not reduce(and_, (mask for _, mask in vertex)):
+            raise ValueError("fan does not refine")
+        signature.add(reduce(or_, (bit for bit, _ in vertex)))
+    return labels, stage, frozenset(signature)
+
+
+def _build_cut(p: Polytope, lattice: FaceLattice, labels, stage):
+    """The cut polytope of a round decided by ``_cut_once``, with its limit face map."""
+    q = Polytope.from_hull(*stage)
+    qlat = q.face_lattice()
     masks = [labels[row][1] for row in q.rows]
     active_at = {f.vertex_ids[0]: frozenset(f.active) for f in lattice.of_dim(0)}
 
     # the rows of p tight at the limit of each vertex of q, by vertex index
-    tight_at_limit = {}
-    for vf in qlat.of_dim(0):
-        limit = reduce(and_, (masks[j] for j in vf.active))
-        if not limit:
-            raise ValueError("fan does not refine")
-        tight_at_limit[vf.vertex_ids[0]] = active_at[limit.bit_length() - 1]
+    tight_at_limit = {vf.vertex_ids[0]: active_at[
+                          reduce(and_, (masks[j] for j in vf.active)).bit_length() - 1]
+                      for vf in qlat.of_dim(0)}
 
     # a row of p is tight at a face's limit barycenter iff tight at each vertex limit
     face_map = {f.id: lattice.by_active[frozenset.intersection(
                     *(tight_at_limit[i] for i in f.vertex_ids))].id
                 for f in qlat.faces}
-    signature = frozenset((reduce(or_, (labels[q.rows[j]][0] for j in f.active), 0),
-                           face_map[f.id]) for f in qlat.faces)
-    return q, face_map, signature
+    return q, face_map
 
 
 def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
@@ -172,8 +194,10 @@ def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
 
     The round at eps is accepted when the round at eps/2 has the same
     signature; a rejected or differing round halves eps, and the half round
-    built for the comparison opens the next one, so each eps is built once.
-    Raises EpsilonUnstableError after ROUNDS halvings.
+    decided for the comparison opens the next one, so each eps is decided
+    once, and each rejected eps goes into the result's history with its
+    reason.  Only the accepted round's polytope is built.  Raises
+    EpsilonUnstableError after ROUNDS halvings.
     """
     lattice = p.face_lattice()
     spec = choose_cut_functionals(p)
@@ -184,17 +208,21 @@ def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
 
     def round_at(e):
+        """(round, None), or (None, the reason the round at e is rejected)."""
         try:
-            return _cut_once(p, lattice, spec, e)
-        except (ValueError, EmptyPolyhedronError):
-            return None
+            return _cut_once(p, lattice, spec, e), None
+        except (ValueError, EmptyPolyhedronError) as exc:
+            return None, str(exc)
 
-    this = round_at(eps)
+    this, why = round_at(eps)
+    history = []
     for _ in range(ROUNDS):
-        half = round_at(eps / 2)
+        half, half_why = round_at(eps / 2)
         if this and half and this[2] == half[2]:
-            return CutResult(this[0], this[1], eps, spec)
-        this, eps = half, eps / 2
+            q, face_map = _build_cut(p, lattice, *this[:2])
+            return CutResult(q, face_map, eps, spec, tuple(history))
+        history.append((eps, why or "unstable signature"))
+        this, why, eps = half, half_why, eps / 2
     raise EpsilonUnstableError(f"epsilon unstable after {ROUNDS} halvings")
 
 

@@ -17,7 +17,12 @@ constraint tight on every ray is an implicit equality (V->H: not pointed;
 H->V: not full-dimensional), and a shared filter keeps the constraints whose
 sets of tight rays are maximal, the extreme generators (V->H) or the facet
 rows (H->V).  Integer input stays in plain ints until the Fraction vertices
-are built.  Faces are canonically identified by their maximal tight row set.
+are built.  H->V runs in two stages: ``hull_of_rows`` is the integer stage
+(canonical rows, hull rays, tight bitmasks, facet indices, and every error),
+and ``Polytope.from_hull`` builds the Fraction vertices and the polytope
+from its result; ``from_inequalities`` is the two in sequence, and the prime
+cut decides its rounds on the first stage alone.  Faces are canonically
+identified by their maximal tight row set.
 
 The face lattice comes from the generator-facet incidences in plain ints,
 as int bitmasks of generators per facet row.  A polytope built by the hull
@@ -206,6 +211,46 @@ def _rows_row_gens(hull, tight, facets, p):
     return list(by_cons.values())
 
 
+def hull_of_rows(rows):
+    """The integer stage of ``Polytope.from_inequalities``: (n, cons, hull,
+    tight, facets).
+
+    ``cons`` holds the sorted canonical rows (a, b) as (a, -b), then
+    (0, ..., 0, 1); ``hull`` and ``tight`` are the extreme rays (x, t) of the
+    homogenized cone and their tight bitmasks over cons; ``facets`` are the
+    indices of the facet rows in cons, ascending.  Raises the errors of
+    ``from_inequalities``, in the same order.
+    """
+    norm = set()
+    n = None
+    for a, b in rows:
+        na, nb = normalize_row(a, b)
+        if n is None:
+            n = len(na)
+        elif len(na) != n:
+            raise ValueError("rows of mixed dimension")
+        if not any(na):
+            if nb > 0:
+                raise EmptyPolyhedronError(
+                    "empty polyhedron: infeasible row 0 >= %s" % as_rat(b))
+            continue  # trivially true
+        norm.add((na, nb))
+    if not norm and n != 0:  # in ambient rank zero the hull is the point
+        raise NotPointedError("not pointed")
+    cons = [a + (-b,) for a, b in sorted(norm)] + [(0,) * n + (1,)]
+    try:
+        hull, tight = _extreme_rays(cons, n + 1)
+    except ValueError:  # the normals have rank below n
+        raise NotPointedError("not pointed") from None
+    if not any(w[n] for w in hull):
+        raise EmptyPolyhedronError("empty polyhedron")
+    if reduce(and_, tight):
+        raise NotFullDimensionalError(
+            "not full-dimensional: a row holds with equality on the whole polyhedron")
+    facets = [i for i in _irredundant(cons, tight) if any(cons[i][:n])]
+    return n, cons, hull, tight, facets
+
+
 class Polytope:
     """Immutable rational polytope / pointed polyhedron with both representations."""
 
@@ -269,37 +314,14 @@ class Polytope:
         degenerate cases, and NotFullDimensionalError when some row is tight
         at every ray of the homogenized cone (an implicit equality).
         """
-        norm = set()
-        n = None
-        for a, b in rows:
-            na, nb = normalize_row(a, b)
-            if n is None:
-                n = len(na)
-            elif len(na) != n:
-                raise ValueError("rows of mixed dimension")
-            if not any(na):
-                if nb > 0:
-                    raise EmptyPolyhedronError(
-                        "empty polyhedron: infeasible row 0 >= %s" % as_rat(b))
-                continue  # trivially true
-            norm.add((na, nb))
-        if n == 0:
-            return cls(0, [()], [], [])
-        if not norm:
-            raise NotPointedError("not pointed")
-        cons = [a + (-b,) for a, b in sorted(norm)] + [(0,) * n + (1,)]
-        try:
-            hull, tight = _extreme_rays(cons, n + 1)
-        except ValueError:  # the normals have rank below n
-            raise NotPointedError("not pointed") from None
+        return cls.from_hull(*hull_of_rows(rows))
+
+    @classmethod
+    def from_hull(cls, n, cons, hull, tight, facets):
+        """The polyhedron of a ``hull_of_rows`` result, with the hull's
+        incidences kept for its face lattice."""
         verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
-        if not verts:
-            raise EmptyPolyhedronError("empty polyhedron")
-        if reduce(and_, tight):
-            raise NotFullDimensionalError(
-                "not full-dimensional: a row holds with equality on the whole polyhedron")
         rays = [w[:n] for w in hull if not w[n]]
-        facets = [i for i in _irredundant(cons, tight) if any(cons[i][:n])]
         poly = cls(n, verts, rays, [(cons[i][:n], -cons[i][n]) for i in facets])
         # the facets keep the order of the sorted rows in cons
         poly._incidence = partial(_rows_row_gens, hull, tight, facets)

@@ -7,6 +7,7 @@ import pytest
 from toric_ih import cutting
 from toric_ih.cutting import (
     CutResult,
+    _build_cut,
     _cut_once,
     _labeled_rows,
     choose_cut_functionals,
@@ -24,7 +25,7 @@ from toric_ih.fixtures import (
     square_pyramid,
     standard_fixtures,
 )
-from toric_ih.lattice import pairing
+from toric_ih.lattice import mat_vec, pairing
 from toric_ih.polytope import Polytope, is_prime
 from toric_ih.stalks import (
     T,
@@ -122,6 +123,8 @@ def test_octahedron_from_a_coarse_epsilon_retries():
         _cut_once(p, lat, choose_cut_functionals(p), F(1, 2))
     r = prime_cut(p, epsilon=F(1, 2))
     assert r.epsilon < F(1, 2)
+    assert r.history == ((F(1, 2), "cut polytope is not full-dimensional"),
+                         (F(1, 4), "cut is not prime"))
     assert r.polytope == prime_cut(p).polytope
 
 
@@ -237,17 +240,42 @@ def signed_permutations(n):
             yield [tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)]
 
 
+def faces_by_vertices(p):
+    """{vertex set: face id} over the faces of a polytope."""
+    return {frozenset(p.vertices[i] for i in f.vertex_ids): f.id for f in p.face_lattice().faces}
+
+
+def moved(u, p, f):
+    """The vertex set of face f of p under the linear map u."""
+    return frozenset(mat_vec(u, p.vertices[i]) for i in f.vertex_ids)
+
+
 def test_prime_cut_commutes_with_unimodular_maps():
-    # the signature is order-free, so a change of lattice basis changes no accepted eps
+    # the signature is order-free, so a change of lattice basis changes no accepted eps;
+    # the face map and the multipliers follow the faces, matched by vertex sets under the map
+    from toric_ih.hypersurface import prime_cut_multipliers
+
     rng = random.Random(7)
     for _ in range(3):
         p = random_lattice_polytope(rng, 3, npoints=rng.randint(5, 7), bound=2)
         r = prime_cut(p)
+        lat, cut_lat = p.face_lattice(), r.polytope.face_lattice()
+        mult = prime_cut_multipliers(r, lat, cut_lat)
         maps = list(signed_permutations(3)) + [random_unimodular_matrix(rng, 3) for _ in range(4)]
         for u in maps:
-            image = prime_cut(p.apply_unimodular(u))
+            pu = p.apply_unimodular(u)
+            image = prime_cut(pu)
             assert image.epsilon == r.epsilon, (p.vertices, u)
             assert image.polytope == r.polytope.apply_unimodular(u), (p.vertices, u)
+            face_of, cut_face_of = faces_by_vertices(pu), faces_by_vertices(image.polytope)
+            for t in cut_lat.faces:
+                image_t = cut_face_of[moved(u, r.polytope, t)]
+                source = lat.faces[r.face_map[t.id]]
+                assert image.face_map[image_t] == face_of[moved(u, p, source)], (p.vertices, u)
+            image_mult = prime_cut_multipliers(image, pu.face_lattice(),
+                                               image.polytope.face_lattice())
+            for f in lat.faces:
+                assert image_mult[face_of[moved(u, p, f)]] == mult[f.id], (p.vertices, u, f.id)
 
 
 def test_prime_cut_needs_compact():
@@ -339,21 +367,28 @@ def test_blowup_rational_level():
 
 
 def seed_prime_cut(p, epsilon=F(1, 8)):
-    """The retry loop on the solving oracle: both rounds of every comparison built afresh."""
+    """The retry loop on the solving oracle: both rounds of every comparison built
+    afresh, and each rejected eps recorded with its reason."""
     lattice = p.face_lattice()
     spec = choose_cut_functionals(p)
     eps = epsilon
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
+    history = []
     for _ in range(12):
         try:
             q, face_map, signature = vertex_limits_by_solving(p, lattice, spec, eps)
-            half_signature = vertex_limits_by_solving(p, lattice, spec, eps / 2)[2]
-        except (ValueError, EmptyPolyhedronError):
+        except (ValueError, EmptyPolyhedronError) as exc:
+            history.append((eps, str(exc)))
             eps = eps / 2
             continue
+        try:
+            half_signature = vertex_limits_by_solving(p, lattice, spec, eps / 2)[2]
+        except (ValueError, EmptyPolyhedronError):
+            half_signature = None
         if signature == half_signature:
-            return CutResult(q, face_map, eps, spec)
+            return CutResult(q, face_map, eps, spec, tuple(history))
+        history.append((eps, "unstable signature"))
         eps = eps / 2
     raise EpsilonUnstableError("unstable")
 
@@ -361,6 +396,10 @@ def seed_prime_cut(p, epsilon=F(1, 8)):
 # Rejected at eps = 1/8: the accepted eps is 1/16.
 RETRY = Polytope.from_points([(-2, -2, 1), (-2, -2, 2), (-2, 0, 2), (-2, 2, -1), (-2, 2, 1),
                               (0, -1, 1), (1, -2, -1)])
+
+# Prime and refining at eps = 1/8 and 1/16, but with different signatures.
+UNSTABLE = Polytope.from_points([(-2, -2, 2, 0), (1, 0, -2, 0), (1, 1, -2, -1), (1, 1, -1, 1),
+                                 (2, -1, 1, -1), (2, 0, 1, 0)])
 
 
 def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
@@ -372,7 +411,7 @@ def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
 
     monkeypatch.setattr(cutting, "_cut_once", recording_cut)
     rng = random.Random(11)
-    cases = [RETRY, square_pyramid(), octahedron(), cube(3)]
+    cases = [RETRY, UNSTABLE, square_pyramid(), octahedron(), cube(3)]
     cases += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 8)) for _ in range(4)]
     for p in cases:
         built.clear()
@@ -380,16 +419,19 @@ def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
         assert r == seed_prime_cut(p)
         assert built == sorted(set(built), reverse=True)
     built.clear()
-    assert prime_cut(RETRY).epsilon == F(1, 16)
+    r = prime_cut(RETRY)
+    assert (r.epsilon, r.history) == (F(1, 16), ((F(1, 8), "fan does not refine"),))
     assert built == [F(1, 8), F(1, 16), F(1, 32)]
+    r = prime_cut(UNSTABLE)
+    assert (r.epsilon, r.history) == (F(1, 16), ((F(1, 8), "unstable signature"),))
 
 
 def round_outcome(cut, p, lattice, spec, eps):
-    """(cut polytope, face map, signature) of one round, or its error's type and message."""
+    """(the round's result, None), or (None, its error's type and message)."""
     try:
-        return cut(p, lattice, spec, eps)
+        return cut(p, lattice, spec, eps), None
     except (ValueError, EmptyPolyhedronError) as exc:
-        return type(exc), str(exc)
+        return None, (type(exc), str(exc))
 
 
 def seeded_polytopes():
@@ -421,15 +463,29 @@ def test_label_masks_match_minimizing_vertices():
 
 
 def test_vertex_limits_match_the_solving_oracle():
-    polys = list(standard_fixtures().values()) + [RETRY] + seeded_polytopes()
-    seen = set()
+    # each round is decided as the oracle decides it, an accepted round builds the
+    # oracle's cut and face map, and the vertex signatures of the rounds at eps and
+    # eps/2 agree exactly where the oracle's face signatures do
+    polys = list(standard_fixtures().values()) + [RETRY, UNSTABLE] + seeded_polytopes()
+    seen, agree = set(), set()
     for p in polys:
         lattice = p.face_lattice()
         spec = choose_cut_functionals(p)
+        signatures = []
         for k in range(3, 12):
             eps = F(1, 2 ** k)
-            got = round_outcome(_cut_once, p, lattice, spec, eps)
-            assert got == round_outcome(vertex_limits_by_solving, p, lattice, spec, eps), \
-                (p.vertices, eps)
-            seen.add(got[1] if got[0] is ValueError else "accepted")
+            got, got_error = round_outcome(_cut_once, p, lattice, spec, eps)
+            want, want_error = round_outcome(vertex_limits_by_solving, p, lattice, spec, eps)
+            assert got_error == want_error, (p.vertices, eps)
+            if got:
+                assert _build_cut(p, lattice, *got[:2]) == want[:2], (p.vertices, eps)
+                signatures.append((got[2], want[2]))
+            else:
+                signatures.append(None)
+            seen.add(got_error[1] if got_error else "accepted")
+        for this, half in zip(signatures, signatures[1:]):
+            if this and half:
+                assert (this[0] == half[0]) == (this[1] == half[1]), p.vertices
+                agree.add(this[0] == half[0])
     assert {"accepted", "cut is not prime", "fan does not refine"} <= seen
+    assert agree == {True, False}

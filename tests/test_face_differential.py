@@ -16,7 +16,7 @@ from toric_ih.fixtures import (
     standard_fixtures,
 )
 from toric_ih.lattice import mat_rank
-from toric_ih.polytope import Polytope, is_prime, is_smooth_cone, normal_fan
+from toric_ih.polytope import Polytope, hull_of_rows, is_smooth_cone, normal_fan
 
 from face_oracle import fraction_rank, oracle_faces, oracle_is_smooth_cone
 
@@ -181,23 +181,25 @@ def test_handed_over_incidence_on_fixtures(name):
 
 
 def test_handed_over_incidence_on_every_cut_round(monkeypatch):
-    # every cut polytope the rounds build on the seeded 3- and 4-polytopes of test_identities
+    # every round's integer hull on the seeded 3- and 4-polytopes of test_identities,
+    # built into its polytope (prime_cut itself builds only the accepted round's)
     from test_cutting import seeded_polytopes
     from toric_ih import cutting
 
     built = []
 
-    def recording_is_prime(q):
-        built.append(q)
-        return is_prime(q)
+    def recording_hull(rows):
+        stage = hull_of_rows(rows)
+        built.append(stage)
+        return stage
 
-    monkeypatch.setattr(cutting, "is_prime", recording_is_prime)
+    monkeypatch.setattr(cutting, "hull_of_rows", recording_hull)
     seeded = seeded_polytopes()
     for p in seeded:
         cutting.prime_cut(p)
     assert len(built) > len(seeded)
-    for q in built:
-        check_handed_over(q)
+    for stage in built:
+        check_handed_over(Polytope.from_hull(*stage))
 
 
 def test_images_match_their_hull_rebuild():

@@ -4,9 +4,10 @@ For each subcommand, each `standard_fixtures()` and `cone_fixtures()` entry
 written as a vrep and as an hrep file, and each output format, the table
 ``golden_reports.json`` holds the sha256 of the exit code, stdout and stderr
 of one CLI run.  A change that alters any report, error message or exit code
-fails here.  After an intended change of output, rewrite the table with
+fails here.  After an intended change of output, rewrite the rows of the
+named subcommands (all rows when none is named) with
 
-    PYTHONPATH=src python tests/test_golden_reports.py --write
+    PYTHONPATH=src python tests/test_golden_reports.py --write [COMMAND ...]
 """
 
 import contextlib
@@ -75,11 +76,13 @@ def test_reports_match_golden_table(command, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden_reports.py --write")
-    table = {}
+    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(_COMMANDS):
+        sys.exit("usage: test_golden_reports.py --write [COMMAND ...]")
+    commands = sys.argv[2:] or list(_COMMANDS)
+    table = json.loads(TABLE.read_text()) if sys.argv[2:] else {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command in _COMMANDS:
+        for command in commands:
+            table = {k: v for k, v in table.items() if not k.startswith(command + "/")}
             table.update(command_digests(command, tmp))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} digests to {TABLE}")
+    print(f"wrote {len(table)} digests for {', '.join(commands)} to {TABLE}")
