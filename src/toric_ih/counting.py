@@ -5,7 +5,16 @@ points x of the bounding box's first n-1 coordinates and reads the range
 l <= t <= h of the last coordinate off the integer rows by ceil and floor
 division, so a count adds up interval lengths and its cost follows the
 box's projection, not its volume.  The rows are integral, so the interior
-(a.y > b) is the same scan with b + 1 in place of b.
+(a.y > b) is the same scan with b + 1 in place of b.  The work around the
+scan is in ints too: a box is read off the vertices' integer numerators
+over their lcm denominator, an edge is walked on its ends' numerators, and
+the Ehrhart coefficients come from the integer forward differences of the
+counts, divided by n! once.
+
+Each dilate is scanned at most once per polytope: ``lattice_count`` keeps
+|kP ∩ Z^n| and the interior count on the polytope, by (k, strict), so
+``count_report``, ``reciprocity_check``, ``ehrhart_polynomial`` and the
+hypersurface counts share them.
 
 Per-face counts come from one classified scan of the polytope, memoized on
 its FaceLattice: a lattice point lies in the relative interior of exactly
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import factorial, lcm
 from operator import mul
 
 from .errors import UnboundedError
@@ -30,10 +39,18 @@ from .polytope import Face, FaceLattice, Polytope
 
 
 def _box(vertices, k=1):
-    """Smallest integer box holding every lattice point of k * conv(vertices)."""
-    cols = tuple(zip(*vertices))
-    return (tuple(ceil(k * min(c)) for c in cols),
-            tuple(floor(k * max(c)) for c in cols))
+    """Smallest integer box holding every lattice point of k * conv(vertices).
+
+    The vertices are scaled to integer numerators over their lcm denominator
+    den, so each bound is one ceil or floor division of ints.
+    """
+    den = lcm(*(c.denominator for v in vertices for c in v))
+    cols = zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices))
+    lo, hi = [], []
+    for col in cols:
+        lo.append(-(-k * min(col) // den))
+        hi.append(k * max(col) // den)
+    return tuple(lo), tuple(hi)
 
 
 def _fibers(rows, lo, hi):
@@ -134,15 +151,17 @@ def _edge_points(u, v):
     With U = den u and V = den v integral and i the coordinate where they
     differ most, the point of the segment at x_i = t is
     (U D_i + (t den - U_i) D) / (den D_i), D = V - U; it is a lattice point
-    when every coordinate divides out.
+    when every coordinate divides out.  The walk runs over the integers t
+    between U_i / den and V_i / den, all in ints.
     """
     den = lcm(*(c.denominator for c in u + v))
-    uu = [int(c * den) for c in u]
-    d = [int(b * den) - a for a, b in zip(uu, v)]
+    uu = [c.numerator * (den // c.denominator) for c in u]
+    d = [c.numerator * (den // c.denominator) - a for a, c in zip(uu, v)]
     i = max(range(len(d)), key=lambda j: abs(d[j]))
     q = den * d[i]
+    lo, hi = sorted((uu[i], uu[i] + d[i]))
     out = []
-    for t in range(ceil(min(u[i], v[i])), floor(max(u[i], v[i])) + 1):
+    for t in range(-(-lo // den), hi // den + 1):
         s = t * den - uu[i]
         nums = [a * d[i] + s * c for a, c in zip(uu, d)]
         if not any(x % q for x in nums):
@@ -175,7 +194,8 @@ def interior_lattice_points(obj, face: Face | None = None):
 def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
     """|kP ∩ Z^n|, or with strict the number of lattice points interior to kP.
 
-    Adds up fiber lengths; no point is listed and no dilate is built.
+    Adds up fiber lengths; no point is listed and no dilate is built.  Each
+    (k, strict) is scanned once per polytope: the count is kept on p.
     """
     if k <= 0:
         raise ValueError("dilation factor must be positive")
@@ -183,7 +203,12 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return 1
-    return sum(h - l + 1 for _, l, h in _fibers(_rows(p, k, strict), *_box(p.vertices, k)))
+    key = (k, strict)
+    table = p._dilate_counts
+    if key not in table:
+        table[key] = sum(h - l + 1 for _, l, h in
+                         _fibers(_rows(p, k, strict), *_box(p.vertices, k)))
+    return table[key]
 
 
 def _classify(lattice: FaceLattice):
@@ -245,24 +270,24 @@ def _require_lattice(p: Polytope):
 
 
 def _interpolate(counts):
-    """Coefficients of the polynomial of degree len(counts) - 1 through (k, counts[k])."""
+    """Coefficients of the polynomial of degree n = len(counts) - 1 through (k, counts[k]).
+
+    Newton's forward form L(x) = sum_j Δ^j L(0) C(x, j) times n! is the
+    integer polynomial sum_j Δ^j L(0) (n!/j!) x(x-1)...(x-j+1); it is summed
+    in ints and divided by n! once.
+    """
     n = len(counts) - 1
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, val in enumerate(counts):
-        basis = [Fraction(1)]  # product over j != k of (x - j)/(k - j), as coefficients
-        denom = Fraction(1)
-        for j in range(n + 1):
-            if j == k:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for i, c in enumerate(basis):
-                new[i] -= j * c
-                new[i + 1] += c
-            basis = new
-            denom *= k - j
-        for i, c in enumerate(basis):
-            coeffs[i] += val * c / denom
-    return tuple(coeffs)
+    total = [0] * (n + 1)
+    diffs = list(counts)  # Δ^j L(k) for k = 0 .. n - j
+    falling = [1]  # x(x-1)...(x-j+1), as coefficients
+    scale = nf = factorial(n)  # scale = n!/j!
+    for j in range(n + 1):
+        for i, c in enumerate(falling):
+            total[i] += diffs[0] * scale * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        scale //= j + 1
+    return tuple(Fraction(c, nf) for c in total)
 
 
 def ehrhart_polynomial(p: Polytope):

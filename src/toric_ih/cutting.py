@@ -67,12 +67,14 @@ ROUNDS = 12  # halvings of eps before prime_cut gives up
 
 @dataclass(frozen=True)
 class CutEntry:
-    """One face to shave: its supporting functional, base value and cascade order."""
+    """One face to shave: its supporting functional, base value, cascade
+    order, and width (the functional's maximum over the polytope minus base)."""
 
     face_id: int
     functional: tuple[int, ...]
     base: Fraction
     order: int
+    width: Fraction
 
 
 @dataclass(frozen=True)
@@ -105,17 +107,19 @@ def choose_cut_functionals(p: Polytope) -> CutSpec:
     through the face, which lies in the relative interior of the dual cone,
     so its minimum face on the polytope is exactly the selected face.  Each
     of those facet rows is tight on the face, so the minimum (``base``) is
-    the sum of their right-hand sides.
+    the sum of their right-hand sides.  The width, which every round's depth
+    scales, is taken here once.
     """
     if not p.is_compact:
         raise UnboundedError("prime cutting needs a compact polytope")
+    lattice = p.face_lattice()
     entries = []
-    for f in p.face_lattice().faces:
+    for f in lattice.faces:
         if len(f.active) <= f.codim:
             continue
         v = tuple(sum(p.rows[j][0][i] for j in f.active) for i in range(p.n))
         base = Fraction(sum(p.rows[j][1] for j in f.active))
-        entries.append(CutEntry(f.id, v, base, f.dim + 1))
+        entries.append(CutEntry(f.id, v, base, f.dim + 1, lattice.maximum(v) - base))
     return CutSpec(tuple(entries))
 
 
@@ -123,8 +127,7 @@ def _labeled_rows(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fractio
     """The rows of the round at eps in canonical form, each with its
     (label bit, depth-0 mask): a dict in row order, p's rows first.
 
-    Cut entry e is the row <e.functional, x> >= base + width * eps^order,
-    with width the maximum of the functional over p minus its base.  The
+    Cut entry e is the row <e.functional, x> >= base + width * eps^order.  The
     depth-0 mask is the bitmask of the vertices of p where the row's normal
     is least, read off p's lattice by label: row j of p gives facet j's
     vertices, and entry e, whose functional lies in the relative interior of
@@ -133,7 +136,7 @@ def _labeled_rows(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fractio
     """
     labels = {row: (1 << j, rg) for j, (row, rg) in enumerate(zip(p.rows, lattice.row_gens))}
     for e in spec.entries:
-        rhs = e.base + (lattice.maximum(e.functional) - e.base) * eps ** e.order
+        rhs = e.base + e.width * eps ** e.order
         canon = normalize_row(e.functional, rhs)
         if canon in labels:
             raise ValueError("cut row collides with another row")

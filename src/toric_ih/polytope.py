@@ -254,7 +254,7 @@ def hull_of_rows(rows):
 class Polytope:
     """Immutable rational polytope / pointed polyhedron with both representations."""
 
-    __slots__ = ("n", "vertices", "rays", "rows", "_faces", "_incidence")
+    __slots__ = ("n", "vertices", "rays", "rows", "_faces", "_incidence", "_dilate_counts")
 
     def __init__(self, n, vertices, rays, rows):
         self.n = n
@@ -262,6 +262,7 @@ class Polytope:
         self.rays = tuple(sorted(rays))
         self.rows = tuple(sorted(normalize_row(a, b) for a, b in rows))
         self._faces = None
+        self._dilate_counts = {}  # memo of counting.lattice_count, by (k, strict)
         # The hull's own incidences, a function of the polytope that gives
         # the row_gens of ``FaceLattice`` on its first build.  None when the
         # polytope was not built by the hull.

@@ -6,10 +6,13 @@ lower-dimensional face is counted in the lattice chart of its affine span
 (``reduce_to_span``), where it is full-dimensional.  Dilates are built as
 polytopes.  None of this shares code with the fiber scans in
 ``toric_ih.counting``; it is the reference for their differential tests.
+The Ehrhart coefficients have their own oracle, the ``Fraction`` Lagrange
+interpolation that the integer forward-difference form replaced.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from toric_ih.errors import NonIntegralSpanError, UnboundedError
@@ -57,3 +60,25 @@ def oracle_count(p, k=1, strict=False):
 
 def oracle_ehrhart_counts(p):
     return [1] + [oracle_count(p, k) for k in range(1, p.n + 1)]
+
+
+def oracle_interpolate(counts):
+    """Coefficients of the polynomial of degree len(counts) - 1 through (k, counts[k]),
+    summed over the Lagrange basis in ``Fraction``s."""
+    n = len(counts) - 1
+    coeffs = [Fraction(0)] * (n + 1)
+    for k, val in enumerate(counts):
+        basis = [Fraction(1)]  # product over j != k of (x - j)/(k - j), as coefficients
+        denom = Fraction(1)
+        for j in range(n + 1):
+            if j == k:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for i, c in enumerate(basis):
+                new[i] -= j * c
+                new[i + 1] += c
+            basis = new
+            denom *= k - j
+        for i, c in enumerate(basis):
+            coeffs[i] += val * c / denom
+    return tuple(coeffs)

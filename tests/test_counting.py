@@ -1,13 +1,18 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from toric_ih import counting
 from toric_ih.counting import (
     cone_over_polytope,
     count_report,
+    ehrhart_counts,
     ehrhart_eval,
     ehrhart_polynomial,
+    face_counts,
     interior_lattice_points,
+    lattice_count,
     lattice_points,
     reciprocity_check,
     skeleton_count,
@@ -128,6 +133,46 @@ def test_reciprocity_fixtures():
     for p in (simplex(2), simplex(3), cube(2), cube(3),
               simplex(2, scale=3), simplex(2, scale=4), octahedron()):
         assert reciprocity_check(p, kmax=3)
+
+
+FIBERS = counting._fibers
+
+
+def scans_by_dilate(monkeypatch, p, kmax):
+    """A Counter that the wrapped ``counting._fibers`` fills with the
+    (k, strict) of every dilate scan of p, k <= kmax."""
+    key_of = {tuple(counting._rows(p, k, strict)): (k, strict)
+              for k in range(1, kmax + 1) for strict in (False, True)}
+    scans = Counter()
+
+    def counted(rows, lo, hi):
+        scans[key_of[tuple(rows)]] += 1
+        return FIBERS(rows, lo, hi)
+
+    monkeypatch.setattr(counting, "_fibers", counted)
+    return scans
+
+
+def test_dilate_counts_are_scanned_once_per_polytope(monkeypatch, rng):
+    points = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(7)]
+    points += [(3, 0, 0), (0, 3, 0), (0, 0, 3), (-1, -1, -1)]
+    p = Polytope.from_points(points)
+    q = Polytope.from_points(points)
+    face_counts(p.face_lattice())  # the classified scan, kept on the lattice
+    scans = scans_by_dilate(monkeypatch, p, 4)
+    count_report(p)
+    assert reciprocity_check(p, kmax=3)
+    assert scans == {(k, strict): 1 for k in (1, 2, 3) for strict in (False, True)}
+    counts = ehrhart_counts(p)
+    counts[1] = -1
+    assert ehrhart_counts(p)[1] == lattice_count(p) > 0
+    assert p == q and hash(p) == hash(q)
+    assert sum(scans.values()) == 6
+    # a dilate, a translate and a fresh hull of the same points scan anew
+    for other, k in ((p.dilate(2), 2), (p.translate((1, 0, -1)), 1), (q, 1)):
+        scans = scans_by_dilate(monkeypatch, other, 1)
+        assert lattice_count(other) == lattice_count(p, k)
+        assert scans == {(1, False): 1}
 
 
 def test_reciprocity_four_dimensional():

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from toric_ih.counting import (
+    _interpolate,
     cone_over_polytope,
     ehrhart_counts,
+    ehrhart_polynomial,
     face_counts,
     interior_lattice_points,
     lattice_count,
@@ -15,7 +17,7 @@ from toric_ih.counting import (
     skeleton_count,
 )
 from toric_ih.errors import NotFullDimensionalError
-from toric_ih.fixtures import point, random_lattice_polytope
+from toric_ih.fixtures import point, random_lattice_polytope, simplex
 from toric_ih.polytope import Polytope
 
 from counting_oracle import (
@@ -23,6 +25,7 @@ from counting_oracle import (
     oracle_ehrhart_counts,
     oracle_face_counts,
     oracle_face_points,
+    oracle_interpolate,
     oracle_scan,
 )
 
@@ -127,6 +130,8 @@ def test_skeleton_of_long_diagonal_edges():
     for f in lat.of_dim(1):
         assert lattice_points(lat, f)[1] == oracle_face_points(lat, f)
         assert interior_lattice_points(lat, f)[1] == oracle_face_points(lat, f, strict=True)
+    lat = simplex(2, scale=300).face_lattice()  # long lattice edges along the axes too
+    assert skeleton_count(lat) == oracle_skeleton(lat) == 900
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -137,3 +142,17 @@ def test_skeleton_of_rational_edges(d):
         assert skeleton_count(lat) == oracle_skeleton(lat)
     for p in OFF_LATTICE:
         assert skeleton_count(p.face_lattice()) == oracle_skeleton(p.face_lattice())
+
+
+def test_interpolation_of_random_sequences_matches_oracle():
+    rng = random.Random(15)
+    for length in range(1, 9):
+        for _ in range(25):
+            counts = [rng.randint(-50, 50) for _ in range(length)]
+            assert _interpolate(counts) == oracle_interpolate(counts), counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ehrhart_polynomial_matches_interpolation_oracle(d):
+    for p in polytopes(d, False, 8):
+        assert ehrhart_polynomial(p) == oracle_interpolate(ehrhart_counts(p))

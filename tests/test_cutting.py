@@ -64,7 +64,8 @@ def test_pyramid_cut_spec():
 
 
 def test_cut_entry_is_least_exactly_on_its_face(rng):
-    # base, the sum of the face's facet right-hand sides, is the functional's minimum
+    # base, the sum of the face's facet right-hand sides, is the functional's
+    # minimum, and base + width its maximum
     polys = [p for p in standard_fixtures().values() if p.is_compact]
     polys += [random_lattice_polytope(rng, 3, npoints=rng.randint(5, 9)) for _ in range(10)]
     for p in polys:
@@ -72,6 +73,7 @@ def test_cut_entry_is_least_exactly_on_its_face(rng):
         for e in choose_cut_functionals(p).entries:
             vals = [pairing(x, e.functional) for x in p.vertices]
             assert e.base == min(vals)
+            assert e.base + e.width == max(vals)
             least = {i for i, x in enumerate(vals) if x == e.base}
             assert least == set(lat.faces[e.face_id].vertex_ids)
 
