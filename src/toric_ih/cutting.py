@@ -9,11 +9,15 @@ accepted when the round at eps/2 has the same signature; otherwise eps is
 halved and the next round compared.
 
 A round is decided on the integer hull of its rows (``hull_of_rows``)
-alone.  Each row of the cut carries a label bit: row j of the original is
-bit j, cut entry k is bit m + k (m rows).  The cut is compact, so it is
-prime when each vertex lies on exactly n facets, and a vertex's label mask
-is the OR of the bits of its facets.  The round's signature is the set of
-its vertices' label masks.  In a prime cut every subset of a vertex's
+alone.  The rows of a round are the polytope's own rows plus the cut rows,
+so the hull starts from the polytope's homogenized cone, whose generators
+and tight rows its face lattice keeps once for every round, and adds only
+the cut rows; the blow-up's hull likewise starts from the cone and adds its
+one truncating row.  Each row of the cut carries a label bit: row j of the
+original is bit j, cut entry k is bit m + k (m rows).  The cut is compact,
+so it is prime when each vertex lies on exactly n facets, and a vertex's
+label mask is the OR of the bits of its facets.  The round's signature is
+the set of its vertices' label masks.  In a prime cut every subset of a vertex's
 facets is the active set of a face, and every face's set is one, so this
 set determines each face's label mask and, through the limits below, its
 limit face: comparing it decides as comparing every face would.  Only the
@@ -154,7 +158,7 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     """
     labels = _labeled_rows(p, lattice, spec, eps)
     try:
-        stage = hull_of_rows(labels)
+        stage = hull_of_rows(labels, p)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
     n, cons, hull, tight, facets = stage
@@ -265,7 +269,7 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     for r in p.rays:
         if dot(r, v) <= 0:
             raise ValueError("not interior to dual cone")
-    prime = Polytope.from_inequalities(list(p.rows) + [(v, c)])
+    prime = Polytope.from_hull(*hull_of_rows(list(p.rows) + [(v, c)], p))
     figure_vertices = tuple(vscale(c / dot(r, v), tuple(map(Fraction, r)))
                             for r in p.rays)
     try:

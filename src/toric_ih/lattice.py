@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+
 from .errors import DimensionMismatchError, NonIntegralSpanError, NotUnimodularError
 
 
@@ -48,7 +50,7 @@ def pairing(u, v) -> Fraction:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):

@@ -16,13 +16,19 @@ not pointed (H->V).  Every other fact is read off the tight bitmasks: a
 constraint tight on every ray is an implicit equality (V->H: not pointed;
 H->V: not full-dimensional), and a shared filter keeps the constraints whose
 sets of tight rays are maximal, the extreme generators (V->H) or the facet
-rows (H->V).  Integer input stays in plain ints until the Fraction vertices
-are built.  H->V runs in two stages: ``hull_of_rows`` is the integer stage
-(canonical rows, hull rays, tight bitmasks, facet indices, and every error),
-and ``Polytope.from_hull`` builds the Fraction vertices and the polytope
-from its result; ``from_inequalities`` is the two in sequence, and the prime
-cut decides its rounds on the first stage alone.  Faces are canonically
-identified by their maximal tight row set.
+rows (H->V).  Both directions work in plain ints until the Fraction
+vertices are built: V->H homogenizes each point to its primitive integer
+(x, t), and dedupes and sorts the points on the int keys x * (den // t),
+den the lcm of the t, which sort as the points do.  H->V runs in two
+stages: ``hull_of_rows`` is the integer stage (canonical rows, hull rays,
+tight bitmasks, facet indices, and every error), and ``Polytope.from_hull``
+builds the Fraction vertices and the polytope from its result;
+``from_inequalities`` is the two in sequence, and the prime cut decides its
+rounds on the first stage alone.  Given a pointed polytope whose rows are
+among the input rows, ``hull_of_rows`` starts the double description from
+that polytope's homogenized cone, read off its face lattice, instead of a
+simplicial cone, and adds only the other rows; the result is the same.
+Faces are canonically identified by their maximal tight row set.
 
 The face lattice comes from the generator-facet incidences in plain ints,
 as int bitmasks of generators per facet row.  A polytope built by the hull
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_
+from operator import and_, mul
 
 from .errors import (
     EmptyPolyhedronError,
@@ -98,43 +104,56 @@ def _bits(m):
     return tuple(out)
 
 
-def _extreme_rays(cons, d):
+def _simplicial_start(cons, d):
+    """The cold start of ``_extreme_rays``: the simplicial cone of the first d
+    independent constraints (the greedy pick of ``independent_rows``, the
+    routine's one rank decision), whose rays are the columns of the basis
+    inverse (``scaled_inverse``).  Returns (rays, done) as ``_extreme_rays``
+    takes them; raises ValueError when the constraints have rank below d."""
+    basis = independent_rows(cons, d)
+    if len(basis) < d:
+        raise ValueError("the constraints do not cut out a pointed cone")
+    inv = scaled_inverse([cons[i] for i in basis])
+    done = sum(1 << i for i in basis)
+    rays = []
+    for k, i in enumerate(basis):
+        w = [row[k] for row in inv]
+        g = gcd(*w)
+        rays.append((tuple(x // g for x in w), done ^ 1 << i))
+    return rays, done
+
+
+def _extreme_rays(cons, d, start=None):
     """Primitive extreme rays of the pointed cone {x in Q^d : <c, x> >= 0 for c in cons}.
 
     Integer double description (Motzkin, Raiffa, Thompson & Thrall 1953;
-    Fukuda & Prodon 1996).  It starts from the simplicial cone of the first
-    d independent constraints (the greedy pick of ``independent_rows``, the
-    routine's one rank decision), whose rays are the columns of the basis
-    inverse (``scaled_inverse``), and adds the other constraints one at a
+    Fukuda & Prodon 1996).  It starts from the extreme rays of a pointed
+    cone cut out by some of the constraints and adds the others one at a
     time: the rays on the nonnegative side stay, and each adjacent pair of a
     positive ray r1 and a negative ray r2 gives the ray
-    <c, r1> r2 - <c, r2> r1 on the new
-    hyperplane, divided by its gcd.  Each ray carries its tight set, an int
-    bitmask over cons (constraint i is bit i); two rays are adjacent when
-    their common tight set has at least d - 2 bits and lies in no third
-    ray's tight set.
+    <c, r1> r2 - <c, r2> r1 on the new hyperplane, divided by its gcd.  Each
+    ray carries its tight set, an int bitmask over cons (constraint i is
+    bit i); two rays are adjacent when their common tight set has at least
+    d - 2 bits and lies in no third ray's tight set.
+
+    ``start`` is (rays, done): ``done`` the bitmask of the constraints
+    already added, ``rays`` the primitive extreme rays of the cone they cut
+    out, each with its tight set over them.  It defaults to the simplicial
+    cone of ``_simplicial_start``; a start changes the work, never the
+    result.
 
     Returns (rays, tight): the rays sorted, and tight[k] the bitmask of the
     constraints tight on rays[k].  Raises ValueError, and only for this,
     when the constraints have rank below d (the cone is not pointed).
     """
-    basis = independent_rows(cons, d)
-    if len(basis) < d:
-        raise ValueError("the constraints do not cut out a pointed cone")
-    inv = scaled_inverse([cons[i] for i in basis])
-    full = sum(1 << i for i in basis)
-    rays = []
-    for k, i in enumerate(basis):
-        w = [row[k] for row in inv]
-        g = gcd(*w)
-        rays.append((tuple(x // g for x in w), full ^ 1 << i))
+    rays, done = _simplicial_start(cons, d) if start is None else start
     for i, c in enumerate(cons):
         bit = 1 << i
-        if full & bit:
+        if done & bit:
             continue
         kept, pos, neg = [], [], []
         for r, z in rays:
-            val = dot(c, r)
+            val = sum(map(mul, c, r))
             if val > 0:
                 pos.append((r, z, val))
                 kept.append((r, z))
@@ -142,12 +161,13 @@ def _extreme_rays(cons, d):
                 neg.append((r, z, val))
             else:
                 kept.append((r, z | bit))
-        zs = [z for _, z in rays]  # distinct extreme rays have distinct tight sets
+        # r1 and r2 hold common, and distinct rays have distinct tight sets,
+        # so a third ray holds it when more than two do
+        zs = [z for _, z in rays]
         for r1, z1, v1 in pos:
             for r2, z2, v2 in neg:
                 common = z1 & z2
-                if common.bit_count() < d - 2 or any(
-                        z & common == common and z != z1 and z != z2 for z in zs):
+                if common.bit_count() < d - 2 or [*map(common.__and__, zs)].count(common) > 2:
                     continue
                 w = tuple(v1 * b - v2 * a for a, b in zip(r1, r2))
                 g = gcd(*w)
@@ -155,6 +175,19 @@ def _extreme_rays(cons, d):
         rays = kept
     rays.sort()
     return [r for r, _ in rays], [z for _, z in rays]
+
+
+def _cone_start(p, cons):
+    """The start of ``_extreme_rays`` at the homogenized cone of the pointed
+    polytope p, whose canonical rows (a, b) are all among cons as (a, -b),
+    with the homogenizing row last: p's own generators, with their tight
+    sets remapped from p's rows to cons."""
+    at = {c: 1 << i for i, c in enumerate(cons)}
+    bits = [at[a + (-b,)] for a, b in p.rows]
+    hom = 1 << len(cons) - 1
+    rays = [(w, sum(bits[j] for j in rows) | (0 if w[-1] else hom))
+            for w, rows in p.face_lattice()._cone]
+    return rays, sum(bits) | hom
 
 
 def _irredundant(cons, tight):
@@ -174,7 +207,7 @@ def _irredundant(cons, tight):
         for i in _bits(z):
             masks[i] |= 1 << k
     distinct = set(masks)
-    return [i for i, s in enumerate(masks) if not any(s & t == s != t for t in distinct)]
+    return [i for i, s in enumerate(masks) if [*map(s.__and__, distinct)].count(s) == 1]
 
 
 def _points_row_gens(duals, tight, keep, p):
@@ -188,18 +221,23 @@ def _points_row_gens(duals, tight, keep, p):
     return [sum(newbit.get(i, 0) for i in _bits(m)) for m in masks]
 
 
+def _point_key(ws, n):
+    """Sort key of homogenized points w = (x, t) of Z^(n+1), t > 0: the int
+    tuple x * (den // t), den the lcm of the t of ``ws``, sorts like x / t."""
+    den = lcm(*(w[n] for w in ws))
+    return lambda w: tuple(x * (den // w[n]) for x in w[:n])
+
+
 def _rows_row_gens(hull, tight, facets, p):
     """row_gens of an H->V hull: transpose the rays' tight sets onto the
     facet constraints, sending ray k of ``hull`` to its generator bit.
 
-    The vertices (x, t) sort like x * (den // t) with den the lcm of the t,
-    so their sorted order comes from int tuples; the rays (x, 0) follow in
+    The vertices (x, t) sort by ``_point_key``; the rays (x, 0) follow in
     the order ``hull`` already has.
     """
     n = p.n
-    den = lcm(*(w[n] for w in hull if w[n]))
-    order = sorted((k for k, w in enumerate(hull) if w[n]),
-                   key=lambda k: tuple(x * (den // hull[k][n]) for x in hull[k][:n]))
+    key = _point_key([w for w in hull if w[n]], n)
+    order = sorted((k for k, w in enumerate(hull) if w[n]), key=lambda k: key(hull[k]))
     order += [k for k, w in enumerate(hull) if not w[n]]
     newbit = {k: 1 << i for i, k in enumerate(order)}
     by_cons = dict.fromkeys(facets, 0)
@@ -211,7 +249,7 @@ def _rows_row_gens(hull, tight, facets, p):
     return list(by_cons.values())
 
 
-def hull_of_rows(rows):
+def hull_of_rows(rows, start=None):
     """The integer stage of ``Polytope.from_inequalities``: (n, cons, hull,
     tight, facets).
 
@@ -220,6 +258,11 @@ def hull_of_rows(rows):
     homogenized cone and their tight bitmasks over cons; ``facets`` are the
     indices of the facet rows in cons, ascending.  Raises the errors of
     ``from_inequalities``, in the same order.
+
+    ``start``, internal, is a pointed polytope whose canonical rows are all
+    among ``rows``: the double description then starts from its homogenized
+    cone (``_cone_start``) and adds only the other rows.  The result is the
+    same.
     """
     norm = set()
     n = None
@@ -238,8 +281,9 @@ def hull_of_rows(rows):
     if not norm and n != 0:  # in ambient rank zero the hull is the point
         raise NotPointedError("not pointed")
     cons = [a + (-b,) for a, b in sorted(norm)] + [(0,) * n + (1,)]
+    warm = None if start is None else _cone_start(start, cons)
     try:
-        hull, tight = _extreme_rays(cons, n + 1)
+        hull, tight = _extreme_rays(cons, n + 1, warm)
     except ValueError:  # the normals have rank below n
         raise NotPointedError("not pointed") from None
     if not any(w[n] for w in hull):
@@ -277,18 +321,16 @@ class Polytope:
         Raises NotFullDimensionalError / NotPointedError for the unsupported
         degenerate cases.
         """
-        pts = sorted(set(rat_vector(p) for p in points))
-        if not pts:
+        gens = {integerize(tuple(p) + (1,)) for p in points}
+        if not gens:
             raise ValueError("need at least one point")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
+        n = len(next(iter(gens))) - 1
+        if any(len(w) != n + 1 for w in gens):
             raise ValueError("points of mixed dimension")
         rr = sorted(set(primitive(r) for r in rays))
         if n == 0:
             return cls(0, [()], [], [])
-        gens = {integerize(p + (1,)): p for p in pts}
-        gens.update((r + (0,), r) for r in rr)
-        cons = list(gens)
+        cons = sorted(gens, key=_point_key(gens, n)) + [r + (0,) for r in rr]
         try:
             duals, tight = _extreme_rays(cons, n + 1)
         except ValueError:  # the homogenized generators have rank below n + 1
@@ -298,8 +340,8 @@ class Polytope:
             raise NotPointedError("not pointed: the recession cone contains a line")
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
         keep = _irredundant(cons, tight)
-        verts = [gens[cons[i]] for i in keep if cons[i][n]]
-        xrays = [gens[cons[i]] for i in keep if not cons[i][n]]
+        verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in (cons[i] for i in keep) if w[n]]
+        xrays = [cons[i][:n] for i in keep if not cons[i][n]]
         poly = cls(n, verts, xrays, rows)
         # cons holds the sorted points, then the sorted rays; and the facets,
         # of distinct normals a, sort alike as (a, -b) and as (a, b)
@@ -517,6 +559,16 @@ class FaceLattice:
         """The vertices times their common denominator, so pairings are integral."""
         den = self._den
         return [tuple(int(c * den) for c in v) for v in self.polytope.vertices]
+
+    @cached_property
+    def _cone(self):
+        """The generators of the polytope's homogenized cone, each with the
+        indices of the rows tight on it: the primitive (V * L, L) of each
+        vertex V, L the lcm of its denominators, then (r, 0) of each ray r."""
+        p = self.polytope
+        gens = [integerize(v + (1,)) for v in p.vertices] + [r + (0,) for r in p.rays]
+        return [(w, [j for j, rg in enumerate(self.row_gens) if rg >> g & 1])
+                for g, w in enumerate(gens)]
 
     @cached_property
     def _covers_up(self):

@@ -4,7 +4,10 @@
 routine in ``toric_ih.polytope`` replaced: the kernel of every
 (d-1)-subset of the constraints (``kernel_ray``), kept when all of them lie
 on one side.  ``irredundant_by_rank`` is the rank test that the hull's
-bitmask filter ``_irredundant`` replaced.
+bitmask filter ``_irredundant`` replaced.  ``fraction_sorted_from_points``
+is the ``from_points`` route that ``Polytope.from_points`` replaced: the
+same double description, on points first made ``Fraction`` tuples, deduped
+and sorted as such.
 The seed's own scans are independent of both: V->H scans n-subsets of
 homogenized generators with a cofactor kernel and keeps supporting
 hyperplanes whose tight generators span a facet; H->V solves every
@@ -16,8 +19,10 @@ references for the hull's differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations
 from math import gcd
+from operator import and_
 
 from toric_ih.errors import (
     EmptyPolyhedronError,
@@ -34,7 +39,13 @@ from toric_ih.lattice import (
     rat_vector,
     vsub,
 )
-from toric_ih.polytope import Polytope, normalize_row
+from toric_ih.polytope import (
+    Polytope,
+    _extreme_rays,
+    _irredundant,
+    _points_row_gens,
+    normalize_row,
+)
 
 from face_oracle import fraction_rank
 
@@ -281,3 +292,36 @@ def oracle_from_inequalities(rows):
         if fraction_rank(dirs) == n - 1:
             facets.append(row)
     return Polytope(n, verts, rays, facets)
+
+
+def fraction_sorted_from_points(points, rays=()):
+    """``Polytope.from_points`` with the points made ``Fraction`` tuples,
+    deduped and sorted before they are homogenized, and the hull's
+    incidences handed over as ``from_points`` hands them."""
+    pts = sorted(set(rat_vector(p) for p in points))
+    if not pts:
+        raise ValueError("need at least one point")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("points of mixed dimension")
+    rr = sorted(set(primitive(r) for r in rays))
+    if n == 0:
+        return Polytope(0, [()], [], [])
+    gens = {integerize(p + (1,)): p for p in pts}
+    gens.update((r + (0,), r) for r in rr)
+    cons = list(gens)
+    try:
+        duals, tight = _extreme_rays(cons, n + 1)
+    except ValueError:
+        raise NotFullDimensionalError(
+            "not full-dimensional; reduce to affine span first") from None
+    if reduce(and_, tight, -1):
+        raise NotPointedError("not pointed: the recession cone contains a line")
+    rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
+    keep = _irredundant(cons, tight)
+    verts = [gens[cons[i]] for i in keep if cons[i][n]]
+    xrays = [gens[cons[i]] for i in keep if not cons[i][n]]
+    poly = Polytope(n, verts, xrays, rows)
+    poly._incidence = partial(_points_row_gens, duals, tight,
+                              None if len(keep) == len(cons) else keep)
+    return poly

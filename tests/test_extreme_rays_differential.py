@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from toric_ih import polytope
-from toric_ih.cutting import _cut_once, choose_cut_functionals
-from toric_ih.fixtures import random_lattice_polytope
-from toric_ih.lattice import dot, mat_rank
+from toric_ih import cutting, polytope
+from toric_ih.cutting import _cut_once, choose_cut_functionals, vertex_blowup
+from toric_ih.errors import EmptyPolyhedronError, NotFullDimensionalError, ToricError
+from toric_ih.fixtures import cone_fixtures, random_lattice_polytope
+from toric_ih.lattice import dot, mat_rank, primitive
 
 from hull_oracle import extreme_rays_by_subsets
 
@@ -103,9 +104,9 @@ def cut_systems(p, eps):
     calls = []
     real = polytope._extreme_rays
 
-    def record(cons, d):
+    def record(cons, d, start=None):
         calls.append((list(cons), d))
-        return real(cons, d)
+        return real(cons, d, start)
 
     lattice = p.face_lattice()
     with pytest.MonkeyPatch.context() as mp:
@@ -141,3 +142,63 @@ def test_cut_systems_of_seeded_4_polytopes_match_scan(seeded_polytopes):
     for p in (seeded_polytopes[4], big):
         for cons, d in cut_systems(p, F(1, 8)):
             check_against_scan(cons, d)
+
+
+# -- the warm start from a polytope's own cone against the cold start ----------------
+
+def warm_and_cold_stages(monkeypatch, run, *args):
+    """Each hull_of_rows call that run(*args) makes in cutting, warm as made
+    and cold without its start: (warm outcome, cold outcome) pairs, an
+    outcome being the stage or the error's type and message."""
+    calls = []
+    real = polytope.hull_of_rows
+
+    def outcome(rows, start=None):
+        try:
+            return real(rows, start)
+        except (ToricError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def record(rows, start=None):
+        assert start is not None  # every hull call in cutting starts warm
+        calls.append((outcome(rows, start), outcome(rows)))
+        return real(rows, start)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cutting, "hull_of_rows", record)
+        run(*args)
+    return calls
+
+
+def decide_round(p, lattice, spec, eps):
+    """_cut_once, a rejected round's error dropped: it still built its hull."""
+    try:
+        _cut_once(p, lattice, spec, eps)
+    except (ValueError, EmptyPolyhedronError):
+        pass
+
+
+def test_warm_start_matches_cold_on_every_cut_round(monkeypatch, seeded_polytopes):
+    # every round _cut_once decides on the seeded polytopes, from coarse eps
+    # (rejected rounds, empty or flat cuts among them) to fine
+    calls = []
+    for p in seeded_polytopes:
+        lattice, spec = p.face_lattice(), choose_cut_functionals(p)
+        for k in range(12):
+            calls += warm_and_cold_stages(monkeypatch, decide_round, p, lattice, spec, F(1, 2 ** k))
+    for warm, cold in calls:
+        assert warm == cold
+    errors = {w[0] for w, _ in calls if isinstance(w[0], type)}
+    assert len(calls) > 50 and errors == {EmptyPolyhedronError, NotFullDimensionalError}
+
+
+def test_warm_start_matches_cold_in_vertex_blowup(monkeypatch):
+    # the cone fixtures truncated at two levels along the sum of their normals
+    calls = []
+    for cone in cone_fixtures().values():
+        v = primitive(tuple(sum(a[i] for a, _ in cone.rows) for i in range(cone.n)))
+        for c in (1, F(7, 3)):
+            calls += warm_and_cold_stages(monkeypatch, vertex_blowup, cone, v, c)
+    assert len(calls) == 2 * len(cone_fixtures())
+    for warm, cold in calls:
+        assert warm == cold

@@ -188,8 +188,8 @@ def test_handed_over_incidence_on_every_cut_round(monkeypatch):
 
     built = []
 
-    def recording_hull(rows):
-        stage = hull_of_rows(rows)
+    def recording_hull(rows, start=None):
+        stage = hull_of_rows(rows, start)
         built.append(stage)
         return stage
 

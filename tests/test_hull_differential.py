@@ -22,6 +22,7 @@ from toric_ih.polytope import Polytope, _extreme_rays, _irredundant, normalize_r
 
 from hull_oracle import (
     cofactor_kernel_vector,
+    fraction_sorted_from_points,
     irredundant_by_rank,
     kernel_ray,
     oracle_from_inequalities,
@@ -276,3 +277,60 @@ def test_hull_takes_no_rank_call(monkeypatch):
     for p in fixtures:
         assert Polytope.from_points(p.vertices, p.rays) == p
         assert Polytope.from_inequalities(p.rows) == p
+
+
+# -- integer-native from_points against the Fraction-sorted route ------------------
+
+def spelled(rng, x):
+    """The rational x as an int (when integral), a Fraction or a 'p/q' string."""
+    forms = [F(x), str(F(x))] + ([int(x)] if F(x).denominator == 1 else [])
+    return rng.choice(forms)
+
+
+def respelled(rng, pts):
+    """The points with each entry respelled, plus respelled copies of some of them, shuffled."""
+    out = [tuple(spelled(rng, x) for x in p) for p in pts]
+    out += [tuple(spelled(rng, x) for x in p) for p in rng.sample(pts, rng.randint(0, len(pts)))]
+    rng.shuffle(out)
+    return out
+
+
+def points_outcome(build, pts, rays):
+    """The polytope, its vertex order and its handed-over row_gens, or the
+    type and message of the error raised."""
+    try:
+        p = build(pts, rays)
+    except (ToricError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return p, p.vertices, p.face_lattice().row_gens
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["int", "rational", "rays"])
+def test_from_points_matches_fraction_sorted_route(d, kind):
+    rng = random.Random(8300 + 10 * d + ("int", "rational", "rays").index(kind))
+    built = 0
+    for _ in range(40):
+        pts = [random_point(rng, d, kind != "int") for _ in range(rng.randint(1, d + 4))]
+        rays = random_pointed_rays(rng, d, rng.randint(1, 3)) if kind == "rays" else []
+        for spelling in (pts, respelled(rng, pts)):
+            got = points_outcome(Polytope.from_points, spelling, rays)
+            assert got == points_outcome(fraction_sorted_from_points, spelling, rays), spelling
+            built += not isinstance(got[0], type)
+    assert built >= 20
+
+
+def test_from_points_raises_as_the_fraction_sorted_route():
+    rng = random.Random(8400)
+    cases = [([], []), ([(1, 2), (1,)], []), ([(0, 0), (1, 0), (0, 1)], [(0, 0)]),
+             ([(0, 0), (1, "1/2"), (2, 1)], []), ([(0, 0), (1, 0)], [(0, 1), (0, -1)]),
+             ([(0, 0), (0.5, 1), (1, 0)], []), ([(0, 0), 3], []), ([()], []), ([(), ()], [()]),
+             ([(F(1, 2),), ("3/4",)], [])]
+    for n in (2, 3, 4):
+        cases += [(respelled(rng, pts), rays) for pts, rays in degenerate_inputs(rng, n)[0]]
+    kinds = set()
+    for pts, rays in cases:
+        got = points_outcome(Polytope.from_points, pts, rays)
+        assert got == points_outcome(fraction_sorted_from_points, pts, rays), (pts, rays)
+        kinds.add(got[0] if isinstance(got[0], type) else "polytope")
+    assert kinds == {ValueError, TypeError, NotFullDimensionalError, NotPointedError, "polytope"}
