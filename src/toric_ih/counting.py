@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial, lcm
 from operator import mul
 
 from .errors import UnboundedError
-from .lattice import as_rat, dot
-from .polytope import Face, FaceLattice, Polytope
+from .lattice import as_rat, dot, primitive
+from .polytope import Face, FaceLattice, Polytope, _bits
 
 
 def _box(vertices, k=1):
@@ -349,21 +350,33 @@ class ConeOverPolytope:
                      for t in range(l, h + 1))
 
 
+def _cone_row_gens(p: Polytope, rank, cone):
+    """row_gens of the cone over p, read off p's own: the apex (bit 0) is on
+    every row, and the ray over vertex i of p (bit 1 + rank[i]) on the rows
+    through vertex i."""
+    return [1 | sum(2 << rank[i] for i in _bits(rg)) for rg in p.face_lattice().row_gens]
+
+
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
-    """Home of a compact polytope at height one inside a pointed cone."""
+    """Home of a compact polytope at height one inside a pointed cone.
+
+    The cone is built from p's canonical data: the sorted primitive rays
+    (v, 1) over the vertices, and a row (a, -b) >= 0 for each row (a, b) of
+    p, in p's order, which sorts alike since the normals a are distinct.
+    """
     if not p.is_compact:
         raise UnboundedError("unbounded input")
     n = p.n
-    if n == 0:
-        cone = Polytope._trusted(1, [(0,)], [(1,)], [((1,), 0)])
+    apex = (Fraction(0),) * (n + 1)
+    if n == 0:  # the point's cone is the half-line t >= 0
+        cone = Polytope(1, [apex], [(1,)], [((1,), 0)], lambda c: [1])
         return ConeOverPolytope(cone, (1,))
-    from .lattice import primitive
-
-    rays = sorted(primitive(tuple(v) + (1,)) for v in p.vertices)
-    rows = sorted((tuple(a) + (-b,), 0) for a, b in p.rows)
-    cone = Polytope._trusted(n + 1, [tuple([0] * (n + 1))], rays, rows)
-    grading = tuple([0] * n + [1])
-    return ConeOverPolytope(cone, grading)
+    over = [primitive(v + (1,)) for v in p.vertices]
+    order = sorted(range(len(over)), key=over.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    cone = Polytope(n + 1, [apex], [over[i] for i in order],
+                    [(a + (-b,), 0) for a, b in p.rows], partial(_cone_row_gens, p, rank))
+    return ConeOverPolytope(cone, (0,) * n + (1,))
 
 
 @dataclass(frozen=True)

@@ -81,9 +81,9 @@ def primitive(u) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra (dense, row based; desk scale only): greedy independent rows
-# and rank, determinant and scaled inverse by fraction-free elimination on ints,
-# rational solves over Q.
+# Linear algebra (dense, row based; desk scale only): greedy independent rows,
+# rank and determinant by fraction-free elimination on ints, rational solves
+# over Q.
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
@@ -190,34 +190,6 @@ def independent_rows(rows, limit=None):
 def mat_rank(rows) -> int:
     """Rank over Q: the size of the greedy pick of independent rows."""
     return len(independent_rows(rows))
-
-
-def scaled_inverse(rows):
-    """|det B| * B^-1 for a square nonsingular integer matrix B, in ints.
-
-    One fraction-free Gauss-Jordan (Bareiss) elimination of [B | I]: every
-    entry stays an integer minor, and it ends at [D * I | D * B^-1] with D
-    the last pivot, det B up to sign.  Column k of the result is then a
-    positive multiple of the k-th column of B^-1: orthogonal to every row of
-    B but row k, and positive on row k.
-    """
-    d = len(rows)
-    m = [list(r) + e for r, e in zip(rows, identity_rows(d))]
-    prev = 1
-    for c in range(d):
-        piv = next((i for i in range(c, d) if m[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        prow = m[c]
-        p = prow[c]
-        for i in range(d):
-            if i != c:
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
-        prev = p
-    s = 1 if prev > 0 else -1
-    return [[s * x for x in r[d:]] for r in m]
 
 
 def invert_unimodular(rows) -> list[list[int]]:
@@ -426,12 +398,13 @@ def rational_affine_basis(points):
 
 
 def unimodular_image(obj, u_rows):
-    """Image of a point set (or anything with apply_unimodular) under x -> Ux."""
+    """Image of a point set (or anything with apply_unimodular, which checks
+    U itself) under x -> Ux."""
+    if hasattr(obj, "apply_unimodular"):
+        return obj.apply_unimodular(u_rows)
     d = det_int(u_rows)
     if d not in (1, -1):
         raise NotUnimodularError(f"not unimodular: determinant {d}")
-    if hasattr(obj, "apply_unimodular"):
-        return obj.apply_unimodular(u_rows)
     seq = list(obj)
     if seq and isinstance(seq[0], (int, Fraction)):
         return mat_vec(u_rows, seq)

@@ -30,22 +30,23 @@ that polytope's homogenized cone, read off its face lattice, instead of a
 simplicial cone, and adds only the other rows; the result is the same.
 Faces are canonically identified by their maximal tight row set.
 
-The face lattice comes from the generator-facet incidences in plain ints,
-as int bitmasks of generators per facet row.  A polytope built by the hull
-keeps the double description's tight bitmasks, and the lattice's first
-build maps them to the sorted generator order: no pairing is recomputed.
-Any other polytope (an image under ``translate``, ``dilate`` or
-``apply_unimodular``, or one made from known data) pairs each row with the
-vertices scaled by their common denominator, a row being tight at a vertex
-when <a, V> = b * den exactly.  A level-by-level search from the polytope
-intersects each face with each facet, and the inclusion-maximal nonempty
-results are the face's lower covers (Kaibel & Pfetsch 2002).  A face's
-dimension is n minus its cover depth below the polytope; ``normal_fan``
-checks it against the rank of the face's active rows' normals.  Up- and
-down-sets are bitmasks over face ids, unioned along the covers on first
-use.  The lattice's ``minimizing_vertices`` and ``maximum`` read the scaled
-vertices, also made on first use, for the bitmask of vertices where an
-integer functional is least and for its greatest value.
+The face lattice comes from the generator-facet incidences in plain ints, as
+int bitmasks of generators per facet row.  A ``Polytope`` holds canonical
+data plus a function that gives those incidences, and every constructor
+hands over both: ``from_points`` and ``from_hull`` the double description's
+own tight bitmasks, which the lattice's first build maps to the sorted
+generator order; ``translate``, ``dilate`` and ``apply_unimodular`` are
+``from_points`` of the mapped generators; and the cone over a polytope
+(``counting.cone_over_polytope``) reads its incidences off the polytope's
+own.  No row is paired with a vertex.  A level-by-level search from the
+polytope intersects each face with each facet, and the inclusion-maximal
+nonempty results are the face's lower covers (Kaibel & Pfetsch 2002).  A
+face's dimension is n minus its cover depth below the polytope;
+``normal_fan`` checks it against the rank of the face's active rows'
+normals.  Up- and down-sets are bitmasks over face ids, unioned along the
+covers on first use.  The lattice's ``minimizing_vertices`` and ``maximum``
+read the scaled vertices, also made on first use, for the bitmask of
+vertices where an integer functional is least and for its greatest value.
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -66,22 +67,20 @@ from .errors import (
     InvariantViolation,
     NotFullDimensionalError,
     NotPointedError,
+    NotUnimodularError,
     UnboundedError,
 )
 from .lattice import (
     as_rat,
     det_int,
     dot,
-    independent_rows,
+    identity_rows,
     integerize,
-    invert_unimodular,
     lattice_vector,
     mat_rank,
     mat_vec,
     primitive,
     rat_vector,
-    scaled_inverse,
-    transpose,
 )
 
 
@@ -106,20 +105,39 @@ def _bits(m):
 
 def _simplicial_start(cons, d):
     """The cold start of ``_extreme_rays``: the simplicial cone of the first d
-    independent constraints (the greedy pick of ``independent_rows``, the
-    routine's one rank decision), whose rays are the columns of the basis
-    inverse (``scaled_inverse``).  Returns (rays, done) as ``_extreme_rays``
-    takes them; raises ValueError when the constraints have rank below d."""
-    basis = independent_rows(cons, d)
-    if len(basis) < d:
+    independent constraints (the routine's one rank decision), in one
+    fraction-free Gauss-Jordan pass.  The pass keeps its row operations E,
+    so the current column of a constraint c is E c: c is independent of the
+    constraints picked before it when E c is nonzero off their pivot rows,
+    and pivoting on it keeps every entry an integer minor.  With the d picked
+    constraints as the rows of B it ends at E = D B^-T, D = +-det B: the row
+    of E at a constraint's pivot is orthogonal to the other d - 1 and D on
+    it, a start ray.  Returns (rays, done) as ``_extreme_rays`` takes them;
+    raises ValueError when the constraints have rank below d."""
+    e = identity_rows(d)
+    free = list(range(d))  # the rows not pivoted on yet
+    picked = []  # (constraint index, pivot row)
+    prev = 1
+    for j, c in enumerate(cons):
+        col = [sum(map(mul, row, c)) for row in e]
+        i = next((i for i in free if col[i]), None)
+        if i is None:
+            continue
+        p, prow = col[i], e[i]
+        e = [row if r == i else [(p * x - col[r] * y) // prev for x, y in zip(row, prow)]
+             for r, row in enumerate(e)]
+        prev = p
+        free.remove(i)
+        picked.append((j, i))
+        if not free:
+            break
+    else:
         raise ValueError("the constraints do not cut out a pointed cone")
-    inv = scaled_inverse([cons[i] for i in basis])
-    done = sum(1 << i for i in basis)
+    done = sum(1 << j for j, _ in picked)
     rays = []
-    for k, i in enumerate(basis):
-        w = [row[k] for row in inv]
-        g = gcd(*w)
-        rays.append((tuple(x // g for x in w), done ^ 1 << i))
+    for j, i in picked:
+        g = gcd(*e[i]) if prev > 0 else -gcd(*e[i])
+        rays.append((tuple(x // g for x in e[i]), done ^ 1 << j))
     return rays, done
 
 
@@ -221,6 +239,11 @@ def _points_row_gens(duals, tight, keep, p):
     return [sum(newbit.get(i, 0) for i in _bits(m)) for m in masks]
 
 
+def _no_rows(p):
+    """row_gens of the ambient-rank-zero point, which has no rows."""
+    return []
+
+
 def _point_key(ws, n):
     """Sort key of homogenized points w = (x, t) of Z^(n+1), t > 0: the int
     tuple x * (den // t), den the lcm of the t of ``ws``, sorts like x / t."""
@@ -228,17 +251,9 @@ def _point_key(ws, n):
     return lambda w: tuple(x * (den // w[n]) for x in w[:n])
 
 
-def _rows_row_gens(hull, tight, facets, p):
+def _rows_row_gens(tight, facets, order, p):
     """row_gens of an H->V hull: transpose the rays' tight sets onto the
-    facet constraints, sending ray k of ``hull`` to its generator bit.
-
-    The vertices (x, t) sort by ``_point_key``; the rays (x, 0) follow in
-    the order ``hull`` already has.
-    """
-    n = p.n
-    key = _point_key([w for w in hull if w[n]], n)
-    order = sorted((k for k, w in enumerate(hull) if w[n]), key=lambda k: key(hull[k]))
-    order += [k for k, w in enumerate(hull) if not w[n]]
+    facet constraints, sending hull ray order[i] to generator bit i."""
     newbit = {k: 1 << i for i, k in enumerate(order)}
     by_cons = dict.fromkeys(facets, 0)
     fbits = sum(1 << i for i in facets)
@@ -300,17 +315,21 @@ class Polytope:
 
     __slots__ = ("n", "vertices", "rays", "rows", "_faces", "_incidence", "_dilate_counts")
 
-    def __init__(self, n, vertices, rays, rows):
+    def __init__(self, n, vertices, rays, rows, incidence):
+        """Store canonical data as given: ``vertices`` the sorted Fraction
+        tuples, ``rays`` the sorted primitive int tuples, ``rows`` the sorted
+        primitive facet rows (a, b), and ``incidence`` a function of the
+        polytope giving the generator bitmask of each row (vertex i is bit i,
+        ray k bit len(vertices) + k), called on the face lattice's first
+        build.  Nothing is checked, sorted or normalized here: the
+        constructors below hand over such data."""
         self.n = n
-        self.vertices = tuple(sorted(vertices))
-        self.rays = tuple(sorted(rays))
-        self.rows = tuple(sorted(normalize_row(a, b) for a, b in rows))
+        self.vertices = tuple(vertices)
+        self.rays = tuple(rays)
+        self.rows = tuple(rows)
         self._faces = None
         self._dilate_counts = {}  # memo of counting.lattice_count, by (k, strict)
-        # The hull's own incidences, a function of the polytope that gives
-        # the row_gens of ``FaceLattice`` on its first build.  None when the
-        # polytope was not built by the hull.
-        self._incidence = None
+        self._incidence = incidence
 
     # -- constructors -------------------------------------------------------
 
@@ -329,7 +348,7 @@ class Polytope:
             raise ValueError("points of mixed dimension")
         rr = sorted(set(primitive(r) for r in rays))
         if n == 0:
-            return cls(0, [()], [], [])
+            return cls(0, [()], [], [], _no_rows)
         cons = sorted(gens, key=_point_key(gens, n)) + [r + (0,) for r in rr]
         try:
             duals, tight = _extreme_rays(cons, n + 1)
@@ -338,16 +357,14 @@ class Polytope:
                 "not full-dimensional; reduce to affine span first") from None
         if reduce(and_, tight, -1):  # an implicit equality: the dual cone is flat
             raise NotPointedError("not pointed: the recession cone contains a line")
+        # cons holds the sorted points, then the sorted rays; and the primitive
+        # facets, of distinct normals a, sort alike as (a, -b) and as (a, b)
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
         keep = _irredundant(cons, tight)
         verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in (cons[i] for i in keep) if w[n]]
         xrays = [cons[i][:n] for i in keep if not cons[i][n]]
-        poly = cls(n, verts, xrays, rows)
-        # cons holds the sorted points, then the sorted rays; and the facets,
-        # of distinct normals a, sort alike as (a, -b) and as (a, b)
-        poly._incidence = partial(_points_row_gens, duals, tight,
-                                  None if len(keep) == len(cons) else keep)
-        return poly
+        return cls(n, verts, xrays, rows, partial(_points_row_gens, duals, tight,
+                                                  None if len(keep) == len(cons) else keep))
 
     @classmethod
     def from_inequalities(cls, rows):
@@ -362,19 +379,19 @@ class Polytope:
     @classmethod
     def from_hull(cls, n, cons, hull, tight, facets):
         """The polyhedron of a ``hull_of_rows`` result, with the hull's
-        incidences kept for its face lattice."""
-        verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in hull if w[n]]
-        rays = [w[:n] for w in hull if not w[n]]
-        poly = cls(n, verts, rays, [(cons[i][:n], -cons[i][n]) for i in facets])
-        # the facets keep the order of the sorted rows in cons
-        poly._incidence = partial(_rows_row_gens, hull, tight, facets)
-        return poly
+        incidences kept for its face lattice.
 
-    @classmethod
-    def _trusted(cls, n, vertices, rays, rows):
-        """Internal: both representations already known to be canonical-compatible."""
-        return cls(n, [rat_vector(v) for v in vertices],
-                   [lattice_vector(r) for r in rays], rows)
+        The vertices (x, t) sort by ``_point_key``; the rays (x, 0) follow in
+        the order ``hull`` already has, and the facets in that of the sorted
+        rows in cons.
+        """
+        order = [k for k, w in enumerate(hull) if w[n]]
+        key = _point_key([hull[k] for k in order], n)
+        order.sort(key=lambda k: key(hull[k]))
+        rays = [k for k, w in enumerate(hull) if not w[n]]
+        return cls(n, [tuple(Fraction(x, hull[k][n]) for x in hull[k][:n]) for k in order],
+                   [hull[k][:n] for k in rays], [(cons[i][:n], -cons[i][n]) for i in facets],
+                   partial(_rows_row_gens, tight, facets, order + rays))
 
     # -- basic queries -------------------------------------------------------
 
@@ -413,26 +430,22 @@ class Polytope:
             hi.append(max(cs).__floor__())
         return tuple(lo), tuple(hi)
 
-    def dilate(self, k: int) -> "Polytope":
+    def dilate(self, k) -> "Polytope":
         if k <= 0:
             raise ValueError("dilation factor must be positive")
-        verts = [tuple(k * c for c in v) for v in self.vertices]
-        rows = [(a, k * b) for a, b in self.rows]
-        return Polytope._trusted(self.n, verts, self.rays, rows)
+        return Polytope.from_points([tuple(k * c for c in v) for v in self.vertices], self.rays)
 
     def translate(self, vec) -> "Polytope":
         t = rat_vector(vec)
-        verts = [tuple(c + d for c, d in zip(v, t)) for v in self.vertices]
-        rows = [(a, b + dot(a, t)) for a, b in self.rows]
-        return Polytope(self.n, verts, self.rays, rows)
+        return Polytope.from_points([tuple(c + d for c, d in zip(v, t)) for v in self.vertices],
+                                    self.rays)
 
     def apply_unimodular(self, u_rows) -> "Polytope":
-        uinv = invert_unimodular(u_rows)
-        uinv_t = transpose(uinv)
-        verts = [mat_vec(u_rows, v) for v in self.vertices]
-        rays = [mat_vec(u_rows, r) for r in self.rays]
-        rows = [(tuple(mat_vec(uinv_t, a)), b) for a, b in self.rows]
-        return Polytope(self.n, verts, rays, rows)
+        d = det_int(u_rows)
+        if d not in (1, -1):
+            raise NotUnimodularError(f"not unimodular: determinant {d}")
+        return Polytope.from_points([mat_vec(u_rows, v) for v in self.vertices],
+                                    [mat_vec(u_rows, r) for r in self.rays])
 
     def face_lattice(self) -> "FaceLattice":
         if self._faces is None:
@@ -483,13 +496,8 @@ class FaceLattice:
         p = self.polytope
         n, nv = self.n, len(p.vertices)
         # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
-        # row_gens[j] is the generator set of facet row j: the hull's own
-        # incidences, or, for a polytope the hull did not build, tight pairings.
-        if p._incidence is not None:
-            row_gens = p._incidence(p)
-        else:
-            row_gens = self._paired_row_gens()
-        self.row_gens = tuple(row_gens)
+        # row_gens[j] is the generator set of facet row j, the hull's own incidences.
+        self.row_gens = row_gens = tuple(p._incidence(p))
         self._vbits = vbits = (1 << nv) - 1
         top = (1 << (nv + len(p.rays))) - 1
 
@@ -539,14 +547,6 @@ class FaceLattice:
                            for i, g in enumerate(order))
         self._gens = order
         self._covers = [(fid[c], fid[g]) for c, g in covers]
-
-    def _paired_row_gens(self):
-        """The generator set of each row from pairings: <a, V> = b * den at
-        the scaled vertices V, and <a, r> = 0 at the rays."""
-        p, den, nv = self.polytope, self._den, len(self.polytope.vertices)
-        return [sum(1 << i for i, v in enumerate(self._scaled_vertices) if dot(a, v) == b * den)
-                | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
-                for a, b in p.rows]
 
     # -- tables built on first use -------------------------------------------
 

@@ -2,9 +2,12 @@
 test and prime-cut vertex limits.
 
 ``fraction_rank`` row reduces over Q with ``Fraction`` entries.
-``oracle_faces`` finds the faces by a closure search over frozensets of
-tight generators and takes each face's dimension as the rank of its vertex
-differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
+``oracle_row_gens`` pairs each facet row with the vertices scaled to a
+common denominator and with the rays: the incidence path the face lattice
+took for polytopes the hull did not build, before every polytope came out
+of the hull.  ``oracle_faces`` finds the faces by a closure search over
+frozensets of tight generators and takes each face's dimension as the rank
+of its vertex differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
 lattice basis of their span and takes a determinant.
 ``vertex_normal_cone_contains`` tests one direction against one vertex's
 normal cone by pairing it with every vertex.  ``cut_rows`` gives a prime-cut
@@ -20,6 +23,7 @@ the reference for their differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from toric_ih.errors import InvariantViolation, NotFullDimensionalError
 from toric_ih.lattice import (
@@ -55,6 +59,18 @@ def fraction_rank(rows) -> int:
         if r == len(m):
             break
     return r
+
+
+def oracle_row_gens(p):
+    """The generator bitmask of each row of p (vertex i is bit i, ray k bit
+    nv + k) from pairings: <a, V> = b * den at the vertices V scaled by their
+    common denominator den, and <a, r> = 0 at the rays."""
+    den = lcm(*(c.denominator for v in p.vertices for c in v))
+    scaled = [tuple(int(c * den) for c in v) for v in p.vertices]
+    nv = len(scaled)
+    return [sum(1 << i for i, v in enumerate(scaled) if dot(a, v) == b * den)
+            | sum(1 << (nv + k) for k, r in enumerate(p.rays) if not dot(a, r))
+            for a, b in p.rows]
 
 
 def oracle_faces(p):

@@ -1,5 +1,9 @@
 """Brute-force hull oracles: the polar subset scan, the rank filter and the seed's two scans.
 
+``canonical_polytope`` is the constructor every oracle builds through: it
+sorts the vertices, rays and rows, makes the rows primitive and attaches
+the pairing incidence ``oracle_row_gens``, as ``Polytope.__init__`` did
+before every polytope came out of the hull.
 ``extreme_rays_by_subsets`` is the subset scan the double-description
 routine in ``toric_ih.polytope`` replaced: the kernel of every
 (d-1)-subset of the constraints (``kernel_ray``), kept when all of them lie
@@ -7,7 +11,7 @@ on one side.  ``irredundant_by_rank`` is the rank test that the hull's
 bitmask filter ``_irredundant`` replaced.  ``fraction_sorted_from_points``
 is the ``from_points`` route that ``Polytope.from_points`` replaced: the
 same double description, on points first made ``Fraction`` tuples, deduped
-and sorted as such.
+and sorted as such, built with the pairing incidence.
 The seed's own scans are independent of both: V->H scans n-subsets of
 homogenized generators with a cofactor kernel and keeps supporting
 hyperplanes whose tight generators span a facet; H->V solves every
@@ -19,7 +23,7 @@ references for the hull's differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from operator import and_
@@ -34,20 +38,22 @@ from toric_ih.lattice import (
     det_int,
     dot,
     integerize,
+    lattice_vector,
     mat_rank,
     primitive,
     rat_vector,
     vsub,
 )
-from toric_ih.polytope import (
-    Polytope,
-    _extreme_rays,
-    _irredundant,
-    _points_row_gens,
-    normalize_row,
-)
+from toric_ih.polytope import Polytope, _extreme_rays, _irredundant, normalize_row
 
-from face_oracle import fraction_rank
+from face_oracle import fraction_rank, oracle_row_gens
+
+
+def canonical_polytope(n, verts, rays, rows):
+    """The polytope of n, vertices, rays and rows given in any order and
+    scaling: sorted, the rows made primitive, with the pairing incidence."""
+    return Polytope(n, sorted(map(rat_vector, verts)), sorted(map(lattice_vector, rays)),
+                    sorted(normalize_row(a, b) for a, b in rows), oracle_row_gens)
 
 
 def kernel_ray(rows, d):
@@ -220,7 +226,7 @@ def oracle_from_points(points, rays=()):
     n = len(pts[0])
     rr = sorted(set(primitive(r) for r in rays))
     if n == 0:
-        return Polytope(0, [()], [], [])
+        return canonical_polytope(0, [()], [], [])
     dirs = [vsub(p, pts[0]) for p in pts[1:]] + [tuple(map(Fraction, r)) for r in rr]
     if fraction_rank(dirs) < n:
         raise NotFullDimensionalError("not full-dimensional")
@@ -231,7 +237,7 @@ def oracle_from_points(points, rays=()):
              if fraction_rank([r[0] for r in rows if _tight_vertex(r, p)]) == n]
     xrays = [r for r in rr
              if fraction_rank([row[0] for row in rows if _tight_ray(row, r)]) == n - 1]
-    return Polytope(n, verts, xrays, rows)
+    return canonical_polytope(n, verts, xrays, rows)
 
 
 def oracle_from_inequalities(rows):
@@ -248,7 +254,7 @@ def oracle_from_inequalities(rows):
             continue
         norm.append(normalize_row(a, b))
     if n == 0:
-        return Polytope(0, [()], [], [])
+        return canonical_polytope(0, [()], [], [])
     norm = sorted(set(norm))
     if not norm or fraction_rank([r[0] for r in norm]) < n:
         raise NotPointedError("not pointed")
@@ -291,13 +297,13 @@ def oracle_from_inequalities(rows):
         dirs = [vsub(v, tv[0]) for v in tv[1:]] + [tuple(map(Fraction, r)) for r in tr]
         if fraction_rank(dirs) == n - 1:
             facets.append(row)
-    return Polytope(n, verts, rays, facets)
+    return canonical_polytope(n, verts, rays, facets)
 
 
 def fraction_sorted_from_points(points, rays=()):
     """``Polytope.from_points`` with the points made ``Fraction`` tuples,
-    deduped and sorted before they are homogenized, and the hull's
-    incidences handed over as ``from_points`` hands them."""
+    deduped and sorted before they are homogenized, built through
+    ``canonical_polytope``."""
     pts = sorted(set(rat_vector(p) for p in points))
     if not pts:
         raise ValueError("need at least one point")
@@ -306,7 +312,7 @@ def fraction_sorted_from_points(points, rays=()):
         raise ValueError("points of mixed dimension")
     rr = sorted(set(primitive(r) for r in rays))
     if n == 0:
-        return Polytope(0, [()], [], [])
+        return canonical_polytope(0, [()], [], [])
     gens = {integerize(p + (1,)): p for p in pts}
     gens.update((r + (0,), r) for r in rr)
     cons = list(gens)
@@ -321,7 +327,4 @@ def fraction_sorted_from_points(points, rays=()):
     keep = _irredundant(cons, tight)
     verts = [gens[cons[i]] for i in keep if cons[i][n]]
     xrays = [gens[cons[i]] for i in keep if not cons[i][n]]
-    poly = Polytope(n, verts, xrays, rows)
-    poly._incidence = partial(_points_row_gens, duals, tight,
-                              None if len(keep) == len(cons) else keep)
-    return poly
+    return canonical_polytope(n, verts, xrays, rows)

@@ -1,11 +1,14 @@
 """Differential tests: integer rank, face lattice and smoothness against the
-Fraction oracle, and the hull's handed-over incidences against the pairings."""
+Fraction oracle, and every constructed polytope's canonical data and
+handed-over incidences against the pairing oracle."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from toric_ih import cutting
+from toric_ih.counting import cone_over_polytope
 from toric_ih.errors import ToricError
 from toric_ih.fixtures import (
     cone_fixtures,
@@ -15,10 +18,18 @@ from toric_ih.fixtures import (
     random_unimodular_matrix,
     standard_fixtures,
 )
-from toric_ih.lattice import mat_rank
-from toric_ih.polytope import Polytope, hull_of_rows, is_smooth_cone, normal_fan
+from toric_ih.identities import at_apex, facet_normal_sum
+from toric_ih.lattice import mat_rank, mat_vec
+from toric_ih.polytope import (
+    Polytope,
+    hull_of_rows,
+    is_smooth_cone,
+    normal_fan,
+    reduce_to_span,
+)
 
-from face_oracle import fraction_rank, oracle_faces, oracle_is_smooth_cone
+from face_oracle import fraction_rank, oracle_faces, oracle_is_smooth_cone, oracle_row_gens
+from hull_oracle import canonical_polytope
 
 
 def random_matrix(rng, rows, cols, rational):
@@ -130,16 +141,18 @@ def test_is_smooth_cone_matches_oracle(d):
         assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
 
 
-# -- the hull's own incidences against the pairing path ---------------------------
+# -- every polytope's own incidences against the pairing oracle ---------------
 
 def check_handed_over(p):
-    """The row_gens the hull hands over are the pairings' tight sets, and the
-    lattice equals the one built from pairings on the same data."""
+    """p holds canonical data, the row_gens it hands over are the pairings'
+    tight sets, and its lattice equals the one built on the oracle incidence
+    from the same data."""
     lat = p.face_lattice()
-    assert p._incidence is not None
-    assert list(lat.row_gens) == lat._paired_row_gens()
-    paired = Polytope(p.n, p.vertices, p.rays, p.rows)  # not built by the hull
-    assert paired._incidence is None
+    assert p._incidence is not oracle_row_gens
+    assert list(lat.row_gens) == oracle_row_gens(p)
+    paired = canonical_polytope(p.n, p.vertices, p.rays, p.rows)
+    assert paired == p
+    assert paired._incidence is oracle_row_gens
     plat = paired.face_lattice()
     assert plat.row_gens == lat.row_gens
     assert plat.faces == lat.faces
@@ -180,12 +193,9 @@ def test_handed_over_incidence_on_fixtures(name):
     check_handed_over(Polytope.from_inequalities(p.rows))
 
 
-def test_handed_over_incidence_on_every_cut_round(monkeypatch):
-    # every round's integer hull on the seeded 3- and 4-polytopes of test_identities,
-    # built into its polytope (prime_cut itself builds only the accepted round's)
-    from test_cutting import seeded_polytopes
-    from toric_ih import cutting
-
+def cut_round_polytopes(monkeypatch, polys):
+    """The polytope of every round's integer hull of ``prime_cut`` on polys
+    (prime_cut itself builds only the accepted round's)."""
     built = []
 
     def recording_hull(rows, start=None):
@@ -194,17 +204,88 @@ def test_handed_over_incidence_on_every_cut_round(monkeypatch):
         return stage
 
     monkeypatch.setattr(cutting, "hull_of_rows", recording_hull)
-    seeded = seeded_polytopes()
-    for p in seeded:
+    for p in polys:
         cutting.prime_cut(p)
-    assert len(built) > len(seeded)
-    for stage in built:
-        check_handed_over(Polytope.from_hull(*stage))
+    assert len(built) > len(polys)
+    return [Polytope.from_hull(*stage) for stage in built]
+
+
+def test_handed_over_incidence_on_every_cut_round(monkeypatch):
+    # every round on the seeded 3- and 4-polytopes of test_identities
+    from test_cutting import seeded_polytopes
+
+    for q in cut_round_polytopes(monkeypatch, seeded_polytopes()):
+        check_handed_over(q)
+
+
+def random_bases(rng):
+    """Random polyhedra of each kind in dimensions 1 to 4, and the point."""
+    return [random_polyhedron(rng, d, kind) for d in (1, 2, 3, 4)
+            for kind in ("lattice", "rational", "rays")] + [point()]
+
+
+def rational_vector(rng, n):
+    return tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+
+
+def flat_points(rng, n, k):
+    """Lattice points spanning a k-dimensional affine subspace of Q^n (k < n):
+    a random k-dimensional cloud in the first k coordinates, moved by a
+    unimodular map and a lattice translation."""
+    u = random_unimodular_matrix(rng, n)
+    t = [rng.randint(-2, 2) for _ in range(n)]
+    while True:
+        cloud = [tuple(rng.randint(-2, 2) for _ in range(k)) + (0,) * (n - k)
+                 for _ in range(k + 2)]
+        if mat_rank([[x - y for x, y in zip(c, cloud[0])] for c in cloud]) == k:
+            return [tuple(x + y for x, y in zip(mat_vec(u, c), t)) for c in cloud]
+
+
+def blown_up(p):
+    """The blow-up of a cone at its apex along its facet normal sum, as ``check`` does it."""
+    return cutting.vertex_blowup(at_apex(p), facet_normal_sum(p), F(3, 2))
+
+
+CUT_INPUTS = ("octahedron", "square-pyramid", "cube")
+CONSTRUCTIONS = {
+    "from_points": lambda rng, mp: random_bases(rng),
+    "from_inequalities": lambda rng, mp: [
+        Polytope.from_inequalities(with_redundant_rows(rng, p) if p.n else [((), 0)])
+        for p in random_bases(rng)],
+    "from_hull of every cut round": lambda rng, mp: cut_round_polytopes(
+        mp, [FIXTURES[n] for n in CUT_INPUTS]),
+    "translate": lambda rng, mp: [p.translate(rational_vector(rng, p.n)) for p in random_bases(rng)],
+    "dilate": lambda rng, mp: [p.dilate(F(rng.randint(1, 7), rng.randint(1, 3)))
+                               for p in random_bases(rng)],
+    "apply_unimodular": lambda rng, mp: [
+        p.apply_unimodular(random_unimodular_matrix(rng, p.n) if p.n else [])
+        for p in random_bases(rng)],
+    "cone_over_polytope": lambda rng, mp: [
+        cone_over_polytope(p).polytope
+        for p in [p for p in random_bases(rng) if p.is_compact]
+        + [Polytope.from_points([(F(1, 2),), (F(5, 3),)]), FIXTURES["octahedron"]]],
+    "reduce_to_span": lambda rng, mp: [reduce_to_span(flat_points(rng, n, k))[0]
+                                       for n in (2, 3, 4) for k in range(n) for _ in range(3)],
+    "vertex_blowup prime": lambda rng, mp: [blown_up(c).prime for c in cone_fixtures().values()],
+    "vertex_blowup figure": lambda rng, mp: [blown_up(c).figure for c in cone_fixtures().values()],
+    "prime_cut": lambda rng, mp: [cutting.prime_cut(FIXTURES[n]).polytope for n in CUT_INPUTS],
+}
+
+
+@pytest.mark.parametrize("how", sorted(CONSTRUCTIONS))
+def test_every_construction_hands_over_canonical_data(how, monkeypatch):
+    # whatever made the polytope, it holds sorted primitive data as the
+    # oracle constructor makes it, and its incidences are the pairings'
+    rng = random.Random(6700 + sorted(CONSTRUCTIONS).index(how))
+    polys = CONSTRUCTIONS[how](rng, monkeypatch)
+    assert polys
+    for q in polys:
+        check_handed_over(q)
 
 
 def test_images_match_their_hull_rebuild():
-    # translate, dilate and apply_unimodular keep the pairing path; their lattices
-    # equal those of the same polytope rebuilt by the hull, face by face
+    # the lattices of translate, dilate and apply_unimodular images equal
+    # those of the same polytope rebuilt by the hull, face by face
     rng = random.Random(6600)
     polys = [random_polyhedron(rng, d, kind) for d in (2, 3, 4)
              for kind in ("lattice", "rational", "rays")]
@@ -213,7 +294,6 @@ def test_images_match_their_hull_rebuild():
         u = random_unimodular_matrix(rng, p.n)
         t = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(p.n))
         for image in (p.translate(t), p.dilate(rng.randint(2, 4)), p.apply_unimodular(u)):
-            assert image._incidence is None
             rebuilt = Polytope.from_points(image.vertices, image.rays)
             assert rebuilt == image
             assert image.face_lattice().row_gens == rebuilt.face_lattice().row_gens

@@ -18,11 +18,10 @@ from toric_ih.lattice import (
     invert_unimodular,
     pairing,
     primitive,
-    scaled_inverse,
     solve_integer_system,
     unimodular_image,
 )
-from toric_ih.polytope import Polytope
+from toric_ih.polytope import Polytope, _simplicial_start
 
 from conftest import brute_span_lattice_points, poset_isomorphic
 from face_oracle import fraction_rank
@@ -239,14 +238,28 @@ def test_independent_rows_matches_greedy_rank_pick(rng):
         assert independent_rows(rows, limit) == greedy_pick_by_rank(rows, limit)
 
 
-def test_scaled_inverse_is_det_times_inverse(rng):
-    for _ in range(200):
+def test_simplicial_start_is_det_times_inverse(rng):
+    # the start picks d independent constraints greedily, and its rays are the
+    # columns of |det B| * B^-1 made primitive, B the picked rows: by
+    # cofactors, B^-1[j][k] is (-1)^(j+k) det(B without row k and column j) / det B
+    for _ in range(300):
         d = rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-        det = det_int(rows)
-        if not det:
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, d + 3))]
+        if len(rows) > 2 and rng.random() < 0.5:  # a combination of two earlier rows
+            a, b = rng.sample(rows[:-1], 2)
+            rows.insert(rng.randrange(len(rows)), tuple(2 * x - y for x, y in zip(a, b)))
+        picked = greedy_pick_by_rank(rows, d)
+        if len(picked) < d:
             with pytest.raises(ValueError):
-                scaled_inverse(rows)
+                _simplicial_start(rows, d)
             continue
-        assert mat_mul(rows, scaled_inverse(rows)) == [[abs(det) * x for x in r]
-                                                        for r in identity_rows(d)]
+        basis = [rows[i] for i in picked]
+        sign = 1 if det_int(basis) > 0 else -1
+        want = {}
+        for k, i in enumerate(picked):
+            minors = [det_int([r[:j] + r[j + 1:] for m, r in enumerate(basis) if m != k])
+                      for j in range(d)]
+            want[1 << i] = primitive([sign * (-1) ** (j + k) * x for j, x in enumerate(minors)])
+        rays, done = _simplicial_start(rows, d)
+        assert done == sum(want)
+        assert {done ^ z: r for r, z in rays} == want
