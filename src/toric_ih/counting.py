@@ -6,10 +6,11 @@ l <= t <= h of the last coordinate off the integer rows by ceil and floor
 division, so a count adds up interval lengths and its cost follows the
 box's projection, not its volume.  The rows are integral, so the interior
 (a.y > b) is the same scan with b + 1 in place of b.  The work around the
-scan is in ints too: a box is read off the vertices' integer numerators
-over their lcm denominator, an edge is walked on its ends' numerators, and
-the Ehrhart coefficients come from the integer forward differences of the
-counts, divided by n! once.
+scan is in ints too: a box and an edge walk read the vertices as the
+polytope stores them, primitive integer points (x, t) of the homogenized
+cone, put on one common scale (``polytope._integer_box`` and
+``polytope._scaled``), and the Ehrhart coefficients come from the integer
+forward differences of the counts, divided by n! once.
 
 Each dilate is scanned at most once per polytope: ``lattice_count`` keeps
 |kP ∩ Z^n| and the interior count on the polytope, by (k, strict), so
@@ -31,27 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import UnboundedError
-from .lattice import as_rat, dot, primitive
-from .polytope import Face, FaceLattice, Polytope, _bits
-
-
-def _box(vertices, k=1):
-    """Smallest integer box holding every lattice point of k * conv(vertices).
-
-    The vertices are scaled to integer numerators over their lcm denominator
-    den, so each bound is one ceil or floor division of ints.
-    """
-    den = lcm(*(c.denominator for v in vertices for c in v))
-    cols = zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices))
-    lo, hi = [], []
-    for col in cols:
-        lo.append(-(-k * min(col) // den))
-        hi.append(k * max(col) // den)
-    return tuple(lo), tuple(hi)
+from .lattice import as_rat, dot
+from .polytope import Face, FaceLattice, Polytope, _bits, _integer_box, _scaled
 
 
 def _fibers(rows, lo, hi):
@@ -120,7 +106,8 @@ def _scan(p: Polytope, strict: bool):
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return ((),)
-    return tuple(x + (t,) for x, l, h in _fibers(_rows(p, strict=strict), *_box(p.vertices))
+    return tuple(x + (t,) for x, l, h in _fibers(_rows(p, strict=strict),
+                                                 *_integer_box(p.homogenized))
                  for t in range(l, h + 1))
 
 
@@ -135,11 +122,11 @@ def _face_points(lattice: FaceLattice, face: Face, strict: bool):
         return _scan(p, strict)
     if face.ray_ids:
         raise UnboundedError("unbounded input")
+    ends = [p.homogenized[i] for i in face.vertex_ids]
     if face.dim == 1:
-        ends = [p.vertices[i] for i in face.vertex_ids]
-        return tuple(sorted(x for x in _edge_points(*ends) if not (strict and x in ends)))
+        return tuple(sorted(x for x in _edge_points(*ends) if not (strict and x + (1,) in ends)))
     want = _mask(face.active)
-    lo, hi = _box([p.vertices[i] for i in face.vertex_ids])
+    lo, hi = _integer_box(ends)
     return tuple(x + (t,) for x, pieces in _classified(p.rows, lo, hi)
                  for s, e, mask in pieces
                  if (mask == want if strict else mask & want == want)
@@ -147,17 +134,17 @@ def _face_points(lattice: FaceLattice, face: Face, strict: bool):
 
 
 def _edge_points(u, v):
-    """Lattice points of the segment from u to v, walked along its longest coordinate.
+    """Lattice points of the segment between the homogenized points u and v,
+    walked along its longest coordinate.
 
-    With U = den u and V = den v integral and i the coordinate where they
-    differ most, the point of the segment at x_i = t is
+    With (den, (U, V)) their ``_scaled`` form and i the coordinate where U
+    and V differ most, the point of the segment at x_i = t is
     (U D_i + (t den - U_i) D) / (den D_i), D = V - U; it is a lattice point
     when every coordinate divides out.  The walk runs over the integers t
     between U_i / den and V_i / den, all in ints.
     """
-    den = lcm(*(c.denominator for c in u + v))
-    uu = [c.numerator * (den // c.denominator) for c in u]
-    d = [c.numerator * (den // c.denominator) - a for a, c in zip(uu, v)]
+    den, (uu, vv) = _scaled((u, v))
+    d = [b - a for a, b in zip(uu, vv)]
     i = max(range(len(d)), key=lambda j: abs(d[j]))
     q = den * d[i]
     lo, hi = sorted((uu[i], uu[i] + d[i]))
@@ -208,7 +195,7 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
     table = p._dilate_counts
     if key not in table:
         table[key] = sum(h - l + 1 for _, l, h in
-                         _fibers(_rows(p, k, strict), *_box(p.vertices, k)))
+                         _fibers(_rows(p, k, strict), *_integer_box(p.homogenized, k)))
     return table[key]
 
 
@@ -226,7 +213,7 @@ def _classify(lattice: FaceLattice):
         inner[0] = 1
         return inner
     face_of = {_mask(f.active): f.id for f in lattice.faces}
-    for _, pieces in _classified(p.rows, *_box(p.vertices)):
+    for _, pieces in _classified(p.rows, *_integer_box(p.homogenized)):
         for s, e, mask in pieces:
             inner[face_of[mask]] += e - s + 1
     return inner
@@ -256,7 +243,7 @@ def skeleton_count(lattice: FaceLattice) -> int:
         raise UnboundedError("unbounded input")
     seen = set()
     for f in lattice.of_dim(1):
-        seen.update(_edge_points(*(lattice.polytope.vertices[i] for i in f.vertex_ids)))
+        seen.update(_edge_points(*(lattice.polytope.homogenized[i] for i in f.vertex_ids)))
     return len(seen)
 
 
@@ -327,11 +314,11 @@ class ConeOverPolytope:
     grading: tuple[int, ...]
 
     def _slice(self, k: int):
-        """(rows, lo, hi): kP in the first n coordinates and its integer box."""
+        """(rows, lo, hi): kP in the first n coordinates and its integer box,
+        read off the cone's rays (x, t) over the vertices x / t of P."""
         base = self.polytope
         rows = [(a[:-1], b - a[-1] * k) for a, b in base.rows]
-        verts = [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in base.rays]
-        return (rows,) + _box(verts, k)
+        return (rows,) + _integer_box(base.rays, k)
 
     def slice_count(self, k: int) -> int:
         if k < 0:
@@ -360,18 +347,18 @@ def _cone_row_gens(p: Polytope, rank, cone):
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
     """Home of a compact polytope at height one inside a pointed cone.
 
-    The cone is built from p's canonical data: the sorted primitive rays
-    (v, 1) over the vertices, and a row (a, -b) >= 0 for each row (a, b) of
-    p, in p's order, which sorts alike since the normals a are distinct.
+    The cone is built from p's canonical data: its rays are p's vertices
+    (x, t), sorted, and it has a row (a, -b) >= 0 for each row (a, b) of p,
+    in p's order, which sorts alike since the normals a are distinct.
     """
     if not p.is_compact:
         raise UnboundedError("unbounded input")
     n = p.n
-    apex = (Fraction(0),) * (n + 1)
+    apex = (0,) * (n + 1) + (1,)
     if n == 0:  # the point's cone is the half-line t >= 0
         cone = Polytope(1, [apex], [(1,)], [((1,), 0)], lambda c: [1])
         return ConeOverPolytope(cone, (1,))
-    over = [primitive(v + (1,)) for v in p.vertices]
+    over = p.homogenized
     order = sorted(range(len(over)), key=over.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     cone = Polytope(n + 1, [apex], [over[i] for i in order],

@@ -21,8 +21,7 @@ the set of its vertices' label masks.  In a prime cut every subset of a vertex's
 facets is the active set of a face, and every face's set is one, so this
 set determines each face's label mask and, through the limits below, its
 limit face: comparing it decides as comparing every face would.  Only the
-accepted round builds its polytope, with ``Fraction`` vertices, its face
-lattice and the face map.
+accepted round builds its polytope, its face lattice and the face map.
 
 The limit face map sends each face of the cut polytope to the smallest face
 of the original containing the eps -> 0 limit of its barycenter.  At depth
@@ -57,11 +56,10 @@ from .lattice import (
     affine_frame,
     as_rat,
     dot,
+    integerize,
     lattice_vector,
-    rat_vector,
     rational_affine_basis,
     solve_consistent,
-    vscale,
     vsub,
 )
 from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
@@ -260,7 +258,7 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     dual cone); the slice is then a compact polytope of one dimension less
     whose faces correspond to the positive-dimensional faces of the cone.
     """
-    if not p.is_cone_with_vertex or p.vertices[0] != tuple([Fraction(0)] * p.n):
+    if not p.is_cone_with_vertex or p.homogenized[0] != (0,) * p.n + (1,):
         raise ValueError("need a cone with vertex at the origin")
     v = lattice_vector(v)
     c = as_rat(c)
@@ -270,8 +268,7 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
         if dot(r, v) <= 0:
             raise ValueError("not interior to dual cone")
     prime = Polytope.from_hull(*hull_of_rows(list(p.rows) + [(v, c)], p))
-    figure_vertices = tuple(vscale(c / dot(r, v), tuple(map(Fraction, r)))
-                            for r in p.rays)
+    figure_vertices = tuple(tuple(c * x / dot(r, v) for x in r) for r in p.rays)
     try:
         frame = affine_frame(figure_vertices)
         coords = [frame.to_coords(w) for w in figure_vertices]
@@ -285,14 +282,15 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     if figure.n != p.n - 1:
         raise InvariantViolation("compact figure has the wrong dimension")
 
-    ray_of_coord = {rat_vector(y): i for i, y in enumerate(coords)}
+    # each figure vertex by its (y, 1) cleared of denominators, as from_points keeps it
+    ray_of_coord = {integerize(tuple(y) + (1,)): i for i, y in enumerate(coords)}
 
     plat = p.face_lattice()
     cone_face_by_rays = {frozenset(f.ray_ids): f.id for f in plat.faces if f.dim > 0}
     figlat = figure.face_lattice()
     face_map = {}
     for f in figlat.faces:
-        rays = frozenset(ray_of_coord[figure.vertices[i]] for i in f.vertex_ids)
+        rays = frozenset(ray_of_coord[figure.homogenized[i]] for i in f.vertex_ids)
         target = cone_face_by_rays.get(rays)
         if target is None or plat.faces[target].dim != f.dim + 1:
             raise InvariantViolation("figure faces do not match the cone faces")

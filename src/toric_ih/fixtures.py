@@ -60,11 +60,9 @@ def lattice_polygon(k: int) -> Polytope:
 
 
 def cone_over(p: Polytope) -> Polytope:
-    """The cone with vertex at the origin over P placed at height one."""
-    from .lattice import primitive
-
-    rays = [primitive(tuple(v) + (1,)) for v in p.vertices]
-    return Polytope.from_points([tuple([0] * (p.n + 1))], rays=rays)
+    """The cone with vertex at the origin over P placed at height one: its
+    rays are P's vertices (x, t)."""
+    return Polytope.from_points([tuple([0] * (p.n + 1))], rays=p.homogenized)
 
 
 def cone_over_polygon(k: int) -> Polytope:

@@ -57,10 +57,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 def integerize(u) -> tuple[int, ...]:
     """Scale a rational vector by a positive integer to clear denominators."""
     u = tuple(u)
@@ -190,18 +186,6 @@ def independent_rows(rows, limit=None):
 def mat_rank(rows) -> int:
     """Rank over Q: the size of the greedy pick of independent rows."""
     return len(independent_rows(rows))
-
-
-def invert_unimodular(rows) -> list[list[int]]:
-    """Inverse of an integer matrix with |det| = 1 (again integral).
-
-    The Hermite form of a unimodular matrix is the identity, so the
-    transform U with U @ A = H is the inverse.
-    """
-    d = det_int(rows)
-    if d not in (1, -1):
-        raise NotUnimodularError(f"not unimodular: determinant {d}")
-    return hnf_with_transform(rows)[1]
 
 
 # ---------------------------------------------------------------------------

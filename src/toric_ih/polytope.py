@@ -16,13 +16,14 @@ not pointed (H->V).  Every other fact is read off the tight bitmasks: a
 constraint tight on every ray is an implicit equality (V->H: not pointed;
 H->V: not full-dimensional), and a shared filter keeps the constraints whose
 sets of tight rays are maximal, the extreme generators (V->H) or the facet
-rows (H->V).  Both directions work in plain ints until the Fraction
-vertices are built: V->H homogenizes each point to its primitive integer
-(x, t), and dedupes and sorts the points on the int keys x * (den // t),
-den the lcm of the t, which sort as the points do.  H->V runs in two
-stages: ``hull_of_rows`` is the integer stage (canonical rows, hull rays,
-tight bitmasks, facet indices, and every error), and ``Polytope.from_hull``
-builds the Fraction vertices and the polytope from its result;
+rows (H->V).  Both directions work in plain ints only: a vertex is kept as
+the primitive integer point (x, t), t > 0, that the double description
+finds (V->H homogenizes each input point to it), and the vertices sort on
+the int keys x * (den // t), den the lcm of the t (``_scaled``), which sort
+as the points x / t do.  The Fraction vertices x / t are a view, built on
+first read.  H->V runs in two stages: ``hull_of_rows`` is the integer
+stage (canonical rows, hull rays, tight bitmasks, facet indices, and every
+error), and ``Polytope.from_hull`` builds the polytope from its result;
 ``from_inequalities`` is the two in sequence, and the prime cut decides its
 rounds on the first stage alone.  Given a pointed polytope whose rows are
 among the input rows, ``hull_of_rows`` starts the double description from
@@ -45,8 +46,10 @@ face's dimension is n minus its cover depth below the polytope;
 ``normal_fan`` checks it against the rank of the face's active rows'
 normals.  Up- and down-sets are bitmasks over face ids, unioned along the
 covers on first use.  The lattice's ``minimizing_vertices`` and ``maximum``
-read the scaled vertices, also made on first use, for the bitmask of
-vertices where an integer functional is least and for its greatest value.
+read the vertices on their common scale (``_scaled``), also made on first
+use, for the bitmask of vertices where an integer functional is least and
+for its greatest value; lattice-point counts read their boxes off the same
+integers (``_integer_box``).
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -244,11 +247,23 @@ def _no_rows(p):
     return []
 
 
-def _point_key(ws, n):
-    """Sort key of homogenized points w = (x, t) of Z^(n+1), t > 0: the int
-    tuple x * (den // t), den the lcm of the t of ``ws``, sorts like x / t."""
-    den = lcm(*(w[n] for w in ws))
-    return lambda w: tuple(x * (den // w[n]) for x in w[:n])
+def _scaled(ws):
+    """(den, xs) for homogenized points w = (x, t), t > 0: den the lcm of
+    the t, and xs[i] the int tuple x * (den // t) of ws[i], which is den
+    times x / t; so the xs sort, and pair with integer functionals, as the
+    points x / t do."""
+    den = lcm(*(w[-1] for w in ws))
+    return den, [tuple(x * (den // w[-1]) for x in w[:-1]) for w in ws]
+
+
+def _integer_box(ws, k=1):
+    """Smallest integer box (lo, hi) holding every lattice point of k times
+    the hull of the homogenized points ws: lo the least ceil(k x / t), hi
+    the greatest floor(k x / t), coordinate by coordinate."""
+    den, xs = _scaled(ws)
+    cols = list(zip(*xs))
+    return (tuple(-(-k * min(c) // den) for c in cols),
+            tuple(k * max(c) // den for c in cols))
 
 
 def _rows_row_gens(tight, facets, order, p):
@@ -313,23 +328,36 @@ def hull_of_rows(rows, start=None):
 class Polytope:
     """Immutable rational polytope / pointed polyhedron with both representations."""
 
-    __slots__ = ("n", "vertices", "rays", "rows", "_faces", "_incidence", "_dilate_counts")
+    __slots__ = ("n", "homogenized", "rays", "rows", "_vertices", "_faces", "_incidence",
+                 "_dilate_counts")
 
-    def __init__(self, n, vertices, rays, rows, incidence):
-        """Store canonical data as given: ``vertices`` the sorted Fraction
-        tuples, ``rays`` the sorted primitive int tuples, ``rows`` the sorted
-        primitive facet rows (a, b), and ``incidence`` a function of the
-        polytope giving the generator bitmask of each row (vertex i is bit i,
-        ray k bit len(vertices) + k), called on the face lattice's first
-        build.  Nothing is checked, sorted or normalized here: the
-        constructors below hand over such data."""
+    def __init__(self, n, homogenized, rays, rows, incidence):
+        """Store canonical data as given: ``homogenized`` the vertices x / t
+        as the primitive int tuples (x, t), t > 0, that the double
+        description finds, sorted as the points x / t; ``rays`` the sorted
+        primitive int tuples; ``rows`` the sorted primitive facet rows
+        (a, b); and ``incidence`` a function of the polytope giving the
+        generator bitmask of each row (vertex i is bit i, ray k bit
+        len(homogenized) + k), called on the face lattice's first build.
+        Nothing is checked, sorted or normalized here: the constructors
+        below hand over such data.  ``vertices``, the Fraction tuples x / t,
+        is a view built on first read."""
         self.n = n
-        self.vertices = tuple(vertices)
+        self.homogenized = tuple(homogenized)
         self.rays = tuple(rays)
         self.rows = tuple(rows)
+        self._vertices = None
         self._faces = None
         self._dilate_counts = {}  # memo of counting.lattice_count, by (k, strict)
         self._incidence = incidence
+
+    @property
+    def vertices(self):
+        """The vertices as Fraction tuples x / t, in ``homogenized`` order."""
+        if self._vertices is None:
+            self._vertices = tuple(tuple(Fraction(x, w[-1]) for x in w[:-1])
+                                   for w in self.homogenized)
+        return self._vertices
 
     # -- constructors -------------------------------------------------------
 
@@ -348,8 +376,10 @@ class Polytope:
             raise ValueError("points of mixed dimension")
         rr = sorted(set(primitive(r) for r in rays))
         if n == 0:
-            return cls(0, [()], [], [], _no_rows)
-        cons = sorted(gens, key=_point_key(gens, n)) + [r + (0,) for r in rr]
+            return cls(0, [(1,)], [], [], _no_rows)
+        gens = list(gens)
+        # distinct primitive (x, t), t > 0, have distinct scaled keys
+        cons = [w for _, w in sorted(zip(_scaled(gens)[1], gens))] + [r + (0,) for r in rr]
         try:
             duals, tight = _extreme_rays(cons, n + 1)
         except ValueError:  # the homogenized generators have rank below n + 1
@@ -361,7 +391,7 @@ class Polytope:
         # facets, of distinct normals a, sort alike as (a, -b) and as (a, b)
         rows = [(w[:n], -w[n]) for w in duals if any(w[:n])]
         keep = _irredundant(cons, tight)
-        verts = [tuple(Fraction(x, w[n]) for x in w[:n]) for w in (cons[i] for i in keep) if w[n]]
+        verts = [cons[i] for i in keep if cons[i][n]]
         xrays = [cons[i][:n] for i in keep if not cons[i][n]]
         return cls(n, verts, xrays, rows, partial(_points_row_gens, duals, tight,
                                                   None if len(keep) == len(cons) else keep))
@@ -381,16 +411,15 @@ class Polytope:
         """The polyhedron of a ``hull_of_rows`` result, with the hull's
         incidences kept for its face lattice.
 
-        The vertices (x, t) sort by ``_point_key``; the rays (x, 0) follow in
-        the order ``hull`` already has, and the facets in that of the sorted
-        rows in cons.
+        The vertices (x, t) sort by their ``_scaled`` keys; the rays (x, 0)
+        follow in the order ``hull`` already has, and the facets in that of
+        the sorted rows in cons.
         """
         order = [k for k, w in enumerate(hull) if w[n]]
-        key = _point_key([hull[k] for k in order], n)
-        order.sort(key=lambda k: key(hull[k]))
+        order = [k for _, k in sorted(zip(_scaled([hull[k] for k in order])[1], order))]
         rays = [k for k, w in enumerate(hull) if not w[n]]
-        return cls(n, [tuple(Fraction(x, hull[k][n]) for x in hull[k][:n]) for k in order],
-                   [hull[k][:n] for k in rays], [(cons[i][:n], -cons[i][n]) for i in facets],
+        return cls(n, [hull[k] for k in order], [hull[k][:n] for k in rays],
+                   [(cons[i][:n], -cons[i][n]) for i in facets],
                    partial(_rows_row_gens, tight, facets, order + rays))
 
     # -- basic queries -------------------------------------------------------
@@ -405,11 +434,11 @@ class Polytope:
 
     @property
     def is_cone_with_vertex(self) -> bool:
-        return bool(self.rays) and len(self.vertices) == 1
+        return bool(self.rays) and len(self.homogenized) == 1
 
     @property
     def is_lattice(self) -> bool:
-        return all(all(c.denominator == 1 for c in v) for v in self.vertices)
+        return all(w[-1] == 1 for w in self.homogenized)
 
     def contains(self, point) -> bool:
         p = rat_vector(point)
@@ -423,12 +452,7 @@ class Polytope:
         """Smallest integer box containing every lattice point of the polytope."""
         if not self.is_compact:
             raise UnboundedError("unbounded polyhedron has no bounding box")
-        lo, hi = [], []
-        for i in range(self.n):
-            cs = [v[i] for v in self.vertices]
-            lo.append(min(cs).__ceil__())
-            hi.append(max(cs).__floor__())
-        return tuple(lo), tuple(hi)
+        return _integer_box(self.homogenized)
 
     def dilate(self, k) -> "Polytope":
         if k <= 0:
@@ -454,15 +478,15 @@ class Polytope:
 
     def __eq__(self, other):
         return (isinstance(other, Polytope)
-                and (self.n, self.vertices, self.rays, self.rows)
-                == (other.n, other.vertices, other.rays, other.rows))
+                and (self.n, self.homogenized, self.rays, self.rows)
+                == (other.n, other.homogenized, other.rays, other.rows))
 
     def __hash__(self):
-        return hash((self.n, self.vertices, self.rays, self.rows))
+        return hash((self.n, self.homogenized, self.rays, self.rows))
 
     def __repr__(self):
         kind = "polytope" if self.is_compact else "polyhedron"
-        return (f"<{self.n}-dim {kind}: {len(self.vertices)} vertices, "
+        return (f"<{self.n}-dim {kind}: {len(self.homogenized)} vertices, "
                 f"{len(self.rays)} rays, {len(self.rows)} facets>")
 
 
@@ -494,7 +518,7 @@ class FaceLattice:
 
     def _build(self):
         p = self.polytope
-        n, nv = self.n, len(p.vertices)
+        n, nv = self.n, len(p.homogenized)
         # Generator sets are int bitmasks: vertex i is bit i, ray k is bit nv + k.
         # row_gens[j] is the generator set of facet row j, the hull's own incidences.
         self.row_gens = row_gens = tuple(p._incidence(p))
@@ -551,22 +575,18 @@ class FaceLattice:
     # -- tables built on first use -------------------------------------------
 
     @cached_property
-    def _den(self):
-        return lcm(*(c.denominator for v in self.polytope.vertices for c in v))
-
-    @cached_property
     def _scaled_vertices(self):
-        """The vertices times their common denominator, so pairings are integral."""
-        den = self._den
-        return [tuple(int(c * den) for c in v) for v in self.polytope.vertices]
+        """The vertices on their common scale, (den, den * vertex), so
+        pairings with integer functionals are integral."""
+        return _scaled(self.polytope.homogenized)
 
     @cached_property
     def _cone(self):
         """The generators of the polytope's homogenized cone, each with the
-        indices of the rows tight on it: the primitive (V * L, L) of each
-        vertex V, L the lcm of its denominators, then (r, 0) of each ray r."""
+        indices of the rows tight on it: each vertex's (x, t), then (r, 0)
+        of each ray r."""
         p = self.polytope
-        gens = [integerize(v + (1,)) for v in p.vertices] + [r + (0,) for r in p.rays]
+        gens = list(p.homogenized) + [r + (0,) for r in p.rays]
         return [(w, [j for j, rg in enumerate(self.row_gens) if rg >> g & 1])
                 for g, w in enumerate(gens)]
 
@@ -643,13 +663,14 @@ class FaceLattice:
     def minimizing_vertices(self, a) -> int:
         """Bitmask of the vertices (vertex i is bit i) where the integer
         functional <., a> attains its minimum over the vertices."""
-        vals = [dot(v, a) for v in self._scaled_vertices]
+        vals = [dot(v, a) for v in self._scaled_vertices[1]]
         low = min(vals)
         return sum(1 << i for i, x in enumerate(vals) if x == low)
 
     def maximum(self, a) -> Fraction:
         """The maximum of the integer functional <., a> over the vertices."""
-        return Fraction(max(dot(v, a) for v in self._scaled_vertices), self._den)
+        den, xs = self._scaled_vertices
+        return Fraction(max(dot(v, a) for v in xs), den)
 
     def of_dim(self, d: int):
         return tuple(f for f in self.faces if f.dim == d)

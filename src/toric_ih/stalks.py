@@ -397,7 +397,7 @@ class SummandTable:
         return 0
 
 
-def decomposition_summands(lattice: FaceLattice, n: int | None = None) -> SummandTable:
+def decomposition_summands(lattice: FaceLattice) -> SummandTable:
     """Summand ranks for the single-vertex toric blow-up of a cone.
 
     The compact face figure of the cone has intersection cohomology class
@@ -406,10 +406,7 @@ def decomposition_summands(lattice: FaceLattice, n: int | None = None) -> Summan
     """
     if lattice.cone_vertex_id is None:
         raise UnsupportedShapeError("decomposition summands need a cone with a vertex")
-    if n is None:
-        n = lattice.n
-    elif n != lattice.n:
-        raise ValueError(f"cone dimension is {lattice.n}, not {n}")
+    n = lattice.n
     apex = lattice.cone_vertex_id
     rest = lattice.up_set(apex) & ~(1 << apex)  # every face but the apex
     h = TatePoly(_interval_sum(_stalks(lattice)[1], rest, 0, n))

@@ -1,8 +1,9 @@
 """Brute-force counting oracle: the original bounding-box scan.
 
-Every integer point of the bounding box is tested with exact rational
-membership (``Polytope.contains`` / ``contains_interior``), and a
-lower-dimensional face is counted in the lattice chart of its affine span
+Every integer point of the bounding box, taken as the ceil and floor of
+the ``Fraction`` vertices' coordinates (``oracle_box``), is tested with
+exact rational membership (``Polytope.contains`` / ``contains_interior``),
+and a lower-dimensional face is counted in the lattice chart of its affine span
 (``reduce_to_span``), where it is full-dimensional.  Dilates are built as
 polytopes.  None of this shares code with the fiber scans in
 ``toric_ih.counting``; it is the reference for their differential tests.
@@ -19,13 +20,21 @@ from toric_ih.errors import NonIntegralSpanError, UnboundedError
 from toric_ih.polytope import reduce_to_span
 
 
+def oracle_box(vertices, k=1):
+    """Smallest integer box holding k times the hull of the Fraction vertices:
+    the ceil of each coordinate's least value and the floor of its greatest."""
+    cols = list(zip(*vertices))
+    return (tuple((k * min(c)).__ceil__() for c in cols),
+            tuple((k * max(c)).__floor__() for c in cols))
+
+
 def oracle_scan(p, strict=False):
     """Lattice points of a full-dimensional compact polytope (or its interior)."""
     if not p.is_compact:
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return ((),)
-    lo, hi = p.bounding_box()
+    lo, hi = oracle_box(p.vertices)
     member = p.contains_interior if strict else p.contains
     return tuple(x for x in product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi)))
                  if member(x))

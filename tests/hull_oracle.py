@@ -1,9 +1,10 @@
 """Brute-force hull oracles: the polar subset scan, the rank filter and the seed's two scans.
 
 ``canonical_polytope`` is the constructor every oracle builds through: it
-sorts the vertices, rays and rows, makes the rows primitive and attaches
-the pairing incidence ``oracle_row_gens``, as ``Polytope.__init__`` did
-before every polytope came out of the hull.
+sorts the vertices, rays and rows, makes the rows primitive, homogenizes
+the sorted vertices to the primitive (x, t) a polytope stores, and
+attaches the pairing incidence ``oracle_row_gens``, as
+``Polytope.__init__`` did before every polytope came out of the hull.
 ``extreme_rays_by_subsets`` is the subset scan the double-description
 routine in ``toric_ih.polytope`` replaced: the kernel of every
 (d-1)-subset of the constraints (``kernel_ray``), kept when all of them lie
@@ -51,8 +52,10 @@ from face_oracle import fraction_rank, oracle_row_gens
 
 def canonical_polytope(n, verts, rays, rows):
     """The polytope of n, vertices, rays and rows given in any order and
-    scaling: sorted, the rows made primitive, with the pairing incidence."""
-    return Polytope(n, sorted(map(rat_vector, verts)), sorted(map(lattice_vector, rays)),
+    scaling: sorted, the rows made primitive, the vertices v stored as the
+    primitive (v, 1) scaled, with the pairing incidence."""
+    return Polytope(n, [primitive(v + (1,)) for v in sorted(map(rat_vector, verts))],
+                    sorted(map(lattice_vector, rays)),
                     sorted(normalize_row(a, b) for a, b in rows), oracle_row_gens)
 
 

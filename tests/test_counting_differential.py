@@ -18,9 +18,10 @@ from toric_ih.counting import (
 )
 from toric_ih.errors import NotFullDimensionalError
 from toric_ih.fixtures import point, random_lattice_polytope, simplex
-from toric_ih.polytope import Polytope
+from toric_ih.polytope import Polytope, _integer_box
 
 from counting_oracle import (
+    oracle_box,
     oracle_count,
     oracle_ehrhart_counts,
     oracle_face_counts,
@@ -91,6 +92,22 @@ def test_dilate_counts_match_oracle(d, rational):
             want = tuple(x + (k,) for x in oracle_scan(p.dilate(k)))
             assert cone.slice_points(k) == want
             assert cone.slice_count(k) == len(want)
+
+
+@pytest.mark.parametrize("d,rational", CASES)
+def test_integer_box_matches_fraction_box(d, rational):
+    # the box read off the stored (x, t) against the oracle's ceil and floor
+    # of the Fraction vertices: kP, each face, and each slice of the cone
+    for p in polytopes(d, rational, 6):
+        assert p.bounding_box() == oracle_box(p.vertices)
+        cone = cone_over_polytope(p)
+        for k in (1, 2, 3):
+            want = oracle_box(p.vertices, k)
+            assert _integer_box(p.homogenized, k) == want
+            assert cone._slice(k)[1:] == want
+        for f in p.face_lattice().faces:
+            assert (_integer_box([p.homogenized[i] for i in f.vertex_ids])
+                    == oracle_box([p.vertices[i] for i in f.vertex_ids]))
 
 
 def test_point_and_segment():

@@ -4,6 +4,7 @@ handed-over incidences against the pairing oracle."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from toric_ih.counting import cone_over_polytope
 from toric_ih.errors import ToricError
 from toric_ih.fixtures import (
     cone_fixtures,
+    cone_over,
     cross_polytope,
     cube,
     point,
@@ -146,7 +148,12 @@ def test_is_smooth_cone_matches_oracle(d):
 def check_handed_over(p):
     """p holds canonical data, the row_gens it hands over are the pairings'
     tight sets, and its lattice equals the one built on the oracle incidence
-    from the same data."""
+    from the same data.  Its vertices are stored as primitive (x, t), t > 0,
+    in the sorted order of the Fraction vertices x / t they give back."""
+    assert all(w[-1] > 0 and gcd(*w) == 1 and all(type(c) is int for c in w)
+               for w in p.homogenized)
+    assert p.vertices == tuple(tuple(F(x, w[-1]) for x in w[:-1]) for w in p.homogenized)
+    assert list(p.vertices) == sorted(p.vertices)
     lat = p.face_lattice()
     assert p._incidence is not oracle_row_gens
     assert list(lat.row_gens) == oracle_row_gens(p)
@@ -224,6 +231,12 @@ def random_bases(rng):
             for kind in ("lattice", "rational", "rays")] + [point()]
 
 
+def compact_bases(rng):
+    """The compact random bases, a rational segment and the octahedron."""
+    return [p for p in random_bases(rng) if p.is_compact] + [
+        Polytope.from_points([(F(1, 2),), (F(5, 3),)]), FIXTURES["octahedron"]]
+
+
 def rational_vector(rng, n):
     return tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
 
@@ -261,9 +274,8 @@ CONSTRUCTIONS = {
         p.apply_unimodular(random_unimodular_matrix(rng, p.n) if p.n else [])
         for p in random_bases(rng)],
     "cone_over_polytope": lambda rng, mp: [
-        cone_over_polytope(p).polytope
-        for p in [p for p in random_bases(rng) if p.is_compact]
-        + [Polytope.from_points([(F(1, 2),), (F(5, 3),)]), FIXTURES["octahedron"]]],
+        cone_over_polytope(p).polytope for p in compact_bases(rng)],
+    "fixtures cone_over": lambda rng, mp: [cone_over(p) for p in compact_bases(rng)],
     "reduce_to_span": lambda rng, mp: [reduce_to_span(flat_points(rng, n, k))[0]
                                        for n in (2, 3, 4) for k in range(n) for _ in range(3)],
     "vertex_blowup prime": lambda rng, mp: [blown_up(c).prime for c in cone_fixtures().values()],

@@ -15,7 +15,6 @@ from toric_ih.lattice import (
     hnf_with_transform,
     identity_rows,
     independent_rows,
-    invert_unimodular,
     pairing,
     primitive,
     solve_integer_system,
@@ -165,17 +164,18 @@ def test_unimodular_shear_square():
 def test_unimodular_rejects_det_two():
     with pytest.raises(NotUnimodularError):
         unimodular_image([(1, 0)], [(2, 0), (0, 1)])
-    with pytest.raises(NotUnimodularError):
-        invert_unimodular([(2, 0), (0, 1)])
 
 
-def test_invert_unimodular_is_a_left_inverse(rng):
+def test_hnf_of_unimodular_is_identity_with_left_inverse(rng):
+    # for unimodular A the Hermite form is I, so the transform U is A^-1
     from toric_ih.fixtures import random_unimodular_matrix
 
     for d in range(1, 7):
         for _ in range(10):
             a = random_unimodular_matrix(rng, d, ops=3 * d)
-            assert mat_mul(invert_unimodular(a), a) == identity_rows(d)
+            h, u = hnf_with_transform(a)
+            assert h == identity_rows(d)
+            assert mat_mul(u, a) == identity_rows(d)
 
 
 def test_unimodular_preserves_face_lattice(rng):

@@ -316,3 +316,44 @@ def test_reduce_to_span():
     assert reduced.n == 2
     assert sorted(frame.from_coords(v) for v in reduced.vertices) == [
         (0, 1, 0), (1, 1, 0), (2, 0, 0)]
+
+
+def test_integer_paths_never_build_fraction_vertices():
+    # counting, the hypersurface tables, the prime cut with its multipliers
+    # and the stalks read the stored (x, t) only; the Fraction view of the
+    # polytope, of the cut polytope and of the cone over it stays unbuilt
+    from toric_ih import counting, cutting, hypersurface, stalks
+
+    lattice_p = square_pyramid()
+    rational_p = Polytope.from_points([(F(1, 2), 0, 0), (-1, 0, 0), (0, F(3, 2), 0),
+                                       (0, -1, 0), (0, 0, F(1, 3)), (0, 0, -1)])
+    for p in (lattice_p, rational_p):
+        assert p.is_lattice == (p is lattice_p)
+        q = Polytope.from_inequalities(p.rows)
+        assert (q, hash(q), repr(q)) == (p, hash(p), repr(p))
+        lat = p.face_lattice()
+        counting.face_counts(lat)
+        counting.skeleton_count(lat)
+        for k in (1, 2):
+            counting.lattice_count(p, k, strict=True)
+        if p.is_lattice:
+            counting.count_report(p)
+            assert counting.reciprocity_check(p)
+            hypersurface.frontier_hodge(p, lat)
+        else:
+            for check in (counting.count_report, counting.reciprocity_check,
+                          hypersurface.frontier_hodge):
+                with pytest.raises(ValueError):
+                    check(p)
+        cone = counting.cone_over_polytope(p)
+        for k in range(4):
+            cone.slice_count(k)
+        stalks.stalk_table(lat)
+        stalks.global_ih_class(lat)
+        stalks.decomposition_summands(cone.polytope.face_lattice())
+        cut = cutting.prime_cut(p)
+        assert cut.polytope != p
+        hypersurface.prime_cut_multipliers(cut, lat, cut.polytope.face_lattice())
+        stalks.global_ih_class(cut.polytope.face_lattice())
+        for q in (p, cone.polytope, cut.polytope):
+            assert q._vertices is None
