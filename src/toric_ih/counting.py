@@ -17,13 +17,18 @@ Each dilate is scanned at most once per polytope: ``lattice_count`` keeps
 ``count_report``, ``reciprocity_check``, ``ehrhart_polynomial`` and the
 hypersurface counts share them.
 
-Per-face counts come from one classified scan of the polytope, memoized on
-its FaceLattice: a lattice point lies in the relative interior of exactly
-one face, the face whose active rows are the rows tight at the point, and
-along a fiber that tight set can change only at the two ends.  Closed counts
-sum the interior counts of the faces below.  A face whose affine span misses
-the lattice collects no points and counts 0, so totals over all faces stay
-clean.
+Every per-face question, count or listing, is read off one classified scan
+of the polytope, memoized on its FaceLattice as pieces (x, s, e, mask): a
+lattice point lies in the relative interior of exactly one face, the face
+whose active rows are the rows tight at the point, and along a fiber that
+tight set can change only at the two ends.  A face's closed points are the
+pieces whose mask holds its active rows, its relative interior those whose
+mask is exactly them; closed counts sum the interior counts of the faces
+below.  A face whose affine span misses the lattice collects no points and
+counts 0, so totals over all faces stay clean.  The other scans, each over
+the box of a dilate kP, serve the checks that compare with this one: the
+edge walk of ``skeleton_count``, the dilate counts of ``lattice_count`` and
+the slices of the cone over P.
 """
 
 from __future__ import annotations
@@ -64,12 +69,12 @@ def _fibers(rows, lo, hi):
 
 
 def _classified(rows, lo, hi):
-    """The fibers of _fibers cut into pieces (s, e, mask) by tight row set.
+    """The fibers of _fibers cut into pieces (x, s, e, mask) by tight row set.
 
     mask has bit j set when rows[j] is tight at every x + (t,) with
     s <= t <= e.  A row with a zero last coefficient is tight along the whole
     fiber or nowhere on it; any other row is tight at one t at most, and only
-    at an end of the fiber.  Pieces come in increasing t.
+    at an end of the fiber.  Pieces come in increasing x + (t,).
     """
     split = [(a[:-1], a[-1], b, 1 << j) for j, (a, b) in enumerate(rows)]
     for x, l, h in _fibers(rows, lo, hi):
@@ -84,11 +89,12 @@ def _classified(rows, lo, hi):
             elif c * h == s:
                 at_h |= bit
         if l == h:
-            yield x, ((l, l, inner | at_l | at_h),)
-        elif h == l + 1:
-            yield x, ((l, l, inner | at_l), (h, h, inner | at_h))
-        else:
-            yield x, ((l, l, inner | at_l), (l + 1, h - 1, inner), (h, h, inner | at_h))
+            yield x, l, l, inner | at_l | at_h
+            continue
+        yield x, l, l, inner | at_l
+        if h > l + 1:
+            yield x, l + 1, h - 1, inner
+        yield x, h, h, inner | at_h
 
 
 def _mask(active):
@@ -100,37 +106,31 @@ def _rows(p: Polytope, k=1, strict=False):
     return [(a, k * b + int(strict)) for a, b in p.rows]
 
 
-def _scan(p: Polytope, strict: bool):
-    """Lattice points of a full-dimensional compact polytope (or its interior), sorted."""
-    if not p.is_compact:
-        raise UnboundedError("unbounded input")
-    if p.n == 0:
-        return ((),)
-    return tuple(x + (t,) for x, l, h in _fibers(_rows(p, strict=strict),
-                                                 *_integer_box(p.homogenized))
-                 for t in range(l, h + 1))
+def _pieces(lattice: FaceLattice):
+    """The classified scan of the lattice's compact polytope of rank n >= 1,
+    as a tuple of _classified pieces; computed once per lattice."""
+    if lattice._pieces is None:
+        p = lattice.polytope
+        if not p.is_compact:
+            raise UnboundedError("unbounded input")
+        lattice._pieces = tuple(_classified(p.rows, *_integer_box(p.homogenized)))
+    return lattice._pieces
 
 
-def _face_points(lattice: FaceLattice, face: Face, strict: bool):
-    """Lattice points of a face (or its relative interior), sorted.
+def _listing(obj, face: Face | None, strict: bool):
+    """(count, points) of a face, or of P itself, read off the classified scan.
 
-    Walks an edge; scans another face's bounding box against the rows of P,
-    keeping the points whose tight rows include (equal, with strict) the face's.
+    A point is in the closed face when its tight rows include the face's
+    active rows, and in its relative interior when they are exactly those.
     """
-    p = lattice.polytope
-    if face.dim == lattice.n:
-        return _scan(p, strict)
-    if face.ray_ids:
-        raise UnboundedError("unbounded input")
-    ends = [p.homogenized[i] for i in face.vertex_ids]
-    if face.dim == 1:
-        return tuple(sorted(x for x in _edge_points(*ends) if not (strict and x + (1,) in ends)))
-    want = _mask(face.active)
-    lo, hi = _integer_box(ends)
-    return tuple(x + (t,) for x, pieces in _classified(p.rows, lo, hi)
-                 for s, e, mask in pieces
-                 if (mask == want if strict else mask & want == want)
-                 for t in range(s, e + 1))
+    lattice = obj.face_lattice() if isinstance(obj, Polytope) else obj
+    if lattice.n == 0:
+        return 1, ((),)
+    want = 0 if face is None else _mask(face.active)
+    pts = tuple(x + (t,) for x, s, e, mask in _pieces(lattice)
+                if (mask == want if strict else mask & want == want)
+                for t in range(s, e + 1))
+    return len(pts), pts
 
 
 def _edge_points(u, v):
@@ -161,22 +161,20 @@ def lattice_points(obj, face: Face | None = None):
     """(count, points) for a compact polytope or one of its faces.
 
     Pass a Polytope, or a FaceLattice together with one of its faces; points
-    come back in ambient coordinates, sorted.
+    come back in ambient coordinates, sorted.  The polytope must be compact:
+    on an unbounded polyhedron every listing, even of a compact face, raises
+    UnboundedError.  All listings and ``face_counts`` share one scan.
     """
-    if isinstance(obj, Polytope):
-        pts = _scan(obj, strict=False)
-    else:
-        pts = _face_points(obj, face, strict=False)
-    return len(pts), pts
+    return _listing(obj, face, strict=False)
 
 
 def interior_lattice_points(obj, face: Face | None = None):
-    """(count, points) over the relative interior (a point is its own interior)."""
-    if isinstance(obj, Polytope):
-        pts = _scan(obj, strict=True)
-    else:
-        pts = _face_points(obj, face, strict=True)
-    return len(pts), pts
+    """(count, points) over the relative interior (a point is its own interior).
+
+    The same contract as ``lattice_points``: a compact polytope or one of its
+    faces, read off the same scan.
+    """
+    return _listing(obj, face, strict=True)
 
 
 def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
@@ -202,20 +200,16 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
 def _classify(lattice: FaceLattice):
     """Relative-interior lattice-point count of every face, by face id.
 
-    One classified scan of the polytope: each lattice point goes to the face
-    whose active rows are exactly the rows tight at it.
+    Read off the classified scan: each piece goes to the face whose active
+    rows are exactly the rows tight along it.
     """
-    p = lattice.polytope
-    if not p.is_compact:
-        raise UnboundedError("unbounded input")
     inner = [0] * len(lattice.faces)
-    if p.n == 0:
+    if lattice.n == 0:
         inner[0] = 1
         return inner
     face_of = {_mask(f.active): f.id for f in lattice.faces}
-    for _, pieces in _classified(p.rows, *_integer_box(p.homogenized)):
-        for s, e, mask in pieces:
-            inner[face_of[mask]] += e - s + 1
+    for _, s, e, mask in _pieces(lattice):
+        inner[face_of[mask]] += e - s + 1
     return inner
 
 
@@ -297,7 +291,10 @@ def ehrhart_eval(coeffs, k) -> Fraction:
 
 
 def reciprocity_check(p: Polytope, kmax: int = 3) -> bool:
-    """(-1)^n L(-k) equals the interior count of kP, by direct enumeration."""
+    """(-1)^n L(-k) equals the interior count of kP, by direct enumeration,
+    for k = 1 .. kmax; kmax < 1 would compare nothing and raises ValueError."""
+    if kmax < 1:
+        raise ValueError("reciprocity check needs kmax >= 1")
     coeffs = ehrhart_polynomial(p)
     return all((-1) ** p.n * ehrhart_eval(coeffs, -k) == lattice_count(p, k, strict=True)
                for k in range(1, kmax + 1))
@@ -381,9 +378,9 @@ class CountReport:
 
 
 def count_report(p: Polytope) -> CountReport:
+    _require_lattice(p)
     lat = p.face_lattice()
     counts = face_counts(lat)
     rows = tuple((f.id, f.dim) + counts[f.id] for f in lat.faces)
-    _require_lattice(p)
     values = tuple(ehrhart_counts(p))
     return CountReport(rows, skeleton_count(lat), values, _interpolate(values))

@@ -242,11 +242,6 @@ def _points_row_gens(duals, tight, keep, p):
     return [sum(newbit.get(i, 0) for i in _bits(m)) for m in masks]
 
 
-def _no_rows(p):
-    """row_gens of the ambient-rank-zero point, which has no rows."""
-    return []
-
-
 def _scaled(ws):
     """(den, xs) for homogenized points w = (x, t), t > 0: den the lcm of
     the t, and xs[i] the int tuple x * (den // t) of ws[i], which is den
@@ -375,8 +370,6 @@ class Polytope:
         if any(len(w) != n + 1 for w in gens):
             raise ValueError("points of mixed dimension")
         rr = sorted(set(primitive(r) for r in rays))
-        if n == 0:
-            return cls(0, [(1,)], [], [], _no_rows)
         gens = list(gens)
         # distinct primitive (x, t), t > 0, have distinct scaled keys
         cons = [w for _, w in sorted(zip(_scaled(gens)[1], gens))] + [r + (0,) for r in rr]
@@ -514,6 +507,7 @@ class FaceLattice:
         self.polytope = polytope
         self.n = polytope.n
         self._counts = None  # memo of counting.face_counts
+        self._pieces = None  # memo of counting's classified scan
         self._build()
 
     def _build(self):

@@ -19,6 +19,7 @@ from toric_ih.counting import (
 )
 from toric_ih.errors import UnboundedError
 from toric_ih.fixtures import (
+    cone_over_polygon,
     cube,
     octahedron,
     point,
@@ -71,6 +72,38 @@ def test_vertex_face_counts():
 def test_counting_rejects_unbounded():
     with pytest.raises(UnboundedError):
         lattice_points(quadrant(2))
+
+
+@pytest.mark.parametrize("p", [quadrant(2), cone_over_polygon(4)], ids=["quadrant", "cone"])
+def test_listing_a_compact_face_of_an_unbounded_polyhedron_raises(p):
+    lat = p.face_lattice()
+    compact = [f for f in lat.faces if not f.ray_ids]
+    assert compact
+    for f in compact:
+        with pytest.raises(UnboundedError):
+            lattice_points(lat, f)
+        with pytest.raises(UnboundedError):
+            interior_lattice_points(lat, f)
+
+
+def test_listings_read_the_scan_of_face_counts(monkeypatch):
+    rational = Polytope.from_points([(F(1, 2), 0), (5, 0), (0, 7)])
+    for p in (cube(3), simplex(3, scale=3), rational, octahedron(), point()):
+        lat = p.face_lattice()
+        counts = face_counts(lat)
+        calls = Counter()
+        for name in ("_classified", "_fibers"):
+            def counted(*args, name=name, scan=getattr(counting, name)):
+                calls[name] += 1
+                return scan(*args)
+            monkeypatch.setattr(counting, name, counted)
+        closed = [lattice_points(lat, f) for f in lat.faces]
+        inner = [interior_lattice_points(lat, f) for f in lat.faces]
+        assert lattice_points(p) == closed[0]
+        assert interior_lattice_points(p) == inner[0]
+        assert not calls
+        assert counts == tuple((a[0], b[0]) for a, b in zip(closed, inner))
+        monkeypatch.undo()
 
 
 def test_skeleton_counts():
@@ -133,6 +166,12 @@ def test_reciprocity_fixtures():
     for p in (simplex(2), simplex(3), cube(2), cube(3),
               simplex(2, scale=3), simplex(2, scale=4), octahedron()):
         assert reciprocity_check(p, kmax=3)
+
+
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_reciprocity_check_compares_at_least_one_dilate(kmax):
+    with pytest.raises(ValueError, match="kmax"):
+        reciprocity_check(simplex(2), kmax=kmax)
 
 
 FIBERS = counting._fibers
@@ -223,3 +262,11 @@ def test_count_report():
     assert by_dim[0] == [(1, 1)] * 3
     assert by_dim[1] == [(4, 2)] * 3
     assert by_dim[2] == [(10, 1)]
+
+
+def test_count_report_rejects_rational_input_before_scanning():
+    p = Polytope.from_points([(F(1, 2), 0), (5, 0), (0, 7)])
+    with pytest.raises(ValueError, match="quasi-polynomial"):
+        count_report(p)
+    lat = p.face_lattice()
+    assert lat._counts is None and lat._pieces is None
