@@ -2,7 +2,8 @@
 """Randomized invariance sweep, a larger budget than the test suite uses.
 
 Draws random lattice polytopes, runs the shared identity tables on each and
-on its cone, checks the alternating identity on a random assignment, and
+on its cone, checks the alternating identity on a random assignment, checks
+the classified scan's counts of P against the one-walk dilate counts, and
 confirms invariance under random unimodular changes of lattice basis.
 """
 
@@ -10,7 +11,13 @@ import argparse
 import random
 import time
 
-from toric_ih.counting import interior_lattice_points, lattice_points, skeleton_count
+from toric_ih.counting import (
+    face_counts,
+    interior_lattice_points,
+    lattice_count,
+    lattice_points,
+    skeleton_count,
+)
 from toric_ih.fixtures import (
     cone_over,
     random_lattice_polytope,
@@ -28,12 +35,14 @@ def check_one(rng, dim):
     rows = evaluate(COMPACT, "polytope", p) + evaluate(CONES, "cone", cone_over(p))
     assert all(result == "pass" for _, result in rows), (p.vertices, rows)
     assert alternating_identity_holds(lat, {f.id: rng.randint(-50, 50) for f in lat.faces})
+    assert face_counts(lat)[0] == (lattice_count(p), lattice_count(p, strict=True))
 
     q = unimodular_image(p, random_unimodular_matrix(rng, dim))
     assert global_ih_class(q.face_lattice()) == global_ih_class(lat)
     assert lattice_points(q)[0] == lattice_points(p)[0]
     assert interior_lattice_points(q)[0] == interior_lattice_points(p)[0]
     assert skeleton_count(q.face_lattice()) == skeleton_count(lat)
+    assert lattice_count(q, 2, strict=True) == lattice_count(p, 2, strict=True)
     return len(lat.faces)
 
 

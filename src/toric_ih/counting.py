@@ -4,18 +4,20 @@ Every count is a fiber scan in plain integers: it loops over the integer
 points x of the bounding box's first n-1 coordinates and reads the range
 l <= t <= h of the last coordinate off the integer rows by ceil and floor
 division, so a count adds up interval lengths and its cost follows the
-box's projection, not its volume.  The rows are integral, so the interior
-(a.y > b) is the same scan with b + 1 in place of b.  The work around the
+box's projection, not its volume.  The rows are integral, so a point on no
+row (a.y > b) is one where no row is tight, and the same walk counts the
+interior from the tightness at each fiber's ends.  The work around the
 scan is in ints too: a box and an edge walk read the vertices as the
 polytope stores them, primitive integer points (x, t) of the homogenized
 cone, put on one common scale (``polytope._integer_box`` and
 ``polytope._scaled``), and the Ehrhart coefficients come from the integer
 forward differences of the counts, divided by n! once.
 
-Each dilate is scanned at most once per polytope: ``lattice_count`` keeps
-|kP ∩ Z^n| and the interior count on the polytope, by (k, strict), so
-``count_report``, ``reciprocity_check``, ``ehrhart_polynomial`` and the
-hypersurface counts share them.
+Each dilate is walked at most once per polytope: one walk of kP's rows
+gives |kP ∩ Z^n| and the interior count, which ``lattice_count`` keeps on
+the polytope by (k, strict), so ``count_report``, ``reciprocity_check``,
+``ehrhart_polynomial`` and the hypersurface counts share them.  The edge
+walk of ``skeleton_count`` is kept on the FaceLattice the same way.
 
 Every per-face question, count or listing, is read off one classified scan
 of the polytope, memoized on its FaceLattice as pieces (x, s, e, mask): a
@@ -46,26 +48,60 @@ from .polytope import Face, FaceLattice, Polytope, _bits, _integer_box, _scaled
 
 
 def _fibers(rows, lo, hi):
-    """Nonempty fibers (x, l, h) of {y in Z^n : a.y >= b for (a, b) in rows} in the box lo..hi.
+    """Nonempty fibers (x, l, h, inner) of {y in Z^n : a.y >= b for (a, b) in rows}
+    in the box lo..hi.
 
     x runs over the integer points of the box's first n-1 coordinates in
     lexicographic order, and the fiber over x is {x + (t,) : l <= t <= h}.
     A row with last coefficient c > 0 bounds t from below by a ceil division,
     one with c < 0 from above by a floor division, and one with c = 0 accepts
-    or rejects x whole.
+    or rejects x whole.  inner counts the fiber's points on no row: 0 when a
+    flat row is tight at x, else h - l + 1 less each end where a row is
+    tight, an end l = h taken once.  On integer rows that is the fiber of
+    the rows (a, b + 1).
     """
     flat, up, down = [], [], []
     for a, b in rows:
         c = a[-1]
         (down if c < 0 else up if c else flat).append((a[:-1], c, b))
-    t_lo, t_hi = [lo[-1]], [hi[-1]]
+    box_lo, box_hi = lo[-1], hi[-1]
     for x in product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
-        if any(sum(map(mul, a, x)) < b for a, _, b in flat):
-            continue
-        l = max(t_lo + [-((sum(map(mul, a, x)) - b) // c) for a, c, b in up])
-        h = min(t_hi + [(b - sum(map(mul, a, x))) // c for a, c, b in down])
-        if l <= h:
-            yield x, l, h
+        on_flat = False
+        for a, _, b in flat:
+            s = sum(map(mul, a, x)) - b
+            if s < 0:
+                break
+            if not s:
+                on_flat = True
+        else:
+            l, on_l = box_lo, False
+            for a, c, b in up:
+                s = b - sum(map(mul, a, x))
+                t = -(-s // c)
+                if t > l:
+                    l, on_l = t, c * t == s
+                elif t == l and c * t == s:
+                    on_l = True
+            if l > box_hi:
+                continue
+            h, on_h = box_hi, False
+            for a, c, b in down:
+                s = b - sum(map(mul, a, x))
+                t = s // c
+                if t < l:
+                    break
+                if t < h:
+                    h, on_h = t, c * t == s
+                elif t == h and c * t == s:
+                    on_h = True
+            else:
+                if on_flat:
+                    inner = 0
+                elif l == h:
+                    inner = 0 if on_l or on_h else 1
+                else:
+                    inner = h - l + 1 - on_l - on_h
+                yield x, l, h, inner
 
 
 def _classified(rows, lo, hi):
@@ -77,7 +113,7 @@ def _classified(rows, lo, hi):
     at an end of the fiber.  Pieces come in increasing x + (t,).
     """
     split = [(a[:-1], a[-1], b, 1 << j) for j, (a, b) in enumerate(rows)]
-    for x, l, h in _fibers(rows, lo, hi):
+    for x, l, h, _ in _fibers(rows, lo, hi):
         inner = at_l = at_h = 0
         for a, c, b, bit in split:
             s = b - sum(map(mul, a, x))
@@ -101,9 +137,9 @@ def _mask(active):
     return sum(1 << j for j in active)
 
 
-def _rows(p: Polytope, k=1, strict=False):
-    """The integer rows of kP; for the interior, a.y > kb is a.y >= kb + 1."""
-    return [(a, k * b + int(strict)) for a, b in p.rows]
+def _rows(p: Polytope, k=1):
+    """The integer rows of kP."""
+    return [(a, k * b) for a, b in p.rows]
 
 
 def _pieces(lattice: FaceLattice):
@@ -180,8 +216,8 @@ def interior_lattice_points(obj, face: Face | None = None):
 def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
     """|kP ∩ Z^n|, or with strict the number of lattice points interior to kP.
 
-    Adds up fiber lengths; no point is listed and no dilate is built.  Each
-    (k, strict) is scanned once per polytope: the count is kept on p.
+    Adds up fiber lengths; no point is listed and no dilate is built.  One
+    walk of kP's rows gives both counts of k, and both are kept on p.
     """
     if k <= 0:
         raise ValueError("dilation factor must be positive")
@@ -189,12 +225,14 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return 1
-    key = (k, strict)
     table = p._dilate_counts
-    if key not in table:
-        table[key] = sum(h - l + 1 for _, l, h in
-                         _fibers(_rows(p, k, strict), *_integer_box(p.homogenized, k)))
-    return table[key]
+    if (k, strict) not in table:
+        closed = inner = 0
+        for _, l, h, i in _fibers(_rows(p, k), *_integer_box(p.homogenized, k)):
+            closed += h - l + 1
+            inner += i
+        table[k, False], table[k, True] = closed, inner
+    return table[k, strict]
 
 
 def _classify(lattice: FaceLattice):
@@ -231,14 +269,17 @@ def skeleton_count(lattice: FaceLattice) -> int:
     """Number of lattice points on the union of the 1-dimensional faces.
 
     Taken from the edges' point sets, never from face_counts, so that the
-    identity points = vertices + edge interiors stays a check of that table.
+    identity points = vertices + edge interiors stays a check of that table;
+    computed once per lattice.
     """
     if not lattice.is_compact:
         raise UnboundedError("unbounded input")
-    seen = set()
-    for f in lattice.of_dim(1):
-        seen.update(_edge_points(*(lattice.polytope.homogenized[i] for i in f.vertex_ids)))
-    return len(seen)
+    if lattice._skeleton is None:
+        seen = set()
+        for f in lattice.of_dim(1):
+            seen.update(_edge_points(*(lattice.polytope.homogenized[i] for i in f.vertex_ids)))
+        lattice._skeleton = len(seen)
+    return lattice._skeleton
 
 
 def ehrhart_counts(p: Polytope):
@@ -322,7 +363,7 @@ class ConeOverPolytope:
             return 0
         if self.polytope.n == 1:
             return len(self.slice_points(k))
-        return sum(h - l + 1 for _, l, h in _fibers(*self._slice(k)))
+        return sum(h - l + 1 for _, l, h, _ in _fibers(*self._slice(k)))
 
     def slice_points(self, k: int):
         if k < 0:
@@ -330,7 +371,7 @@ class ConeOverPolytope:
         base = self.polytope
         if base.n == 1:
             return ((k,),) if all(dot(a, (k,)) >= b for a, b in base.rows) else ()
-        return tuple(x + (t, k) for x, l, h in _fibers(*self._slice(k))
+        return tuple(x + (t, k) for x, l, h, _ in _fibers(*self._slice(k))
                      for t in range(l, h + 1))
 
 

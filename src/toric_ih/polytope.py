@@ -508,6 +508,7 @@ class FaceLattice:
         self.n = polytope.n
         self._counts = None  # memo of counting.face_counts
         self._pieces = None  # memo of counting's classified scan
+        self._skeleton = None  # memo of counting.skeleton_count
         self._build()
 
     def _build(self):

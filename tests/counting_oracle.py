@@ -8,16 +8,36 @@ and a lower-dimensional face is counted in the lattice chart of its affine span
 polytopes.  None of this shares code with the fiber scans in
 ``toric_ih.counting``; it is the reference for their differential tests.
 The Ehrhart coefficients have their own oracle, the ``Fraction`` Lagrange
-interpolation that the integer forward-difference form replaced.
+interpolation that the integer forward-difference form replaced, and the
+fiber kernel its own, ``oracle_fibers``, the list-building walk that the
+one-pass closed and interior kernel replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from toric_ih.errors import NonIntegralSpanError, UnboundedError
 from toric_ih.polytope import reduce_to_span
+
+
+def oracle_fibers(rows, lo, hi):
+    """Nonempty fibers (x, l, h) of {y in Z^n : a.y >= b for (a, b) in rows} in the box lo..hi,
+    each bound the max or min over a list of every row's ceil or floor division."""
+    flat, up, down = [], [], []
+    for a, b in rows:
+        c = a[-1]
+        (down if c < 0 else up if c else flat).append((a[:-1], c, b))
+    t_lo, t_hi = [lo[-1]], [hi[-1]]
+    for x in product(*(range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1]))):
+        if any(sum(map(mul, a, x)) < b for a, _, b in flat):
+            continue
+        l = max(t_lo + [-((sum(map(mul, a, x)) - b) // c) for a, c, b in up])
+        h = min(t_hi + [(b - sum(map(mul, a, x))) // c for a, c, b in down])
+        if l <= h:
+            yield x, l, h
 
 
 def oracle_box(vertices, k=1):

@@ -27,7 +27,8 @@ from toric_ih.fixtures import (
     random_lattice_polytope,
     simplex,
 )
-from toric_ih.polytope import Polytope
+from toric_ih.hypersurface import curve_e_polynomial, frontier_hodge
+from toric_ih.polytope import FaceLattice, Polytope
 
 
 def edge_between(lat, a, b):
@@ -112,6 +113,27 @@ def test_skeleton_counts():
     assert skeleton_count(cube(3).face_lattice()) == 8
 
 
+def test_skeleton_is_walked_once_per_lattice(monkeypatch):
+    walks = Counter()
+
+    def counted(u, v, walk=counting._edge_points):
+        walks[u, v] += 1
+        return walk(u, v)
+
+    monkeypatch.setattr(counting, "_edge_points", counted)
+    p = Polytope.from_points([(0, 0), (4, 0), (0, 3), (2, 5)])
+    lat = p.face_lattice()
+    frontier_hodge(p, lat)
+    edges = len(lat.of_dim(1))
+    assert sum(walks.values()) == edges and set(walks.values()) == {1}
+    assert skeleton_count(lat) == frontier_hodge(p, lat)[0] + 1
+    curve_e_polynomial(p)
+    assert sum(walks.values()) == edges
+    # a fresh lattice of the same polytope walks its edges again
+    assert skeleton_count(FaceLattice(p)) == skeleton_count(lat)
+    assert sum(walks.values()) == 2 * edges
+
+
 def test_skeleton_decomposition_identity(rng):
     for _ in range(10):
         p = random_lattice_polytope(rng, rng.choice((2, 3)), npoints=6)
@@ -179,9 +201,8 @@ FIBERS = counting._fibers
 
 def scans_by_dilate(monkeypatch, p, kmax):
     """A Counter that the wrapped ``counting._fibers`` fills with the
-    (k, strict) of every dilate scan of p, k <= kmax."""
-    key_of = {tuple(counting._rows(p, k, strict)): (k, strict)
-              for k in range(1, kmax + 1) for strict in (False, True)}
+    (k, False) of every dilate walk of p, k <= kmax: each walks kP's closed rows."""
+    key_of = {tuple(counting._rows(p, k)): (k, False) for k in range(1, kmax + 1)}
     scans = Counter()
 
     def counted(rows, lo, hi):
@@ -200,13 +221,15 @@ def test_dilate_counts_are_scanned_once_per_polytope(monkeypatch, rng):
     face_counts(p.face_lattice())  # the classified scan, kept on the lattice
     scans = scans_by_dilate(monkeypatch, p, 4)
     count_report(p)
+    assert scans == {(k, False): 1 for k in (1, 2, 3)}
+    # each closed walk gave kP's interior count too: no strict walk follows
     assert reciprocity_check(p, kmax=3)
-    assert scans == {(k, strict): 1 for k in (1, 2, 3) for strict in (False, True)}
+    assert scans == {(k, False): 1 for k in (1, 2, 3)}
     counts = ehrhart_counts(p)
     counts[1] = -1
     assert ehrhart_counts(p)[1] == lattice_count(p) > 0
     assert p == q and hash(p) == hash(q)
-    assert sum(scans.values()) == 6
+    assert sum(scans.values()) == 3
     # a dilate, a translate and a fresh hull of the same points scan anew
     for other, k in ((p.dilate(2), 2), (p.translate((1, 0, -1)), 1), (q, 1)):
         scans = scans_by_dilate(monkeypatch, other, 1)

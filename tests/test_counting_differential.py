@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from toric_ih.counting import (
+    _fibers,
     _interpolate,
+    _rows,
     cone_over_polytope,
     ehrhart_counts,
     ehrhart_polynomial,
@@ -26,6 +28,7 @@ from counting_oracle import (
     oracle_ehrhart_counts,
     oracle_face_counts,
     oracle_face_points,
+    oracle_fibers,
     oracle_interpolate,
     oracle_scan,
 )
@@ -92,6 +95,21 @@ def test_dilate_counts_match_oracle(d, rational):
             want = tuple(x + (k,) for x in oracle_scan(p.dilate(k)))
             assert cone.slice_points(k) == want
             assert cone.slice_count(k) == len(want)
+
+
+@pytest.mark.parametrize("d,rational", CASES)
+def test_fiber_kernel_matches_oracle_on_closed_and_strict_rows(d, rational):
+    # (x, l, h) as the list-building walk gives it on kP's rows, and inner as
+    # the length of that walk's fiber over x on the interior rows (a, kb + 1)
+    for p in polytopes(d, rational, 6):
+        for k in (1, 2, 3):
+            rows, box = _rows(p, k), _integer_box(p.homogenized, k)
+            got = list(_fibers(rows, *box))
+            assert [fiber[:3] for fiber in got] == list(oracle_fibers(rows, *box))
+            strict = {x: h - l + 1
+                      for x, l, h in oracle_fibers([(a, b + 1) for a, b in rows], *box)}
+            assert [inner for x, _, _, inner in got] == [strict.get(x, 0) for x, *_ in got]
+            assert sum(inner for *_, inner in got) == sum(strict.values())
 
 
 @pytest.mark.parametrize("d,rational", CASES)
