@@ -53,11 +53,12 @@ from .errors import (
     UnboundedError,
 )
 from .lattice import (
-    affine_frame,
     as_rat,
     dot,
+    homogenized_frame,
     integerize,
     lattice_vector,
+    primitive,
     rational_affine_basis,
     solve_consistent,
     vsub,
@@ -257,6 +258,14 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     ``v`` must pair strictly positively with every ray (the interior of the
     dual cone); the slice is then a compact polytope of one dimension less
     whose faces correspond to the positive-dimensional faces of the cone.
+
+    The figure vertex on ray r is c r / <r, v>, the integer point
+    (a r, b <r, v>) homogenized for c = a / b.  When its span holds a
+    lattice point, the figure is charted in ints: the frame is
+    ``homogenized_frame`` of those points, which is ``affine_frame`` of the
+    figure vertices, and each vertex's primitive (y, t) is read off the
+    frame's Hermite transform (``AffineLatticeFrame.chart``).  Otherwise a
+    rational chart of the span solves for each vertex over Q.
     """
     if not p.is_cone_with_vertex or p.homogenized[0] != (0,) * p.n + (1,):
         raise ValueError("need a cone with vertex at the origin")
@@ -268,22 +277,24 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
         if dot(r, v) <= 0:
             raise ValueError("not interior to dual cone")
     prime = Polytope.from_hull(*hull_of_rows(list(p.rows) + [(v, c)], p))
-    figure_vertices = tuple(tuple(c * x / dot(r, v) for x in r) for r in p.rays)
+    ws = [(*(c.numerator * x for x in r), c.denominator * dot(r, v)) for r in p.rays]
+    figure_vertices = tuple(tuple(Fraction(x, w[-1]) for x in w[:-1]) for w in ws)
     try:
-        frame = affine_frame(figure_vertices)
-        coords = [frame.to_coords(w) for w in figure_vertices]
+        frame = homogenized_frame(ws)
+        gens = [primitive(frame.chart(w)) for w in ws]
         lattice_chart = True
     except NonIntegralSpanError:
         base, dirs = rational_affine_basis(figure_vertices)
         cols = [[d[i] for d in dirs] for i in range(p.n)]
-        coords = [solve_consistent(cols, list(vsub(w, base))) for w in figure_vertices]
+        gens = [integerize((*solve_consistent(cols, list(vsub(w, base))), 1))
+                for w in figure_vertices]
         lattice_chart = False
-    figure = Polytope.from_points(coords)
+    figure = Polytope.from_homogenized(gens)
     if figure.n != p.n - 1:
         raise InvariantViolation("compact figure has the wrong dimension")
 
-    # each figure vertex by its (y, 1) cleared of denominators, as from_points keeps it
-    ray_of_coord = {integerize(tuple(y) + (1,)): i for i, y in enumerate(coords)}
+    # each figure vertex by its primitive (y, t), as the figure keeps it
+    ray_of_coord = {w: i for i, w in enumerate(gens)}
 
     plat = p.face_lattice()
     cone_face_by_rays = {frozenset(f.ray_ids): f.id for f in plat.faces if f.dim > 0}

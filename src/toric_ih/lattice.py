@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, NonIntegralSpanError, NotUnimodularError
+from .errors import (
+    DimensionMismatchError,
+    InvariantViolation,
+    NonIntegralSpanError,
+    NotUnimodularError,
+)
 
 
 def as_rat(x) -> Fraction:
@@ -71,6 +77,8 @@ def primitive(u) -> tuple[int, ...]:
     """Primitive integer vector on the same ray (direction preserved)."""
     w = integerize(u)
     g = gcd(*w)
+    if g == 1:
+        return w
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(c // g for c in w)
@@ -169,18 +177,28 @@ def independent_rows(rows, limit=None):
     for i, row in enumerate(rows):
         if len(picked) == limit:
             break
-        r = integerize(row)
-        for c, e in echelon:
-            f = r[c]
-            if f:
-                p = e[c]
-                r = [p * x - f * y for x, y in zip(r, e)]
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is not None:
-            g = gcd(*r)
-            echelon.append((piv, [x // g for x in r]))
+        if echelon_push(echelon, integerize(row)):
             picked.append(i)
     return picked
+
+
+def echelon_push(echelon, row) -> bool:
+    """Reduce the int row against a fraction-free echelon, a list of
+    (pivot column, reduced row), and append it when it is independent of
+    the echelon's rows; returns whether it was.  The echelon's size is the
+    rank of the rows pushed so far."""
+    r = row
+    for c, e in echelon:
+        f = r[c]
+        if f:
+            p = e[c]
+            r = [p * x - f * y for x, y in zip(r, e)]
+    piv = next((c for c, x in enumerate(r) if x), None)
+    if piv is None:
+        return False
+    g = gcd(*r)
+    echelon.append((piv, [x // g for x in r]))
+    return True
 
 
 def mat_rank(rows) -> int:
@@ -289,27 +307,6 @@ def solve_integer_system(rows, rhs=None):
     return tuple(x0), tuple(tuple(r) for r in u[rank:])
 
 
-def affine_span_equations(points):
-    """Integer equations (C, e) with affine span(points) = {x : C @ x = e}.
-
-    The rows of C span the saturated lattice of functionals vanishing on
-    the direction space of the span; e holds rational right-hand sides.
-    """
-    pts = [rat_vector(p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    n = len(pts[0])
-    p0 = pts[0]
-    dirs = [integerize(vsub(p, p0)) for p in pts[1:]]
-    dirs = [d for d in dirs if any(d)]
-    if not dirs:
-        eqs = [tuple(r) for r in identity_rows(n)]
-    else:
-        _, eqs = solve_integer_system(dirs)
-    rhs = tuple(pairing(p0, c) for c in eqs)
-    return tuple(eqs), rhs
-
-
 @dataclass(frozen=True)
 class AffineLatticeFrame:
     """A lattice chart of the affine span of a face.
@@ -317,6 +314,10 @@ class AffineLatticeFrame:
     ``base`` is a lattice point on the span and ``basis`` a lattice basis of
     the intersection of the span's direction space with Z^n, so the lattice
     points of the span are exactly base + (integer combinations of basis).
+    The chart runs on ints: U @ transpose(basis) = [I; 0] for the Hermite
+    transform U of the basis (``_hermite``), so the first ``dim`` rows of U
+    read a point's coordinates off its offset from ``base`` and the other
+    rows vanish on that offset exactly when the point is on the span.
     """
 
     base: tuple[int, ...]
@@ -326,18 +327,34 @@ class AffineLatticeFrame:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _hermite(self):
+        """The Hermite transform U of transpose(basis); raises
+        InvariantViolation when the basis is not a lattice basis of the
+        integer points of its span (the Hermite block is not I)."""
+        if not self.basis:
+            return identity_rows(len(self.base))
+        h, u = hnf_with_transform(transpose(self.basis))
+        if h[:self.dim] != identity_rows(self.dim):
+            raise InvariantViolation("frame basis is not saturated")
+        return u
+
+    def chart(self, w) -> tuple[int, ...]:
+        """Homogenized coordinates (t y, t) of the span point x / t given as
+        the int tuple w = (x, t), t > 0, where y are its coordinates in this
+        frame: t y_j = <u_j, x - t base>.  Raises ValueError when the point
+        is off the span."""
+        t = w[-1]
+        z = [a - t * b for a, b in zip(w, self.base)]
+        vals = [dot(u, z) for u in self._hermite]
+        if any(vals[self.dim:]):
+            raise ValueError("point not on the affine span")
+        return (*vals[:self.dim], t)
+
     def to_coords(self, point) -> tuple[Fraction, ...]:
         """Coordinates of a span point in this frame."""
-        p = rat_vector(point)
-        if not self.basis:
-            if p != rat_vector(self.base):
-                raise ValueError("point not on the affine span")
-            return ()
-        cols = [[Fraction(b[i]) for b in self.basis] for i in range(len(p))]
-        y = solve_consistent(cols, list(vsub(p, self.base)))
-        if y is None or self.from_coords(y) != p:
-            raise ValueError("point not on the affine span")
-        return y
+        *y, t = self.chart(integerize((*point, 1)))
+        return tuple(Fraction(c, t) for c in y)
 
     def from_coords(self, coords) -> tuple:
         p = rat_vector(self.base)
@@ -348,25 +365,37 @@ class AffineLatticeFrame:
         return p
 
 
+def homogenized_frame(ws) -> AffineLatticeFrame:
+    """``affine_frame`` of the points x / t given as int tuples (x, t), t > 0.
+
+    The span's equations C y = e are the saturated integer kernel of its
+    directions x t0 - x0 t, with e = <c, x0> / t0, so the frame's base
+    solves t0 C y = <C, x0>.  These directions and rows are positive
+    multiples of the ones the points' Fractions give once cleared of
+    denominators, and such multiples leave every Hermite transform below,
+    so the frame, unchanged.
+    """
+    if not ws:
+        raise ValueError("need at least one point")
+    n, x0, t0 = len(ws[0]) - 1, ws[0][:-1], ws[0][-1]
+    dirs = [d for d in ([a * t0 - b * w[-1] for a, b in zip(w, x0)] for w in ws[1:]) if any(d)]
+    eqs = solve_integer_system(dirs)[1] if dirs else identity_rows(n)
+    if not eqs:
+        return AffineLatticeFrame(tuple([0] * n), tuple(tuple(r) for r in identity_rows(n)))
+    base, kernel = solve_integer_system([[t0 * c for c in row] for row in eqs],
+                                        [dot(c, x0) for c in eqs])
+    if base is None:
+        raise NonIntegralSpanError("non-integral span: no lattice point on the affine span")
+    return AffineLatticeFrame(base, kernel)
+
+
 def affine_frame(points) -> AffineLatticeFrame:
     """Lattice frame of the affine span of rational points.
 
     Raises NonIntegralSpanError when the span contains no lattice point
     (callers counting lattice points treat that face as contributing 0).
     """
-    eqs, rhs = affine_span_equations(points)
-    n = len(points[0])
-    if not eqs:
-        return AffineLatticeFrame(tuple([0] * n), tuple(tuple(r) for r in identity_rows(n)))
-    int_rows, int_rhs = [], []
-    for row, e in zip(eqs, rhs):
-        d = e.denominator
-        int_rows.append([d * c for c in row])
-        int_rhs.append(e.numerator)
-    x0, kernel = solve_integer_system(int_rows, int_rhs)
-    if x0 is None:
-        raise NonIntegralSpanError("non-integral span: no lattice point on the affine span")
-    return AffineLatticeFrame(x0, kernel)
+    return homogenized_frame([integerize((*p, 1)) for p in points])
 
 
 def rational_affine_basis(points):

@@ -31,25 +31,28 @@ that polytope's homogenized cone, read off its face lattice, instead of a
 simplicial cone, and adds only the other rows; the result is the same.
 Faces are canonically identified by their maximal tight row set.
 
-The face lattice comes from the generator-facet incidences in plain ints, as
-int bitmasks of generators per facet row.  A ``Polytope`` holds canonical
-data plus a function that gives those incidences, and every constructor
-hands over both: ``from_points`` and ``from_hull`` the double description's
-own tight bitmasks, which the lattice's first build maps to the sorted
-generator order; ``translate``, ``dilate`` and ``apply_unimodular`` are
-``from_points`` of the mapped generators; and the cone over a polytope
-(``counting.cone_over_polytope``) reads its incidences off the polytope's
-own.  No row is paired with a vertex.  A level-by-level search from the
-polytope intersects each face with each facet, and the inclusion-maximal
-nonempty results are the face's lower covers (Kaibel & Pfetsch 2002).  A
-face's dimension is n minus its cover depth below the polytope;
-``normal_fan`` checks it against the rank of the face's active rows'
-normals.  Up- and down-sets are bitmasks over face ids, unioned along the
-covers on first use.  The lattice's ``minimizing_vertices`` and ``maximum``
-read the vertices on their common scale (``_scaled``), also made on first
-use, for the bitmask of vertices where an integer functional is least and
-for its greatest value; lattice-point counts read their boxes off the same
-integers (``_integer_box``).
+The face lattice comes from the generator-facet incidences in plain ints,
+as int bitmasks of generators per facet row.  A ``Polytope`` holds
+canonical data plus a function that gives those incidences, and every
+constructor hands over both: ``from_points`` and ``from_hull`` the double
+description's own tight bitmasks, which the lattice's first build maps to
+the sorted generator order; ``translate``, ``dilate`` and
+``apply_unimodular`` are ``from_points`` of the mapped generators; and the
+cone over a polytope (``counting.cone_over_polytope``) reads its incidences
+off the polytope's own.  No row is paired with a vertex.  A level-by-level
+search from the polytope intersects each face with each facet, and the
+inclusion-maximal nonempty results are the face's lower covers (Kaibel &
+Pfetsch 2002).  A face's dimension is n minus its cover depth below the
+polytope; ``normal_fan`` checks it against the rank of the face's active
+rows' normals, from the top down: a face's active rows hold those of each
+upper cover, so it starts from the integer echelon of one upper cover's
+normals and pushes only its other normals onto it.  Up- and down-sets are
+bitmasks over face ids, unioned along the covers on first use.  The
+lattice's ``minimizing_vertices`` and ``maximum`` read the vertices on
+their common scale (``_scaled``), also made on first use, for the bitmask
+of vertices where an integer functional is least and for its greatest
+value; lattice-point counts read their boxes off the same integers
+(``_integer_box``).
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -77,10 +80,10 @@ from .lattice import (
     as_rat,
     det_int,
     dot,
+    echelon_push,
     identity_rows,
     integerize,
     lattice_vector,
-    mat_rank,
     mat_vec,
     primitive,
     rat_vector,
@@ -363,7 +366,13 @@ class Polytope:
         Raises NotFullDimensionalError / NotPointedError for the unsupported
         degenerate cases.
         """
-        gens = {integerize(tuple(p) + (1,)) for p in points}
+        return cls.from_homogenized({integerize(tuple(p) + (1,)) for p in points}, rays)
+
+    @classmethod
+    def from_homogenized(cls, gens, rays=()):
+        """``from_points`` of the points x / t given as primitive int tuples
+        (x, t), t > 0."""
+        gens = set(gens)
         if not gens:
             raise ValueError("need at least one point")
         n = len(next(iter(gens))) - 1
@@ -587,6 +596,7 @@ class FaceLattice:
 
     @cached_property
     def _covers_up(self):
+        """The faces one dimension above each face that contain it."""
         up = [[] for _ in self.faces]
         for lo, hi in sorted(self._covers):
             up[lo].append(hi)
@@ -631,10 +641,6 @@ class FaceLattice:
         """Containment: face a is a face of face b."""
         ga = self._gens[a]
         return ga & self._gens[b] == ga
-
-    def covers_up(self, a: int):
-        """The faces one dimension above face a that contain it."""
-        return self._covers_up[a]
 
     def up_set(self, a: int) -> int:
         """Bitmask over face ids (face i is bit i) of the faces containing face a, a included."""
@@ -760,23 +766,36 @@ class FanCone:
 class Fan:
     cones: tuple[FanCone, ...]
 
-    def cone_for(self, face_id: int) -> FanCone:
-        return self.cones[face_id]
-
 
 def normal_fan(p: Polytope) -> Fan:
     """Dual fan: for each face, the cone of directions minimized on it.
 
     The cone dual to a face is generated by the primitive inner normals of
     the facets containing the face; its dimension equals the face codimension.
+    That is checked against the rank of those normals, from the top down: a
+    face's active rows hold those of its upper covers, so it takes the
+    fraction-free echelon of one upper cover's normals and pushes only its
+    other normals onto it (``echelon_push``), and the echelon's size is the
+    rank.
     """
     lat = p.face_lattice()
-    cones = []
-    for f in lat.faces:
-        rays = tuple(sorted(p.rows[j][0] for j in f.active))
-        if mat_rank([list(r) for r in rays]) != f.codim:
+    cover = {}
+    for lo, hi in lat._covers:
+        cover.setdefault(lo, hi)
+    echelons = [None] * len(lat.faces)
+    cones = [None] * len(lat.faces)
+    for f in (lat.top, *reversed(lat.faces[1:])):  # by dimension, descending
+        ech, old = [], ()
+        if f.id:
+            g = lat.faces[cover[f.id]]
+            ech, old = list(echelons[g.id]), g.active
+        for j in f.active:
+            if j not in old:
+                echelon_push(ech, p.rows[j][0])
+        if len(ech) != f.codim:
             raise InvariantViolation("dual cone dimension differs from face codimension")
-        cones.append(FanCone(f.id, f.codim, rays))
+        echelons[f.id] = ech
+        cones[f.id] = FanCone(f.id, f.codim, tuple(sorted(p.rows[j][0] for j in f.active)))
     return Fan(tuple(cones))
 
 
@@ -799,7 +818,7 @@ def is_smooth_cone(rays) -> bool:
     d = n.
     """
     rr = [primitive(r) for r in rays]
-    if not rr:
+    if len(rr) < 2:  # a primitive ray's 1 x 1 minors have gcd 1
         return True
     g = 0
     for cols in combinations(range(len(rr[0])), len(rr)):
@@ -816,9 +835,8 @@ def reduce_to_span(points):
     coordinates and frame.from_coords maps its points back to the ambient
     space.  Raises NonIntegralSpanError when the span misses the lattice.
     """
-    from .lattice import affine_frame
+    from .lattice import homogenized_frame
 
-    pts = [rat_vector(p) for p in points]
-    frame = affine_frame(pts)
-    coords = [frame.to_coords(p) for p in pts]
-    return Polytope.from_points(coords), frame
+    ws = [integerize((*p, 1)) for p in points]
+    frame = homogenized_frame(ws)
+    return Polytope.from_homogenized(primitive(frame.chart(w)) for w in ws), frame

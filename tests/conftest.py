@@ -19,9 +19,9 @@ def brute_span_lattice_points(points, box):
     """
     from fractions import Fraction
 
-    from toric_ih.lattice import affine_span_equations
+    from chart_oracle import oracle_span_equations
 
-    eqs, rhs = affine_span_equations(points)
+    eqs, rhs = oracle_span_equations(points)
     (lo, hi) = box
     out = []
     for x in product(*(range(l, h + 1) for l, h in zip(lo, hi))):

@@ -9,6 +9,9 @@ of the hull.  ``oracle_faces`` finds the faces by a closure search over
 frozensets of tight generators and takes each face's dimension as the rank
 of its vertex differences and rays.  ``oracle_is_smooth_cone`` expresses the rays in a
 lattice basis of their span and takes a determinant.
+``oracle_normal_fan`` takes the rank of each face's active normals afresh
+with ``mat_rank``, and ``oracle_euler_relation_check`` sums (-1)^codim over
+each face's ``faces_above`` records.
 ``vertex_normal_cone_contains`` tests one direction against one vertex's
 normal cone by pairing it with every vertex.  ``cut_rows`` gives a prime-cut
 round's shave rows from widths found by pairing.  ``vertex_limits_by_solving``
@@ -30,13 +33,14 @@ from toric_ih.lattice import (
     as_rat,
     det_int,
     dot,
+    mat_rank,
     pairing,
     primitive,
     solve_consistent,
     solve_integer_system,
     vsub,
 )
-from toric_ih.polytope import Face, Polytope, normalize_row
+from toric_ih.polytope import Face, Fan, FanCone, Polytope, normalize_row
 
 
 def fraction_rank(rows) -> int:
@@ -138,6 +142,29 @@ def oracle_is_smooth_cone(rays) -> bool:
         y = solve_consistent(cols, list(r))
         coords.append([int(c) for c in y])
     return abs(det_int(coords)) == 1
+
+
+def oracle_normal_fan(p) -> Fan:
+    """The dual fan, each cone's dimension checked by a rank of its own."""
+    cones = []
+    for f in p.face_lattice().faces:
+        rays = tuple(sorted(p.rows[j][0] for j in f.active))
+        if mat_rank([list(r) for r in rays]) != f.codim:
+            raise InvariantViolation("dual cone dimension differs from face codimension")
+        cones.append(FanCone(f.id, f.codim, rays))
+    return Fan(tuple(cones))
+
+
+def oracle_euler_relation_check(lattice):
+    """(all_ok, violations) of the Euler relation, summed over Face records."""
+    violations = []
+    for f in lattice.faces:
+        if f.codim == 0:
+            continue
+        s = sum((-1) ** g.codim for g in lattice.faces_above(f.id, strict=False))
+        if s != 0:
+            violations.append((f.id, s))
+    return not violations, tuple(violations)
 
 
 def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:

@@ -315,6 +315,38 @@ def test_check_reports_an_identity_that_raises(monkeypatch):
     assert errors and all(r[1] == error and r[0].endswith(": euler relation") for r in errors)
 
 
+def test_check_reports_a_failing_euler_relation(monkeypatch):
+    # face 1 of the cube, a vertex, loses the top face from its up-set
+    # bitmask: its alternating sum reads -1, and only the cube's lattice
+    # is corrupted
+    from toric_ih import hypersurface
+    from toric_ih.fixtures import cube
+    from toric_ih.polytope import FaceLattice
+
+    from face_oracle import oracle_euler_relation_check
+
+    above, memo, target = FaceLattice.__dict__["_above"].func, {}, cube(3)
+
+    def corrupted(lat):
+        if lat not in memo:
+            memo[lat] = above(lat)
+            if lat.polytope == target:
+                memo[lat][1] &= ~1
+        return memo[lat]
+
+    monkeypatch.setattr(FaceLattice, "_above", property(corrupted))
+    lat = cube(3).face_lattice()
+    assert lat.faces[1].dim == 0
+    assert (hypersurface.euler_relation_check(lat) == oracle_euler_relation_check(lat)
+            == (False, ((1, -1),)))
+    code, report = run(["check"])
+    assert code == 2
+    sec = find_section(report, "consistency checks")
+    assert item(sec, "all passed") is False
+    assert ["cube: euler relation", "FAIL"] in sec["rows"]
+    assert ["square: euler relation", "pass"] in sec["rows"]
+
+
 def test_text_rendering_is_stable(tmp_path, capsys):
     path = write(tmp_path, "o.vrep", OCTA)
     code1, _ = run(["ih", path])

@@ -1,8 +1,10 @@
-"""Differential tests: integer rank, face lattice and smoothness against the
-Fraction oracle, and every constructed polytope's canonical data and
+"""Differential tests: integer rank, face lattice, fan, Euler relation and
+smoothness against the Fraction oracle, the blow-up's integer chart against
+the Fraction chart, and every constructed polytope's canonical data and
 handed-over incidences against the pairing oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -10,16 +12,18 @@ import pytest
 
 from toric_ih import cutting
 from toric_ih.counting import cone_over_polytope
-from toric_ih.errors import ToricError
+from toric_ih.errors import InvariantViolation, NonIntegralSpanError, ToricError
 from toric_ih.fixtures import (
     cone_fixtures,
     cone_over,
     cross_polytope,
     cube,
+    octahedron,
     point,
     random_unimodular_matrix,
     standard_fixtures,
 )
+from toric_ih.hypersurface import euler_relation_check
 from toric_ih.identities import at_apex, facet_normal_sum
 from toric_ih.lattice import mat_rank, mat_vec
 from toric_ih.polytope import (
@@ -30,7 +34,15 @@ from toric_ih.polytope import (
     reduce_to_span,
 )
 
-from face_oracle import fraction_rank, oracle_faces, oracle_is_smooth_cone, oracle_row_gens
+from chart_oracle import oracle_affine_frame, oracle_to_coords
+from face_oracle import (
+    fraction_rank,
+    oracle_euler_relation_check,
+    oracle_faces,
+    oracle_is_smooth_cone,
+    oracle_normal_fan,
+    oracle_row_gens,
+)
 from hull_oracle import canonical_polytope
 
 
@@ -82,7 +94,7 @@ def poset_matches(lat):
         assert lat.faces_above(f.id) == tuple(g for g in above if g.id != f.id)
         assert lat.faces_below(f.id, strict=False) == below
         assert lat.faces_below(f.id) == tuple(g for g in below if g.id != f.id)
-        assert lat.covers_up(f.id) == tuple(g.id for g in above if g.dim == f.dim + 1)
+        assert lat._covers_up[f.id] == tuple(g.id for g in above if g.dim == f.dim + 1)
         assert all(lat.leq(f.id, g.id) == leq(f.id, g.id) for g in lat.faces)
 
 
@@ -92,8 +104,11 @@ def check_against_oracle(p):
     poset_matches(lat)
     # the builder grades by cover depth; the rank of the active normals must agree
     assert all(f.dim == p.n - mat_rank([p.rows[j][0] for j in f.active]) for f in lat.faces)
-    for cone in normal_fan(p).cones:
+    fan = normal_fan(p)
+    assert fan == oracle_normal_fan(p)
+    for cone in fan.cones:
         assert is_smooth_cone(cone.rays) == oracle_is_smooth_cone(cone.rays)
+    assert euler_relation_check(lat) == oracle_euler_relation_check(lat) == (True, ())
 
 
 FIXTURES = {**standard_fixtures(), **cone_fixtures(), "point": point(),
@@ -129,6 +144,55 @@ def test_random_faces_match_oracle(d, kind):
     rng = random.Random(6000 + 10 * d + ("lattice", "rational", "rays").index(kind))
     for _ in range(12 if d < 5 else 4 if d < 6 else 2):
         check_against_oracle(random_polyhedron(rng, d, kind))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_cones_match_oracle(d):
+    # cones over random lattice and rational (d - 1)-polytopes: the fan's
+    # echelon carried down the covers, the Euler popcounts, the smoothness
+    # test and the blow-up's integer chart, each against its oracle
+    rng = random.Random(6100 + d)
+    for _ in range(6 if d < 5 else 3):
+        cone = cone_over(random_polyhedron(rng, d - 1, rng.choice(("lattice", "rational"))))
+        check_against_oracle(cone)
+        check_blowup_against_oracle(cone, facet_normal_sum(cone),
+                                    F(rng.randint(1, 5), rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("corrupt", ["codim of a vertex", "codim of an edge",
+                                     "codim of a facet", "row dropped from a facet"])
+def test_fan_rank_check_fires_on_a_corrupted_lattice(corrupt):
+    for p in (cube(3), octahedron(), cone_over(cube(3)), cross_polytope(4)):  # fresh lattices
+        lat = p.face_lattice()
+        dim = {"vertex": 0, "edge": 1}.get(corrupt.split()[-1], p.n - 1)
+        f = next(f for f in lat.faces if f.dim == dim)
+        bad = (replace(f, active=f.active[1:]) if corrupt.startswith("row")
+               else replace(f, codim=f.codim + 1))
+        lat.faces = tuple(bad if g.id == f.id else g for g in lat.faces)
+        for route in (normal_fan, oracle_normal_fan):
+            with pytest.raises(InvariantViolation, match="dual cone dimension"):
+                route(p)
+
+
+def check_blowup_against_oracle(cone, v, c):
+    """vertex_blowup's figure and chart branch against the Fraction chart of
+    the Fraction figure vertices c r / <r, v>."""
+    result = cutting.vertex_blowup(cone, v, c)
+    fv = tuple(tuple(c * F(x) / sum(a * b for a, b in zip(r, v)) for x in r) for r in cone.rays)
+    assert result.figure_vertices == fv
+    try:
+        frame = oracle_affine_frame(fv)
+    except NonIntegralSpanError:
+        assert not result.lattice_chart
+        return
+    assert result.lattice_chart
+    assert result.figure == Polytope.from_points([oracle_to_coords(frame, w) for w in fv])
+
+
+@pytest.mark.parametrize("c", [1, F(3, 2), F(1, 3), 2])
+def test_blowup_chart_matches_oracle_on_cone_fixtures(c):
+    for cone in cone_fixtures().values():
+        check_blowup_against_oracle(cone, facet_normal_sum(cone), c)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_ih import polytope
+from toric_ih import lattice, polytope
 from toric_ih.errors import (
     EmptyPolyhedronError,
     NotFullDimensionalError,
@@ -265,15 +265,18 @@ def test_degenerate_inputs_raise_as_the_oracles(n):
 
 
 def test_hull_takes_no_rank_call(monkeypatch):
-    """Both hull directions build every fixture with polytope.mat_rank gone:
+    """Both hull directions build every fixture with the echelon ranks
+    (``echelon_push``, which ``normal_fan`` uses, and ``mat_rank``) gone:
     the double description's basis pick is the one rank decision."""
     fixtures = list(standard_fixtures().values()) + list(cone_fixtures().values())
     fixtures += [cube(6), cross_polytope(6)]
 
-    def no_rank(rows):
-        raise AssertionError("the hull called mat_rank")
+    def no_rank(*args):
+        raise AssertionError("the hull called a rank routine")
 
-    monkeypatch.setattr(polytope, "mat_rank", no_rank)
+    for module, name in ((polytope, "echelon_push"), (lattice, "echelon_push"),
+                         (lattice, "independent_rows"), (lattice, "mat_rank")):
+        monkeypatch.setattr(module, name, no_rank)
     for p in fixtures:
         assert Polytope.from_points(p.vertices, p.rays) == p
         assert Polytope.from_inequalities(p.rows) == p

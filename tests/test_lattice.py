@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,15 +7,19 @@ from hypothesis import strategies as st
 
 from toric_ih.errors import (
     DimensionMismatchError,
+    InvariantViolation,
     NonIntegralSpanError,
     NotUnimodularError,
 )
 from toric_ih.lattice import (
+    AffineLatticeFrame,
     affine_frame,
     det_int,
     hnf_with_transform,
+    homogenized_frame,
     identity_rows,
     independent_rows,
+    integerize,
     pairing,
     primitive,
     solve_integer_system,
@@ -22,6 +27,7 @@ from toric_ih.lattice import (
 )
 from toric_ih.polytope import Polytope, _simplicial_start
 
+from chart_oracle import oracle_affine_frame, oracle_to_coords
 from conftest import brute_span_lattice_points, poset_isomorphic
 from face_oracle import fraction_rank
 
@@ -110,6 +116,81 @@ def test_frame_round_trip_random(rng):
             for k in range(-2, 3):
                 q = fr.from_coords((k,) + (0,) * (fr.dim - 1))
                 assert all(isinstance(c, int) for c in q)
+
+
+def same_outcome(route, oracle, *args):
+    """Both return the same value, or both raise the same error type."""
+    try:
+        want = oracle(*args)
+    except (ValueError, NonIntegralSpanError) as exc:
+        with pytest.raises(type(exc)):
+            route(*args)
+        return None
+    assert route(*args) == want
+    return want
+
+
+def test_to_coords_rejects_points_off_the_span():
+    segment = affine_frame([(1, 0, 2), (3, 2, 4)])  # direction (1, 1, 1)
+    plane = affine_frame([(1, 0, 0), (0, 1, 0), (0, 0, 1)])  # x + y + z = 1
+    point = affine_frame([(1, -2, 3)])
+    full = affine_frame([(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 3)])
+    off = {segment: [(1, 0, 0), (0, 0, 0), (F(1, 2), F(1, 2), F(3, 2)), (2, 1, F(7, 2))],
+           plane: [(0, 0, 0), (1, 1, 0), (F(1, 3), F(1, 3), F(1, 2)), (F(1, 2), 0, 0)],
+           point: [(1, -2, 4), (F(1, 2), -2, 3), (0, 0, 0)]}
+    for frame, points in off.items():
+        for q in points:
+            for route in (frame.to_coords, lambda q: oracle_to_coords(frame, q)):
+                with pytest.raises(ValueError, match="not on the affine span"):
+                    route(q)
+    on = {segment: [(2, 1, 3), (F(3, 2), F(1, 2), F(5, 2))],
+          plane: [(1, 1, -1), (F(1, 3), F(1, 3), F(1, 3))],
+          point: [(1, -2, 3)],
+          full: [(0, 0, 0), (5, -7, 1), (F(1, 2), F(-2, 3), F(7, 5))]}
+    for frame, points in on.items():
+        assert frame.dim == {segment: 1, plane: 2, point: 0, full: 3}[frame]
+        for q in points:
+            coords = same_outcome(frame.to_coords, lambda q: oracle_to_coords(frame, q), q)
+            assert frame.from_coords(coords) == q
+
+
+def test_chart_needs_a_saturated_basis():
+    # (2, 0) spans the x-axis but not its lattice: the Hermite block is (2)
+    with pytest.raises(InvariantViolation):
+        AffineLatticeFrame((0, 0), ((2, 0),)).to_coords((2, 0))
+
+
+def rational_points(rng, n, k, den):
+    return [tuple(F(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n))
+            for _ in range(k)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integer_chart_matches_fraction_oracle(n):
+    # random frames of k points, integer or rational, spanning any dimension
+    # (or no lattice point); queried at the points, at rational affine
+    # combinations of them (on the span) and at moved copies (off a proper span)
+    rng = random.Random(8800 + n)
+    for _ in range(40):
+        pts = rational_points(rng, n, rng.randint(1, n + 1), rng.choice((1, 1, 2, 3)))
+        frame = same_outcome(affine_frame, oracle_affine_frame, pts)
+        # homogenized input need not be primitive
+        ws = [tuple(k * x for x in integerize((*p, 1)))
+              for p, k in zip(pts, rng.choices(range(1, 5), k=len(pts)))]
+        if frame is None:
+            with pytest.raises(NonIntegralSpanError):
+                homogenized_frame(ws)
+            continue
+        assert homogenized_frame(ws) == frame
+        queries = list(pts)
+        for _ in range(4):
+            wts = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in pts]
+            wts[0] += 1 - sum(wts)
+            queries.append(tuple(sum(w * p[i] for w, p in zip(wts, pts)) for i in range(n)))
+            shift = rational_points(rng, n, 1, 3)[0]
+            queries.append(tuple(a + b for a, b in zip(queries[-1], shift)))
+        for q in queries:
+            same_outcome(frame.to_coords, lambda q: oracle_to_coords(frame, q), q)
 
 
 # -- Hermite reduction ------------------------------------------------------

@@ -153,7 +153,7 @@ def test_cover_relations_are_graded(rng):
         p = random_lattice_polytope(rng, rng.choice((2, 3)), npoints=6)
         lat = p.face_lattice()
         for f in lat.faces:
-            for gid in lat.covers_up(f.id):
+            for gid in lat._covers_up[f.id]:
                 assert lat.faces[gid].dim == f.dim + 1
         # euler characteristic of the face poset
         assert sum((-1) ** f.dim for f in lat.faces) == 1
@@ -306,7 +306,7 @@ def test_fan_cones_close_under_faces():
         fan = normal_fan(p)
         for f in lat.faces:
             for g in lat.faces_above(f.id):
-                assert set(fan.cone_for(g.id).rays) <= set(fan.cone_for(f.id).rays)
+                assert set(fan.cones[g.id].rays) <= set(fan.cones[f.id].rays)
 
 
 def test_reduce_to_span():
@@ -319,9 +319,11 @@ def test_reduce_to_span():
 
 
 def test_integer_paths_never_build_fraction_vertices():
-    # counting, the hypersurface tables, the prime cut with its multipliers
-    # and the stalks read the stored (x, t) only; the Fraction view of the
-    # polytope, of the cut polytope and of the cone over it stays unbuilt
+    # counting, the hypersurface tables and the Euler relation, the prime
+    # cut with its multipliers, the stalks, the fan with its smoothness
+    # test, and the blow-up read the stored (x, t) only; the Fraction view
+    # of the polytope, of the cut polytope, of the cone over it, and of the
+    # blow-up's prime and figure stays unbuilt
     from toric_ih import counting, cutting, hypersurface, stalks
 
     lattice_p = square_pyramid()
@@ -355,5 +357,10 @@ def test_integer_paths_never_build_fraction_vertices():
         assert cut.polytope != p
         hypersurface.prime_cut_multipliers(cut, lat, cut.polytope.face_lattice())
         stalks.global_ih_class(cut.polytope.face_lattice())
-        for q in (p, cone.polytope, cut.polytope):
+        blowup = cutting.vertex_blowup(cone.polytope, (0,) * p.n + (1,), F(3, 2))
+        for q in (p, cone.polytope):
+            assert hypersurface.euler_relation_check(q.face_lattice())[0]
+            for c in normal_fan(q).cones:
+                is_smooth_cone(c.rays)
+        for q in (p, cone.polytope, cut.polytope, blowup.prime, blowup.figure):
             assert q._vertices is None
