@@ -11,8 +11,8 @@ from toric_ih.fixtures import cone_over_polygon
 from toric_ih.stalks import (
     decomposition_summands,
     global_ih_class,
-    local_ic_polynomial,
     punctured_cone_classes,
+    stalk_polynomials,
 )
 
 
@@ -20,7 +20,7 @@ def main():
     for k in range(3, 9):
         cone = cone_over_polygon(k)
         lat = cone.face_lattice()
-        m = local_ic_polynomial(lat, lat.cone_vertex_id)
+        m = stalk_polynomials(lat)[lat.cone_vertex_id]
         ih, ihc = punctured_cone_classes(lat)
         table = decomposition_summands(lat)
         b = vertex_blowup(cone, (0, 0, 1), 1)

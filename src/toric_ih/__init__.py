@@ -60,7 +60,6 @@ from .hypersurface import (
     high_weight_table,
     newton_polytope,
     prime_cut_multipliers,
-    stratum_component_count,
     tate_to_e,
     torus_class,
 )
@@ -76,7 +75,6 @@ from .polytope import (
     FaceLattice,
     Fan,
     Polytope,
-    face_interval,
     is_prime,
     is_smooth_cone,
     normal_fan,
@@ -91,12 +89,10 @@ from .stalks import (
     global_ih_class,
     h_polynomial_from_f_vector,
     ih_betti_numbers,
-    local_ic_polynomial,
     primitive_parts,
     punctured_cone_classes,
     stalk_polynomials,
     stalk_table,
-    truncate_below,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Lattice-point counting, Ehrhart polynomials and the cone over a polytope.
+"""Lattice-point counting, Ehrhart polynomials and the graded cone over a polytope.
 
 Every count is a fiber scan in plain integers: it loops over the integer
 points x of the bounding box's first n-1 coordinates and reads the range
@@ -30,21 +30,21 @@ below.  A face whose affine span misses the lattice collects no points and
 counts 0, so totals over all faces stay clean.  The other scans, each over
 the box of a dilate kP, serve the checks that compare with this one: the
 edge walk of ``skeleton_count``, the dilate counts of ``lattice_count`` and
-the slices of the cone over P.
+the slices of the cone over P.  That cone is ``polytope.cone_over``;
+``ConeOverPolytope`` only grades it by its last coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import factorial
 from operator import mul
 
 from .errors import UnboundedError
 from .lattice import as_rat, dot
-from .polytope import Face, FaceLattice, Polytope, _bits, _integer_box, _scaled
+from .polytope import Face, FaceLattice, Polytope, _integer_box, _scaled, cone_over
 
 
 def _fibers(rows, lo, hi):
@@ -145,12 +145,13 @@ def _rows(p: Polytope, k=1):
 def _pieces(lattice: FaceLattice):
     """The classified scan of the lattice's compact polytope of rank n >= 1,
     as a tuple of _classified pieces; computed once per lattice."""
-    if lattice._pieces is None:
+    memo = lattice._memo
+    if "counting.pieces" not in memo:
         p = lattice.polytope
         if not p.is_compact:
             raise UnboundedError("unbounded input")
-        lattice._pieces = tuple(_classified(p.rows, *_integer_box(p.homogenized)))
-    return lattice._pieces
+        memo["counting.pieces"] = tuple(_classified(p.rows, *_integer_box(p.homogenized)))
+    return memo["counting.pieces"]
 
 
 def _listing(obj, face: Face | None, strict: bool):
@@ -225,7 +226,7 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
         raise UnboundedError("unbounded input")
     if p.n == 0:
         return 1
-    table = p._dilate_counts
+    table = p._memo.setdefault("counting.dilates", {})
     if (k, strict) not in table:
         closed = inner = 0
         for _, l, h, i in _fibers(_rows(p, k), *_integer_box(p.homogenized, k)):
@@ -257,12 +258,13 @@ def face_counts(lattice: FaceLattice):
     Computed once per lattice of a compact polytope; a closed count sums the
     interior counts of the faces below.
     """
-    if lattice._counts is None:
+    memo = lattice._memo
+    if "counting.face_counts" not in memo:
         inner = _classify(lattice)
-        lattice._counts = tuple(
+        memo["counting.face_counts"] = tuple(
             (sum(inner[g.id] for g in lattice.faces_below(f.id, strict=False)), inner[f.id])
             for f in lattice.faces)
-    return lattice._counts
+    return memo["counting.face_counts"]
 
 
 def skeleton_count(lattice: FaceLattice) -> int:
@@ -274,12 +276,13 @@ def skeleton_count(lattice: FaceLattice) -> int:
     """
     if not lattice.is_compact:
         raise UnboundedError("unbounded input")
-    if lattice._skeleton is None:
+    memo = lattice._memo
+    if "counting.skeleton" not in memo:
         seen = set()
         for f in lattice.of_dim(1):
             seen.update(_edge_points(*(lattice.polytope.homogenized[i] for i in f.vertex_ids)))
-        lattice._skeleton = len(seen)
-    return lattice._skeleton
+        memo["counting.skeleton"] = len(seen)
+    return memo["counting.skeleton"]
 
 
 def ehrhart_counts(p: Polytope):
@@ -349,7 +352,6 @@ class ConeOverPolytope:
     """
 
     polytope: Polytope
-    grading: tuple[int, ...]
 
     def _slice(self, k: int):
         """(rows, lo, hi): kP in the first n coordinates and its integer box,
@@ -375,33 +377,10 @@ class ConeOverPolytope:
                      for t in range(l, h + 1))
 
 
-def _cone_row_gens(p: Polytope, rank, cone):
-    """row_gens of the cone over p, read off p's own: the apex (bit 0) is on
-    every row, and the ray over vertex i of p (bit 1 + rank[i]) on the rows
-    through vertex i."""
-    return [1 | sum(2 << rank[i] for i in _bits(rg)) for rg in p.face_lattice().row_gens]
-
-
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
-    """Home of a compact polytope at height one inside a pointed cone.
-
-    The cone is built from p's canonical data: its rays are p's vertices
-    (x, t), sorted, and it has a row (a, -b) >= 0 for each row (a, b) of p,
-    in p's order, which sorts alike since the normals a are distinct.
-    """
-    if not p.is_compact:
-        raise UnboundedError("unbounded input")
-    n = p.n
-    apex = (0,) * (n + 1) + (1,)
-    if n == 0:  # the point's cone is the half-line t >= 0
-        cone = Polytope(1, [apex], [(1,)], [((1,), 0)], lambda c: [1])
-        return ConeOverPolytope(cone, (1,))
-    over = p.homogenized
-    order = sorted(range(len(over)), key=over.__getitem__)
-    rank = {i: r for r, i in enumerate(order)}
-    cone = Polytope(n + 1, [apex], [over[i] for i in order],
-                    [(a + (-b,), 0) for a, b in p.rows], partial(_cone_row_gens, p, rank))
-    return ConeOverPolytope(cone, (0,) * n + (1,))
+    """Home of a compact polytope at height one inside a pointed cone
+    (``polytope.cone_over``), graded by the last coordinate."""
+    return ConeOverPolytope(cone_over(p))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from .lattice import (
     solve_consistent,
     vsub,
 )
-from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
+from .polytope import FaceLattice, Polytope, _bits, _require_length, hull_of_rows, normalize_row
 
 ROUNDS = 12  # halvings of eps before prime_cut gives up
 
@@ -240,15 +240,13 @@ class BlowupResult:
     polyhedron, so the compact figure is one of its faces); ``figure`` is
     that unique compact facet-level face, reduced to full dimension in its
     own span; ``face_map`` matches each face of the figure with the cone
-    face of one dimension higher that it spans.
+    face of one dimension higher that it spans; ``lattice_chart`` tells
+    whether the figure was charted in a lattice frame of its span.
     """
 
     prime: Polytope
     figure: Polytope
-    figure_vertices: tuple
     face_map: dict
-    functional: tuple[int, ...]
-    level: Fraction
     lattice_chart: bool
 
 
@@ -269,7 +267,7 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     """
     if not p.is_cone_with_vertex or p.homogenized[0] != (0,) * p.n + (1,):
         raise ValueError("need a cone with vertex at the origin")
-    v = lattice_vector(v)
+    v = _require_length(lattice_vector(v), p.n)
     c = as_rat(c)
     if c <= 0:
         raise ValueError("cutting level must be positive")
@@ -278,12 +276,12 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
             raise ValueError("not interior to dual cone")
     prime = Polytope.from_hull(*hull_of_rows(list(p.rows) + [(v, c)], p))
     ws = [(*(c.numerator * x for x in r), c.denominator * dot(r, v)) for r in p.rays]
-    figure_vertices = tuple(tuple(Fraction(x, w[-1]) for x in w[:-1]) for w in ws)
     try:
         frame = homogenized_frame(ws)
         gens = [primitive(frame.chart(w)) for w in ws]
         lattice_chart = True
     except NonIntegralSpanError:
+        figure_vertices = [tuple(Fraction(x, w[-1]) for x in w[:-1]) for w in ws]
         base, dirs = rational_affine_basis(figure_vertices)
         cols = [[d[i] for d in dirs] for i in range(p.n)]
         gens = [integerize((*solve_consistent(cols, list(vsub(w, base))), 1))
@@ -308,5 +306,4 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
         face_map[f.id] = target
     if len(face_map) != len(plat.faces) - 1:
         raise InvariantViolation("figure faces do not exhaust the cone faces")
-    return BlowupResult(prime, figure, figure_vertices, face_map,
-                        v, c, lattice_chart)
+    return BlowupResult(prime, figure, face_map, lattice_chart)

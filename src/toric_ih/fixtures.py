@@ -2,14 +2,14 @@
 
 These back the consistency battery of the command line `check` subcommand
 and the regression suite.  Everything is a lattice polytope (or lattice
-cone) in canonical form.
+cone) in canonical form.  ``cone_over`` is ``polytope.cone_over``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .polytope import Polytope
+from .polytope import Polytope, cone_over
 
 # Convex lattice polygons with exactly k vertices, k = 3..8.
 LATTICE_POLYGONS = {
@@ -57,12 +57,6 @@ def square_pyramid() -> Polytope:
 
 def lattice_polygon(k: int) -> Polytope:
     return Polytope.from_points(LATTICE_POLYGONS[k])
-
-
-def cone_over(p: Polytope) -> Polytope:
-    """The cone with vertex at the origin over P placed at height one: its
-    rays are P's vertices (x, t)."""
-    return Polytope.from_points([tuple([0] * (p.n + 1))], rays=p.homogenized)
 
 
 def cone_over_polygon(k: int) -> Polytope:

@@ -245,14 +245,6 @@ def alternating_identity_holds(lattice: FaceLattice, assignment: dict) -> bool:
     return acc == assignment[lattice.top.id]
 
 
-def stratum_component_count(lattice: FaceLattice, face: Face) -> int:
-    """Points of the hypersurface on a 1-dimensional stratum: the lattice
-    length of the edge (= interior count + 1)."""
-    if face.dim != 1:
-        raise ValueError("need an edge (1-dimensional face)")
-    return face_counts(lattice)[face.id][1] + 1
-
-
 def frontier_crosscheck(p: Polytope, lattice: FaceLattice | None = None) -> bool:
     """Re-derive the frontier numbers of frontier_hodge by other routes.
 

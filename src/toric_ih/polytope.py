@@ -37,12 +37,12 @@ canonical data plus a function that gives those incidences, and every
 constructor hands over both: ``from_points`` and ``from_hull`` the double
 description's own tight bitmasks, which the lattice's first build maps to
 the sorted generator order; ``translate``, ``dilate`` and
-``apply_unimodular`` are ``from_points`` of the mapped generators; and the
-cone over a polytope (``counting.cone_over_polytope``) reads its incidences
-off the polytope's own.  No row is paired with a vertex.  A level-by-level
-search from the polytope intersects each face with each facet, and the
-inclusion-maximal nonempty results are the face's lower covers (Kaibel &
-Pfetsch 2002).  A face's dimension is n minus its cover depth below the
+``apply_unimodular`` are ``from_points`` of the mapped generators; and
+``cone_over``, the one constructor of the cone over a polytope, reads its
+incidences off the polytope's own.  No row is paired with a vertex.  A
+level-by-level search from the polytope intersects each face with each
+facet, and the inclusion-maximal nonempty results are the face's lower
+covers (Kaibel & Pfetsch 2002).  A face's dimension is n minus its cover depth below the
 polytope; ``normal_fan`` checks it against the rank of the face's active
 rows' normals, from the top down: a face's active rows hold those of each
 upper cover, so it starts from the integer echelon of one upper cover's
@@ -56,7 +56,10 @@ value; lattice-point counts read their boxes off the same integers
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
-lower-dimensional data reduce to the affine span first.
+lower-dimensional data reduce to the affine span first.  A vector of the
+wrong length for the ambient space raises DimensionMismatchError.  Other
+modules keep their results for a Polytope or a FaceLattice in its ``_memo``
+dict, under keys "module.name" that name the module.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from math import gcd, lcm
 from operator import and_, mul
 
 from .errors import (
+    DimensionMismatchError,
     EmptyPolyhedronError,
     InvariantViolation,
     NotFullDimensionalError,
@@ -107,6 +111,13 @@ def _bits(m):
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
+
+
+def _require_length(v, n):
+    """v, after checking that it has n coordinates."""
+    if len(v) != n:
+        raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {n}")
+    return v
 
 
 def _simplicial_start(cons, d):
@@ -277,6 +288,13 @@ def _rows_row_gens(tight, facets, order, p):
     return list(by_cons.values())
 
 
+def _cone_row_gens(p, rank, cone):
+    """row_gens of the cone over p, read off p's own: the apex (bit 0) is on
+    every row, and the ray over vertex i of p (bit 1 + rank[i]) on the rows
+    through vertex i."""
+    return [1 | sum(2 << rank[i] for i in _bits(rg)) for rg in p.face_lattice().row_gens]
+
+
 def hull_of_rows(rows, start=None):
     """The integer stage of ``Polytope.from_inequalities``: (n, cons, hull,
     tight, facets).
@@ -327,7 +345,7 @@ class Polytope:
     """Immutable rational polytope / pointed polyhedron with both representations."""
 
     __slots__ = ("n", "homogenized", "rays", "rows", "_vertices", "_faces", "_incidence",
-                 "_dilate_counts")
+                 "_memo")
 
     def __init__(self, n, homogenized, rays, rows, incidence):
         """Store canonical data as given: ``homogenized`` the vertices x / t
@@ -346,7 +364,7 @@ class Polytope:
         self.rows = tuple(rows)
         self._vertices = None
         self._faces = None
-        self._dilate_counts = {}  # memo of counting.lattice_count, by (k, strict)
+        self._memo = {}  # other modules' results, keyed "module.name"
         self._incidence = incidence
 
     @property
@@ -443,12 +461,8 @@ class Polytope:
         return all(w[-1] == 1 for w in self.homogenized)
 
     def contains(self, point) -> bool:
-        p = rat_vector(point)
+        p = _require_length(rat_vector(point), self.n)
         return all(dot(a, p) >= b for a, b in self.rows)
-
-    def contains_interior(self, point) -> bool:
-        p = rat_vector(point)
-        return all(dot(a, p) > b for a, b in self.rows)
 
     def bounding_box(self):
         """Smallest integer box containing every lattice point of the polytope."""
@@ -515,9 +529,7 @@ class FaceLattice:
     def __init__(self, polytope: Polytope):
         self.polytope = polytope
         self.n = polytope.n
-        self._counts = None  # memo of counting.face_counts
-        self._pieces = None  # memo of counting's classified scan
-        self._skeleton = None  # memo of counting.skeleton_count
+        self._memo = {}  # other modules' results, keyed "module.name"
         self._build()
 
     def _build(self):
@@ -694,56 +706,10 @@ class FaceLattice:
             return next(f.id for f in self.faces if f.dim == 0)
         return None
 
-    def interval(self, face_id: int) -> "FaceInterval":
-        return FaceInterval(self, face_id)
-
-
-@dataclass(frozen=True)
-class FaceInterval:
-    """The subposet of faces containing a given face, regraded from it.
-
-    Relative dimensions run from 0 (the base face) up to its codimension, so
-    the interval behaves like the face poset of a cone of that dimension with
-    the base face as its adjoined vertex.
-    """
-
-    lattice: FaceLattice
-    base_id: int
-
-    @property
-    def ids(self):
-        L = self.lattice
-        return tuple(f.id for f in sorted(L.faces_above(self.base_id, strict=False),
-                                          key=lambda f: (f.dim, f.id)))
-
-    def rel_dim(self, face_id: int) -> int:
-        L = self.lattice
-        return L.faces[face_id].dim - L.faces[self.base_id].dim
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.faces[self.base_id].codim
-
-    def counts_by_rel_dim(self):
-        counts = [0] * (self.rank + 1)
-        for i in self.ids:
-            counts[self.rel_dim(i)] += 1
-        return tuple(counts)
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.lattice.leq(a, b)
-
-
-def face_interval(lattice: FaceLattice, face) -> FaceInterval:
-    fid = face.id if isinstance(face, Face) else int(face)
-    if not 0 <= fid < len(lattice.faces):
-        raise ValueError(f"no face with id {fid}")
-    return lattice.interval(fid)
-
 
 def support_face(p: Polytope, v) -> Face:
     """The face where <., v> attains its minimum over the polyhedron."""
-    v = lattice_vector(v)
+    v = _require_length(lattice_vector(v), p.n)
     for r in p.rays:
         if dot(r, v) < 0:
             raise UnboundedError("unbounded direction")
@@ -840,3 +806,22 @@ def reduce_to_span(points):
     ws = [integerize((*p, 1)) for p in points]
     frame = homogenized_frame(ws)
     return Polytope.from_homogenized(primitive(frame.chart(w)) for w in ws), frame
+
+
+def cone_over(p: Polytope) -> Polytope:
+    """The cone with vertex at the origin over the compact polytope p placed
+    at height one, built from p's canonical data: its rays are p's vertices
+    (x, t), sorted, and it has a row (a, -b) >= 0 for each row (a, b) of p,
+    in p's order, which sorts alike since the normals a are distinct; its
+    incidences are p's own (``_cone_row_gens``)."""
+    if not p.is_compact:
+        raise UnboundedError("unbounded input")
+    n = p.n
+    apex = (0,) * (n + 1) + (1,)
+    if n == 0:  # the point's cone is the half-line t >= 0
+        return Polytope(1, [apex], [(1,)], [((1,), 0)], lambda c: [1])
+    over = p.homogenized
+    order = sorted(range(len(over)), key=over.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    return Polytope(n + 1, [apex], [over[i] for i in order],
+                    [(a + (-b,), 0) for a, b in p.rows], partial(_cone_row_gens, p, rank))

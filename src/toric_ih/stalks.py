@@ -38,7 +38,7 @@ from operator import add
 
 from .errors import InvariantViolation, PoincareDualityError, UnsupportedShapeError
 from .lattice import as_rat
-from .polytope import Face, FaceLattice
+from .polytope import FaceLattice
 
 
 class IntPoly:
@@ -214,11 +214,6 @@ T = TatePoly.t()
 ONE = TatePoly.one()
 
 
-def truncate_below(h: TatePoly, alpha) -> TatePoly:
-    """Coefficient truncation keeping powers t^k with k < alpha."""
-    return h.truncate_below(alpha)
-
-
 @lru_cache(maxsize=None)
 def _tm1(k: int) -> tuple[int, ...]:
     """Coefficients of (t - 1)^k, lowest degree first; k never exceeds the
@@ -258,7 +253,7 @@ def _stalks(lattice: FaceLattice):
     memoized on the lattice.  ``groups`` maps (dim, stalk coefficients) to a
     bitmask over face ids, as ``_interval_sum`` takes it; values are
     immutable, so the memo is safe to publish across threads."""
-    cached = getattr(lattice, "_stalk_memo", None)
+    cached = lattice._memo.get("stalks.stalks")
     if cached is not None:
         return cached
     if not lattice.is_compact and lattice.cone_vertex_id is None:
@@ -285,19 +280,14 @@ def _stalks(lattice: FaceLattice):
         coeffs[face.id] = m = tuple(m)
         groups[face.dim, m] = groups.get((face.dim, m), 0) | 1 << face.id
     polys = {m: TatePoly(m) for m in set(coeffs.values())}
-    lattice._stalk_memo = memo = ({fid: polys[m] for fid, m in coeffs.items()}, groups)
+    lattice._memo["stalks.stalks"] = memo = ({fid: polys[m] for fid, m in coeffs.items()}, groups)
     return memo
 
 
 def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
-    """Local stalk polynomial of every face, keyed by face id (memoized)."""
+    """Local stalk polynomial m(t) of every face, keyed by face id
+    (memoized); the coefficient of t^k is the even stalk rank in degree 2k."""
     return _stalks(lattice)[0]
-
-
-def local_ic_polynomial(lattice: FaceLattice, face) -> TatePoly:
-    """Stalk polynomial m(t) of one face (coefficient of t^k = even stalk rank)."""
-    fid = face.id if isinstance(face, Face) else int(face)
-    return stalk_polynomials(lattice)[fid]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Every integer point of the bounding box, taken as the ceil and floor of
 the ``Fraction`` vertices' coordinates (``oracle_box``), is tested with
-exact rational membership (``Polytope.contains`` / ``contains_interior``),
+exact rational membership (``Polytope.contains``, or ``contains_interior`` here),
 and a lower-dimensional face is counted in the lattice chart of its affine span
 (``reduce_to_span``), where it is full-dimensional.  Dilates are built as
 polytopes.  None of this shares code with the fiber scans in
@@ -16,10 +16,12 @@ one-pass closed and interior kernel replaced.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import mul
 
 from toric_ih.errors import NonIntegralSpanError, UnboundedError
+from toric_ih.lattice import dot, rat_vector
 from toric_ih.polytope import reduce_to_span
 
 
@@ -40,6 +42,12 @@ def oracle_fibers(rows, lo, hi):
             yield x, l, h
 
 
+def contains_interior(p, point) -> bool:
+    """Is the point strictly inside every facet row of p?"""
+    x = rat_vector(point)
+    return all(dot(a, x) > b for a, b in p.rows)
+
+
 def oracle_box(vertices, k=1):
     """Smallest integer box holding k times the hull of the Fraction vertices:
     the ceil of each coordinate's least value and the floor of its greatest."""
@@ -55,7 +63,7 @@ def oracle_scan(p, strict=False):
     if p.n == 0:
         return ((),)
     lo, hi = oracle_box(p.vertices)
-    member = p.contains_interior if strict else p.contains
+    member = partial(contains_interior, p) if strict else p.contains
     return tuple(x for x in product(*(range(int(l), int(h) + 1) for l, h in zip(lo, hi)))
                  if member(x))
 

@@ -12,7 +12,9 @@ on one side.  ``irredundant_by_rank`` is the rank test that the hull's
 bitmask filter ``_irredundant`` replaced.  ``fraction_sorted_from_points``
 is the ``from_points`` route that ``Polytope.from_points`` replaced: the
 same double description, on points first made ``Fraction`` tuples, deduped
-and sorted as such, built with the pairing incidence.
+and sorted as such, built with the pairing incidence.  ``hull_cone_over``
+is the hull route to the cone over a polytope that ``polytope.cone_over``
+replaced: ``from_points`` of the apex and one ray per homogenized vertex.
 The seed's own scans are independent of both: V->H scans n-subsets of
 homogenized generators with a cofactor kernel and keeps supporting
 hyperplanes whose tight generators span a facet; H->V solves every
@@ -241,6 +243,12 @@ def oracle_from_points(points, rays=()):
     xrays = [r for r in rr
              if fraction_rank([row[0] for row in rows if _tight_ray(row, r)]) == n - 1]
     return canonical_polytope(n, verts, xrays, rows)
+
+
+def hull_cone_over(p):
+    """The cone with vertex at the origin over the polytope p at height one,
+    by the hull: its rays are p's vertices (x, t)."""
+    return Polytope.from_points([(0,) * (p.n + 1)], rays=p.homogenized)
 
 
 def oracle_from_inequalities(rows):

@@ -49,7 +49,6 @@ from toric_ih.stalks import (
     decomposition_summands,
     global_ih_class,
     h_polynomial_from_f_vector,
-    local_ic_polynomial,
     punctured_cone_classes,
     stalk_polynomials,
 )
@@ -80,9 +79,9 @@ def test_criterion_01_cone_apex_stalks_and_summands():
     for k in range(3, 9):
         lat = cone_over_polygon(k).face_lattice()
         apex = lat.cone_vertex_id
-        assert local_ic_polynomial(lat, apex) == TatePoly((1, k - 3))
-    assert local_ic_polynomial(cone_over_polygon(3).face_lattice(),
-                               cone_over_polygon(3).face_lattice().cone_vertex_id) == ONE
+        assert stalk_polynomials(lat)[apex] == TatePoly((1, k - 3))
+    lat = cone_over_polygon(3).face_lattice()
+    assert stalk_polynomials(lat)[lat.cone_vertex_id] == ONE
     table = decomposition_summands(cone_over_polygon(4).face_lattice())
     assert table.entries == ((2, 1, -1), (4, 1, -2))
     report(1, "cone apex stalks are 1 + (k-3)t for k=3..8; "
@@ -273,7 +272,7 @@ def test_criterion_11_unimodular_invariance():
         cone = cone_over_polygon(k)
         for u in transforms(3):
             qlat = unimodular_image(cone, u).face_lattice()
-            assert local_ic_polynomial(qlat, qlat.cone_vertex_id) == TatePoly((1, k - 3))
+            assert stalk_polynomials(qlat)[qlat.cone_vertex_id] == TatePoly((1, k - 3))
 
     # the prime-cut multiplier at the pyramid apex
     pyr = square_pyramid()

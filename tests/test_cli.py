@@ -184,6 +184,15 @@ def test_blowup_flags(tmp_path):
     assert item(find_section(report, "blowup"), "level") == "2/3"
 
 
+@pytest.mark.parametrize("direction", ["1,1", "1,1,1,1"])
+def test_blowup_wrong_length_direction_exits_one(tmp_path, capsys, direction):
+    octant = write(tmp_path, "o.hrep", "hrep 3\n1 0 0 0\n0 1 0 0\n0 0 1 0\n")
+    code, report = run(["blowup", octant, "--direction", direction])
+    assert (code, report) == (1, None)
+    n = direction.count(",") + 1
+    assert f"error: vector of length {n} in ambient dimension 3" in capsys.readouterr().err
+
+
 def test_json_round_trip(tmp_path):
     code, report = run(["ih", write(tmp_path, "o.vrep", OCTA), "--format", "json"])
     assert code == 0

@@ -248,7 +248,7 @@ def test_reciprocity_four_dimensional():
 def test_cone_over_segment():
     c = cone_over_polytope(Polytope.from_points([(0,), (1,)]))
     assert c.polytope.rays == ((0, 1), (1, 1))
-    assert c.grading == (0, 1)
+    assert c.slice_points(2) == ((0, 2), (1, 2), (2, 2))  # graded by the last coordinate
     assert c.slice_count(2) == 3
 
 
@@ -292,4 +292,4 @@ def test_count_report_rejects_rational_input_before_scanning():
     with pytest.raises(ValueError, match="quasi-polynomial"):
         count_report(p)
     lat = p.face_lattice()
-    assert lat._counts is None and lat._pieces is None
+    assert lat._memo == {} and p._memo == {}  # nothing was scanned or memoized

@@ -14,7 +14,12 @@ from toric_ih.cutting import (
     prime_cut,
     vertex_blowup,
 )
-from toric_ih.errors import EmptyPolyhedronError, EpsilonUnstableError, NotFullDimensionalError
+from toric_ih.errors import (
+    DimensionMismatchError,
+    EmptyPolyhedronError,
+    EpsilonUnstableError,
+    NotFullDimensionalError,
+)
 from toric_ih.fixtures import (
     cone_over_polygon,
     cube,
@@ -26,7 +31,7 @@ from toric_ih.fixtures import (
     standard_fixtures,
 )
 from toric_ih.lattice import mat_vec, pairing
-from toric_ih.polytope import Polytope, is_prime
+from toric_ih.polytope import Polytope, is_prime, support_face
 from toric_ih.stalks import (
     T,
     TatePoly,
@@ -35,7 +40,12 @@ from toric_ih.stalks import (
     stalk_polynomials,
 )
 
-from face_oracle import cut_rows, vertex_limits_by_solving, vertex_normal_cone_contains
+from face_oracle import (
+    cut_rows,
+    oracle_rational_chart,
+    vertex_limits_by_solving,
+    vertex_normal_cone_contains,
+)
 
 
 def apex_face(p):
@@ -291,7 +301,8 @@ def test_prime_cut_needs_compact():
 
 def test_blowup_quadrant():
     b = vertex_blowup(quadrant(2), (1, 1), 1)
-    assert set(b.figure_vertices) == {(F(1), F(0)), (F(0), F(1))}
+    cap = support_face(b.prime, (1, 1))  # the compact face, where the figure lies
+    assert {b.prime.vertices[i] for i in cap.vertex_ids} == {(F(1), F(0)), (F(0), F(1))}
     assert b.figure.n == 1
     assert global_ih_class(b.figure.face_lattice()) == 1 + T
 
@@ -350,6 +361,12 @@ def test_blowup_rejects_bad_direction():
         vertex_blowup(quadrant(2), (1, -1), 1)
 
 
+@pytest.mark.parametrize("v", [(1,), (1, 1, 1)])
+def test_blowup_rejects_wrong_length_direction(v):
+    with pytest.raises(DimensionMismatchError, match="length %d in ambient dimension 2" % len(v)):
+        vertex_blowup(quadrant(2), v, 1)
+
+
 def test_blowup_rejects_non_cone():
     with pytest.raises(ValueError):
         vertex_blowup(cube(3), (1, 1, 1), 1)
@@ -360,7 +377,10 @@ def test_blowup_rational_level():
     b = vertex_blowup(quadrant(2), (1, 2), F(1, 3))
     assert b.figure.n == 1
     assert b.lattice_chart is False
-    assert len(b.figure.vertices) == 2
+    # the figure vertices (1/3, 0) and (0, 1/6), charted from the first along their difference
+    figure_vertices = [(F(1, 3), F(0)), (F(0), F(1, 6))]
+    assert oracle_rational_chart(figure_vertices) == [(F(0),), (F(1),)]
+    assert b.figure == Polytope.from_points(oracle_rational_chart(figure_vertices))
     # x + y = 2 does: a lattice chart
     b = vertex_blowup(quadrant(2), (1, 1), 2)
     assert b.figure.n == 1

@@ -12,11 +12,12 @@ import pytest
 
 from toric_ih import cutting
 from toric_ih.counting import cone_over_polytope
-from toric_ih.errors import InvariantViolation, NonIntegralSpanError, ToricError
+from toric_ih.errors import InvariantViolation, NonIntegralSpanError, ToricError, UnboundedError
 from toric_ih.fixtures import (
     cone_fixtures,
     cone_over,
     cross_polytope,
+    quadrant,
     cube,
     octahedron,
     point,
@@ -41,9 +42,10 @@ from face_oracle import (
     oracle_faces,
     oracle_is_smooth_cone,
     oracle_normal_fan,
+    oracle_rational_chart,
     oracle_row_gens,
 )
-from hull_oracle import canonical_polytope
+from hull_oracle import canonical_polytope, hull_cone_over
 
 
 def random_matrix(rng, rows, cols, rational):
@@ -159,6 +161,23 @@ def test_random_cones_match_oracle(d):
                                     F(rng.randint(1, 5), rng.randint(1, 3)))
 
 
+def test_cone_over_matches_the_hull_route():
+    # the cone read off P's own incidences against the hull of its apex and
+    # rays: equal canonical data and equal face lattices, covers included
+    rng = random.Random(6150)
+    bases = [*standard_fixtures().values(), point(), Polytope.from_points([(0,), (2,)]),
+             Polytope.from_points([(F(1, 2), 0), (5, 0), (0, F(7, 3))])]
+    bases += [random_polyhedron(rng, d, kind) for d in (2, 3, 4)
+              for kind in ("lattice", "rational") for _ in range(3)]
+    for p in bases:
+        fast, slow = cone_over(p), hull_cone_over(p)
+        assert fast == slow, p
+        fl, sl = fast.face_lattice(), slow.face_lattice()
+        assert (fl.faces, fl.row_gens, fl._covers) == (sl.faces, sl.row_gens, sl._covers), p
+    with pytest.raises(UnboundedError):
+        cone_over(quadrant(2))
+
+
 @pytest.mark.parametrize("corrupt", ["codim of a vertex", "codim of an edge",
                                      "codim of a facet", "row dropped from a facet"])
 def test_fan_rank_check_fires_on_a_corrupted_lattice(corrupt):
@@ -175,15 +194,16 @@ def test_fan_rank_check_fires_on_a_corrupted_lattice(corrupt):
 
 
 def check_blowup_against_oracle(cone, v, c):
-    """vertex_blowup's figure and chart branch against the Fraction chart of
-    the Fraction figure vertices c r / <r, v>."""
+    """vertex_blowup's figure and chart branch against the Fraction charts of
+    the Fraction figure vertices c r / <r, v>: the lattice frame when their
+    span holds a lattice point, else the rational chart."""
     result = cutting.vertex_blowup(cone, v, c)
     fv = tuple(tuple(c * F(x) / sum(a * b for a, b in zip(r, v)) for x in r) for r in cone.rays)
-    assert result.figure_vertices == fv
     try:
         frame = oracle_affine_frame(fv)
     except NonIntegralSpanError:
         assert not result.lattice_chart
+        assert result.figure == Polytope.from_points(oracle_rational_chart(fv))
         return
     assert result.lattice_chart
     assert result.figure == Polytope.from_points([oracle_to_coords(frame, w) for w in fv])

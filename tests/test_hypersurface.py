@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_ih.counting import face_counts
 from toric_ih.cutting import prime_cut
 from toric_ih.fixtures import (
     cube,
@@ -27,7 +28,6 @@ from toric_ih.hypersurface import (
     high_weight_table,
     newton_polytope,
     prime_cut_multipliers,
-    stratum_component_count,
     tate_to_e,
     torus_class,
 )
@@ -196,7 +196,7 @@ def test_curve_assembly_matches_compactification():
         if f.dim == 0:
             a[f.id] = EPoly2.zero()
         elif f.dim == 1:
-            a[f.id] = stratum_component_count(lat, f) * EPoly2.one()
+            a[f.id] = (face_counts(lat)[f.id][1] + 1) * EPoly2.one()  # the edge's lattice length
         else:
             a[f.id] = curve_e_polynomial(p)
     closed = closed_open_transform(lat, a, "open_to_closed")
@@ -206,14 +206,13 @@ def test_curve_assembly_matches_compactification():
 # -- edges, multipliers, curves ------------------------------------------------------
 
 def test_stratum_component_count():
+    # the hypersurface meets an edge's stratum in lattice length = interior count + 1 points
     lat = simplex(2, scale=3).face_lattice()
     for f in lat.of_dim(1):
-        assert stratum_component_count(lat, f) == 3
+        assert face_counts(lat)[f.id][1] + 1 == 3
     lat1 = cube(2).face_lattice()
     for f in lat1.of_dim(1):
-        assert stratum_component_count(lat1, f) == 1
-    with pytest.raises(ValueError):
-        stratum_component_count(lat, lat.top)
+        assert face_counts(lat1)[f.id][1] + 1 == 1
 
 
 def test_prime_cut_multipliers_pyramid_apex():

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from toric_ih.errors import (
+    DimensionMismatchError,
     EmptyPolyhedronError,
     NotFullDimensionalError,
     NotPointedError,
@@ -19,7 +20,6 @@ from toric_ih.fixtures import (
 )
 from toric_ih.polytope import (
     Polytope,
-    face_interval,
     is_prime,
     is_smooth_cone,
     normal_fan,
@@ -159,24 +159,32 @@ def test_cover_relations_are_graded(rng):
         assert sum((-1) ** f.dim for f in lat.faces) == 1
 
 
+def interval_counts(lat, fid):
+    """Faces of the interval [F, P] over face F = fid, counted by dimension above F's."""
+    base = lat.faces[fid]
+    counts = [0] * (base.codim + 1)
+    for f in lat.faces_above(fid, strict=False):
+        counts[f.dim - base.dim] += 1
+    return tuple(counts)
+
+
 def test_face_interval_top():
     lat = simplex(2).face_lattice()
-    iv = face_interval(lat, lat.top)
-    assert iv.ids == (0,)
-    assert iv.counts_by_rel_dim() == (1,)
+    assert lat.faces_above(lat.top.id, strict=False) == (lat.top,)
+    assert interval_counts(lat, lat.top.id) == (1,)
 
 
 def test_face_interval_cube_vertex_is_boolean():
     lat = cube(3).face_lattice()
     v = lat.of_dim(0)[0]
-    iv = face_interval(lat, v)
-    assert iv.counts_by_rel_dim() == (1, 3, 3, 1)
+    assert interval_counts(lat, v.id) == (1, 3, 3, 1)
     # Boolean of rank 3: each member determined by its atoms
-    atoms = [i for i in iv.ids if iv.rel_dim(i) == 1]
+    members = lat.faces_above(v.id, strict=False)
+    atoms = [f.id for f in members if f.dim == 1]
     seen = set()
-    for i in iv.ids:
-        below = frozenset(a for a in atoms if lat.leq(a, i))
-        assert len(below) == iv.rel_dim(i)
+    for f in members:
+        below = frozenset(a for a in atoms if lat.leq(a, f.id))
+        assert len(below) == f.dim
         seen.add(below)
     assert len(seen) == 8
 
@@ -185,28 +193,20 @@ def test_face_interval_pyramid_apex():
     lat = square_pyramid().face_lattice()
     apex = next(f for f in lat.of_dim(0)
                 if lat.polytope.vertices[f.vertex_ids[0]] == (F(0), F(0), F(1)))
-    iv = face_interval(lat, apex)
-    assert iv.counts_by_rel_dim() == (1, 4, 4, 1)
+    assert interval_counts(lat, apex.id) == (1, 4, 4, 1)
 
 
 def test_face_interval_matches_cone_poset():
     # the interval over a cube vertex looks like the face poset of the octant
     lat = cube(3).face_lattice()
     v = lat.of_dim(0)[0]
-    iv = face_interval(lat, v)
     octant = quadrant(3).face_lattice()
     assert poset_isomorphic(
-        list(iv.ids), iv.leq,
+        [f.id for f in lat.faces_above(v.id, strict=False)], lat.leq,
         [f.id for f in octant.faces], octant.leq,
-        grade_a=iv.rel_dim,
+        grade_a=lambda i: lat.faces[i].dim - v.dim,
         grade_b=lambda i: octant.faces[i].dim,
     )
-
-
-def test_face_interval_unknown_face():
-    lat = simplex(2).face_lattice()
-    with pytest.raises(ValueError):
-        face_interval(lat, 99)
 
 
 # -- support faces and normal fans -------------------------------------------
@@ -218,6 +218,17 @@ def test_support_face_simplex():
     f = support_face(p, (0, -1))
     assert [p.vertices[i] for i in f.vertex_ids] == [(F(0), F(1))]
     assert support_face(p, (0, 0)).id == 0
+
+
+@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 5)])
+def test_wrong_length_vectors_are_rejected(v):
+    # a short or long vector is no direction of the cube, not a truncated or padded one
+    p = cube(3)
+    with pytest.raises(DimensionMismatchError, match=f"length {len(v)} in ambient dimension 3"):
+        support_face(p, v)
+    with pytest.raises(DimensionMismatchError):
+        p.contains(v)
+    assert support_face(p, (1, 0, 0)).dim == 2 and p.contains((1, 0, 0))
 
 
 def test_support_face_unbounded():
@@ -280,9 +291,7 @@ def test_is_prime_matches_boolean_vertex_intervals(rng):
         lat = p.face_lattice()
         boolean = True
         for v in lat.of_dim(0):
-            iv = lat.interval(v.id)
-            counts = iv.counts_by_rel_dim()
-            if counts != (1, 3, 3, 1):
+            if interval_counts(lat, v.id) != (1, 3, 3, 1):
                 boolean = False
         assert is_prime(p) == boolean
 

@@ -27,12 +27,10 @@ from toric_ih.stalks import (
     global_ih_class,
     h_polynomial_from_f_vector,
     ih_betti_numbers,
-    local_ic_polynomial,
     primitive_parts,
     punctured_cone_classes,
     stalk_polynomials,
     stalk_table,
-    truncate_below,
 )
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(TatePoly)
@@ -61,15 +59,15 @@ def test_tatepoly_ring_axioms(a, b, c):
 @settings(max_examples=40)
 @given(h=small_polys, k=st.integers(0, 6))
 def test_truncation_is_sharp(h, k):
-    cut = truncate_below(h, k)
+    cut = h.truncate_below(k)
     assert all(cut.coeff(j) == h.coeff(j) for j in range(k))
     assert all(cut.coeff(j) == 0 for j in range(k, h.degree + 1))
 
 
 def test_truncation_fixtures():
-    assert truncate_below(TatePoly((1, 2, 1)), F(3, 2)) == TatePoly((1, 2))
-    assert truncate_below(TatePoly((1, 2, 1)), 0) == TatePoly.zero()
-    assert truncate_below(TatePoly((1, 2, 0, -2, -1)), 2) == TatePoly((1, 2))
+    assert TatePoly((1, 2, 1)).truncate_below(F(3, 2)) == TatePoly((1, 2))
+    assert TatePoly((1, 2, 1)).truncate_below(0) == TatePoly.zero()
+    assert TatePoly((1, 2, 0, -2, -1)).truncate_below(2) == TatePoly((1, 2))
 
 
 # -- the stalk recursion --------------------------------------------------------
@@ -77,7 +75,7 @@ def test_truncation_fixtures():
 def test_facet_stalk_is_one():
     lat = octahedron().face_lattice()
     for f in lat.of_dim(2):
-        assert local_ic_polynomial(lat, f) == ONE
+        assert stalk_polynomials(lat)[f.id] == ONE
 
 
 def test_cone_over_polygon_apex():
@@ -85,18 +83,18 @@ def test_cone_over_polygon_apex():
     for k in range(3, 9):
         lat = cone_over_polygon(k).face_lattice()
         apex = lat.cone_vertex_id
-        assert local_ic_polynomial(lat, apex) == TatePoly((1, k - 3))
+        assert stalk_polynomials(lat)[apex] == TatePoly((1, k - 3))
 
 
 def test_cone_over_cube_apex():
     lat = cone_over(cube(3)).face_lattice()
-    assert local_ic_polynomial(lat, lat.cone_vertex_id) == TatePoly((1, 2))
+    assert stalk_polynomials(lat)[lat.cone_vertex_id] == TatePoly((1, 2))
 
 
 def test_octahedron_vertex_stalk():
     lat = octahedron().face_lattice()
     v = lat.of_dim(0)[0]
-    assert local_ic_polynomial(lat, v) == 1 + T
+    assert stalk_polynomials(lat)[v.id] == 1 + T
 
 
 def test_four_dimensional_cross_polytope_tower():
@@ -200,7 +198,7 @@ def test_global_properties_random(rng):
         # the degree-two class counts facets minus the torus rank
         assert h.coeff(1) == len(p.rows) - p.n
         for f in lat.faces:
-            m = local_ic_polynomial(lat, f)
+            m = stalk_polynomials(lat)[f.id]
             assert m.coeff(0) == 1
             assert all(c >= 0 for c in m.coeffs)
             if f.codim:
