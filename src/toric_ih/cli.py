@@ -281,7 +281,7 @@ def report_hypersurface(obj, args):
         section("newton polytope", items=[
             ("dimension", p.n),
             ("vertices", len(p.vertices)),
-            ("lattice points", counting.lattice_count(p)),
+            ("lattice points", counting.face_counts(lat)[0][0]),
             ("interior points", genus),
             ("skeleton points", counting.skeleton_count(lat)),
         ]),

@@ -16,8 +16,9 @@ forward differences of the counts, divided by n! once.
 Each dilate is walked at most once per polytope: one walk of kP's rows
 gives |kP ∩ Z^n| and the interior count, which ``lattice_count`` keeps on
 the polytope by (k, strict), so ``count_report``, ``reciprocity_check``,
-``ehrhart_polynomial`` and the hypersurface counts share them.  The edge
-walk of ``skeleton_count`` is kept on the FaceLattice the same way.
+``ehrhart_polynomial`` and the grades k > 0 of ``ConeOverPolytope`` (the
+cone ``polytope.cone_over``, kept beside P) share them.  The edge walk of
+``skeleton_count`` is kept on the FaceLattice the same way.
 
 Every per-face question, count or listing, is read off one classified scan
 of the polytope, memoized on its FaceLattice as pieces (x, s, e, mask): a
@@ -27,11 +28,11 @@ tight set can change only at the two ends.  A face's closed points are the
 pieces whose mask holds its active rows, its relative interior those whose
 mask is exactly them; closed counts sum the interior counts of the faces
 below.  A face whose affine span misses the lattice collects no points and
-counts 0, so totals over all faces stay clean.  The other scans, each over
-the box of a dilate kP, serve the checks that compare with this one: the
-edge walk of ``skeleton_count``, the dilate counts of ``lattice_count`` and
-the slices of the cone over P.  That cone is ``polytope.cone_over``;
-``ConeOverPolytope`` only grades it by its last coordinate.
+counts 0, so totals over all faces stay clean.  The hypersurface counts of
+P read its entry (face 0) of ``face_counts``.  The other scans serve the
+checks that compare with this one: the edge walk of ``skeleton_count``,
+and the dilate walks of ``lattice_count``, whose L(1) ``count_report``
+lists beside face 0's count and the random sweep holds equal to it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import factorial
 from operator import mul
 
 from .errors import UnboundedError
-from .lattice import as_rat, dot
+from .lattice import as_rat
 from .polytope import Face, FaceLattice, Polytope, _integer_box, _scaled, cone_over
 
 
@@ -348,39 +349,32 @@ def reciprocity_check(p: Polytope, kmax: int = 3) -> bool:
 class ConeOverPolytope:
     """The cone over P x {1} in one more dimension, graded by the last coordinate.
 
-    Lattice points at grade k correspond exactly to the lattice points of kP.
+    Lattice points at grade k correspond exactly to the lattice points of kP,
+    so grade k > 0 is counted by ``lattice_count(base, k)``.
     """
 
     polytope: Polytope
-
-    def _slice(self, k: int):
-        """(rows, lo, hi): kP in the first n coordinates and its integer box,
-        read off the cone's rays (x, t) over the vertices x / t of P."""
-        base = self.polytope
-        rows = [(a[:-1], b - a[-1] * k) for a, b in base.rows]
-        return (rows,) + _integer_box(base.rays, k)
+    base: Polytope
 
     def slice_count(self, k: int) -> int:
         if k < 0:
             return 0
-        if self.polytope.n == 1:
-            return len(self.slice_points(k))
-        return sum(h - l + 1 for _, l, h, _ in _fibers(*self._slice(k)))
+        return lattice_count(self.base, k) if k else 1
 
     def slice_points(self, k: int):
         if k < 0:
             return ()
-        base = self.polytope
-        if base.n == 1:
-            return ((k,),) if all(dot(a, (k,)) >= b for a, b in base.rows) else ()
-        return tuple(x + (t, k) for x, l, h, _ in _fibers(*self._slice(k))
-                     for t in range(l, h + 1))
+        p = self.base
+        if p.n == 0:  # the walk needs a last coordinate; 0P .. kP are the point
+            return ((k,),)
+        fibers = _fibers(_rows(p, k), *_integer_box(p.homogenized, k))
+        return tuple(x + (t, k) for x, l, h, _ in fibers for t in range(l, h + 1))
 
 
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
     """Home of a compact polytope at height one inside a pointed cone
     (``polytope.cone_over``), graded by the last coordinate."""
-    return ConeOverPolytope(cone_over(p))
+    return ConeOverPolytope(cone_over(p), p)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ A round is decided on the integer hull of its rows (``hull_of_rows``)
 alone.  The rows of a round are the polytope's own rows plus the cut rows,
 so the hull starts from the polytope's homogenized cone, whose generators
 and tight rows its face lattice keeps once for every round, and adds only
-the cut rows; the blow-up's hull likewise starts from the cone and adds its
-one truncating row.  Each row of the cut carries a label bit: row j of the
+the cut rows.  Each row of the cut carries a label bit: row j of the
 original is bit j, cut entry k is bit m + k (m rows).  The cut is compact,
 so it is prime when each vertex lies on exactly n facets, and a vertex's
 label mask is the OR of the bits of its facets.  The round's signature is
@@ -53,6 +52,7 @@ from .errors import (
     UnboundedError,
 )
 from .lattice import (
+    _require_length,
     as_rat,
     dot,
     homogenized_frame,
@@ -63,7 +63,7 @@ from .lattice import (
     solve_consistent,
     vsub,
 )
-from .polytope import FaceLattice, Polytope, _bits, _require_length, hull_of_rows, normalize_row
+from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
 
 ROUNDS = 12  # halvings of eps before prime_cut gives up
 
@@ -236,15 +236,13 @@ def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
 class BlowupResult:
     """Data of the single-vertex toric blow-up of a cone.
 
-    ``prime`` is the cone truncated below the cutting level (a closed
-    polyhedron, so the compact figure is one of its faces); ``figure`` is
-    that unique compact facet-level face, reduced to full dimension in its
-    own span; ``face_map`` matches each face of the figure with the cone
+    ``figure`` is the compact slice of the cone at the cutting level, the
+    exceptional facet of the truncated cone, reduced to full dimension in
+    its own span; ``face_map`` matches each face of the figure with the cone
     face of one dimension higher that it spans; ``lattice_chart`` tells
     whether the figure was charted in a lattice frame of its span.
     """
 
-    prime: Polytope
     figure: Polytope
     face_map: dict
     lattice_chart: bool
@@ -274,7 +272,6 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     for r in p.rays:
         if dot(r, v) <= 0:
             raise ValueError("not interior to dual cone")
-    prime = Polytope.from_hull(*hull_of_rows(list(p.rows) + [(v, c)], p))
     ws = [(*(c.numerator * x for x in r), c.denominator * dot(r, v)) for r in p.rays]
     try:
         frame = homogenized_frame(ws)
@@ -306,4 +303,4 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
         face_map[f.id] = target
     if len(face_map) != len(plat.faces) - 1:
         raise InvariantViolation("figure faces do not exhaust the cone faces")
-    return BlowupResult(prime, figure, face_map, lattice_chart)
+    return BlowupResult(figure, face_map, lattice_chart)

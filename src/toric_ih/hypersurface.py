@@ -159,9 +159,9 @@ def _require_lattice_polytope(p: Polytope):
 
 
 def geometric_genus_count(p: Polytope) -> int:
-    """Interior lattice-point count: the geometric genus of the hypersurface."""
+    """Interior lattice-point count (face 0 of ``face_counts``): the geometric genus."""
     _require_lattice_polytope(p)
-    return lattice_count(p, strict=True)
+    return face_counts(p.face_lattice())[0][1]
 
 
 def frontier_hodge(p: Polytope, lattice: FaceLattice | None = None,
@@ -297,7 +297,7 @@ def curve_e_polynomial(p: Polytope, components: int = 1) -> EPoly2:
     if p.n != 2:
         raise ValueError("need a two-dimensional polytope")
     lat = p.face_lattice()
-    g = lattice_count(p, strict=True)
+    g = face_counts(lat)[0][1]
     pi = skeleton_count(lat)
     return (EPoly2.lefschetz()
             - g * (EPoly2.monomial(1, 0) + EPoly2.monomial(0, 1))

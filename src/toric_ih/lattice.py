@@ -48,6 +48,20 @@ def lattice_vector(coords) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _require_length(v, n):
+    """v, after checking that it has n coordinates."""
+    if len(v) != n:
+        raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {n}")
+    return v
+
+
+def _require_square(rows, n):
+    """rows, after checking that they are an n x n matrix."""
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatchError(f"matrix is not {n} x {n}")
+    return rows
+
+
 def pairing(u, v) -> Fraction:
     """The perfect pairing of a rational character with a cocharacter."""
     if len(u) != len(v):
@@ -415,10 +429,11 @@ def unimodular_image(obj, u_rows):
     U itself) under x -> Ux."""
     if hasattr(obj, "apply_unimodular"):
         return obj.apply_unimodular(u_rows)
-    d = det_int(u_rows)
+    n = len(u_rows)
+    d = det_int(_require_square(u_rows, n))
     if d not in (1, -1):
         raise NotUnimodularError(f"not unimodular: determinant {d}")
     seq = list(obj)
     if seq and isinstance(seq[0], (int, Fraction)):
-        return mat_vec(u_rows, seq)
-    return tuple(mat_vec(u_rows, p) for p in seq)
+        return mat_vec(u_rows, _require_length(seq, n))
+    return tuple(mat_vec(u_rows, _require_length(p, n)) for p in seq)

@@ -56,10 +56,10 @@ value; lattice-point counts read their boxes off the same integers
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
-lower-dimensional data reduce to the affine span first.  A vector of the
-wrong length for the ambient space raises DimensionMismatchError.  Other
-modules keep their results for a Polytope or a FaceLattice in its ``_memo``
-dict, under keys "module.name" that name the module.
+lower-dimensional data reduce to the affine span first.  A vector or a
+matrix of the wrong size for the ambient space raises DimensionMismatchError.
+Other modules keep their results for a Polytope or a FaceLattice in its
+``_memo`` dict, under keys "module.name" that name the module.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from math import gcd, lcm
 from operator import and_, mul
 
 from .errors import (
-    DimensionMismatchError,
     EmptyPolyhedronError,
     InvariantViolation,
     NotFullDimensionalError,
@@ -81,6 +80,8 @@ from .errors import (
     UnboundedError,
 )
 from .lattice import (
+    _require_length,
+    _require_square,
     as_rat,
     det_int,
     dot,
@@ -111,13 +112,6 @@ def _bits(m):
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
-
-
-def _require_length(v, n):
-    """v, after checking that it has n coordinates."""
-    if len(v) != n:
-        raise DimensionMismatchError(f"vector of length {len(v)} in ambient dimension {n}")
-    return v
 
 
 def _simplicial_start(cons, d):
@@ -213,16 +207,14 @@ def _extreme_rays(cons, d, start=None):
 
 
 def _cone_start(p, cons):
-    """The start of ``_extreme_rays`` at the homogenized cone of the pointed
+    """The start of ``_extreme_rays`` at the homogenized cone of the compact
     polytope p, whose canonical rows (a, b) are all among cons as (a, -b),
-    with the homogenizing row last: p's own generators, with their tight
-    sets remapped from p's rows to cons."""
+    with the homogenizing row last, which no generator of p is on: p's own
+    generators, with their tight sets remapped from p's rows to cons."""
     at = {c: 1 << i for i, c in enumerate(cons)}
     bits = [at[a + (-b,)] for a, b in p.rows]
-    hom = 1 << len(cons) - 1
-    rays = [(w, sum(bits[j] for j in rows) | (0 if w[-1] else hom))
-            for w, rows in p.face_lattice()._cone]
-    return rays, sum(bits) | hom
+    rays = [(w, sum(bits[j] for j in rows)) for w, rows in p.face_lattice()._cone]
+    return rays, sum(bits) | 1 << len(cons) - 1
 
 
 def _irredundant(cons, tight):
@@ -305,7 +297,7 @@ def hull_of_rows(rows, start=None):
     indices of the facet rows in cons, ascending.  Raises the errors of
     ``from_inequalities``, in the same order.
 
-    ``start``, internal, is a pointed polytope whose canonical rows are all
+    ``start``, internal, is a compact polytope whose canonical rows are all
     among ``rows``: the double description then starts from its homogenized
     cone (``_cone_start``) and adds only the other rows.  The result is the
     same.
@@ -476,12 +468,12 @@ class Polytope:
         return Polytope.from_points([tuple(k * c for c in v) for v in self.vertices], self.rays)
 
     def translate(self, vec) -> "Polytope":
-        t = rat_vector(vec)
+        t = _require_length(rat_vector(vec), self.n)
         return Polytope.from_points([tuple(c + d for c, d in zip(v, t)) for v in self.vertices],
                                     self.rays)
 
     def apply_unimodular(self, u_rows) -> "Polytope":
-        d = det_int(u_rows)
+        d = det_int(_require_square(u_rows, self.n))
         if d not in (1, -1):
             raise NotUnimodularError(f"not unimodular: determinant {d}")
         return Polytope.from_points([mat_vec(u_rows, v) for v in self.vertices],

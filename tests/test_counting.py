@@ -1,9 +1,10 @@
+from argparse import Namespace
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from toric_ih import counting
+from toric_ih import cli, counting
 from toric_ih.counting import (
     cone_over_polytope,
     count_report,
@@ -20,6 +21,7 @@ from toric_ih.counting import (
 from toric_ih.errors import UnboundedError
 from toric_ih.fixtures import (
     cone_over_polygon,
+    cross_polytope,
     cube,
     octahedron,
     point,
@@ -235,6 +237,38 @@ def test_dilate_counts_are_scanned_once_per_polytope(monkeypatch, rng):
         scans = scans_by_dilate(monkeypatch, other, 1)
         assert lattice_count(other) == lattice_count(p, k)
         assert scans == {(1, False): 1}
+
+
+CLASSIFIED = counting._classified
+
+
+@pytest.mark.parametrize("make", [lambda: simplex(2, scale=3), lambda: cube(3),
+                                  lambda: cross_polytope(4)], ids=["triangle", "cube", "cross-4"])
+def test_reports_take_each_count_of_p_and_kp_once(make, monkeypatch):
+    # a hypersurface report and then an ehrhart report of one polytope:
+    # P gets one classified scan, which also gives its point and genus
+    # counts, and each dilate kP one plain walk, shared by the Ehrhart
+    # nodes k <= n, the reciprocity dilates k <= 3 and the cone's grades
+    p = make()
+    dilate_of = {tuple(counting._rows(p, k)): k for k in range(6)}
+    walks, classified = Counter(), Counter()
+
+    def walk(rows, lo, hi):
+        walks[dilate_of[tuple(rows)]] += 1
+        return FIBERS(rows, lo, hi)
+
+    def classify(rows, lo, hi):
+        classified[dilate_of[tuple(rows)]] += 1
+        return CLASSIFIED(rows, lo, hi)  # which walks P's fibers once itself
+
+    monkeypatch.setattr(counting, "_fibers", walk)
+    monkeypatch.setattr(counting, "_classified", classify)
+    args = Namespace(components=1)
+    cli.report_hypersurface(p, args)
+    assert classified == {1: 1} and walks - classified == Counter()
+    cli.report_ehrhart(p, args)
+    assert classified == {1: 1}
+    assert walks - classified == {k: 1 for k in range(1, max(p.n, 3) + 1)}
 
 
 def test_reciprocity_four_dimensional():

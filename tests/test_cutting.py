@@ -301,8 +301,9 @@ def test_prime_cut_needs_compact():
 
 def test_blowup_quadrant():
     b = vertex_blowup(quadrant(2), (1, 1), 1)
-    cap = support_face(b.prime, (1, 1))  # the compact face, where the figure lies
-    assert {b.prime.vertices[i] for i in cap.vertex_ids} == {(F(1), F(0)), (F(0), F(1))}
+    truncated = Polytope.from_inequalities(list(quadrant(2).rows) + [((1, 1), 1)])
+    cap = support_face(truncated, (1, 1))  # the compact face, where the figure lies
+    assert {truncated.vertices[i] for i in cap.vertex_ids} == {(F(1), F(0)), (F(0), F(1))}
     assert b.figure.n == 1
     assert global_ih_class(b.figure.face_lattice()) == 1 + T
 

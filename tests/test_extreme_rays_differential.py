@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from toric_ih import cutting, polytope
-from toric_ih.cutting import _cut_once, choose_cut_functionals, vertex_blowup
+from toric_ih.cutting import _cut_once, choose_cut_functionals
 from toric_ih.errors import EmptyPolyhedronError, NotFullDimensionalError, ToricError
-from toric_ih.fixtures import cone_fixtures, random_lattice_polytope
-from toric_ih.lattice import dot, mat_rank, primitive
+from toric_ih.fixtures import random_lattice_polytope
+from toric_ih.lattice import dot, mat_rank
 
 from hull_oracle import extreme_rays_by_subsets
 
@@ -191,14 +191,3 @@ def test_warm_start_matches_cold_on_every_cut_round(monkeypatch, seeded_polytope
     errors = {w[0] for w, _ in calls if isinstance(w[0], type)}
     assert len(calls) > 50 and errors == {EmptyPolyhedronError, NotFullDimensionalError}
 
-
-def test_warm_start_matches_cold_in_vertex_blowup(monkeypatch):
-    # the cone fixtures truncated at two levels along the sum of their normals
-    calls = []
-    for cone in cone_fixtures().values():
-        v = primitive(tuple(sum(a[i] for a, _ in cone.rows) for i in range(cone.n)))
-        for c in (1, F(7, 3)):
-            calls += warm_and_cold_stages(monkeypatch, vertex_blowup, cone, v, c)
-    assert len(calls) == 2 * len(cone_fixtures())
-    for warm, cold in calls:
-        assert warm == cold

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_ih.counting import face_counts
+from toric_ih.counting import face_counts, lattice_count
 from toric_ih.cutting import prime_cut
 from toric_ih.fixtures import (
     cube,
@@ -112,7 +112,7 @@ def test_genus_fixtures():
 def test_frontier_top_is_genus(rng):
     for _ in range(8):
         p = random_lattice_polytope(rng, rng.choice((2, 3)), npoints=6)
-        assert frontier_hodge(p)[p.n - 1] == geometric_genus_count(p)
+        assert frontier_hodge(p)[p.n - 1] == lattice_count(p, strict=True)
 
 
 def test_frontier_crosscheck_fixtures():

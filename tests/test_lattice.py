@@ -247,6 +247,16 @@ def test_unimodular_rejects_det_two():
         unimodular_image([(1, 0)], [(2, 0), (0, 1)])
 
 
+def test_unimodular_image_rejects_points_and_matrices_of_the_wrong_size():
+    swap = [(0, 1), (1, 0)]
+    assert unimodular_image([(1, 2)], swap) == ((2, 1),)
+    for points in ([(1, 2, 3)], (1, 2, 3), [(1, 2), (3,)]):
+        with pytest.raises(DimensionMismatchError, match="length"):
+            unimodular_image(points, swap)
+    with pytest.raises(DimensionMismatchError, match="not 2 x 2"):
+        unimodular_image([(1, 2)], [(0, 1, 0), (1, 0, 0)])
+
+
 def test_hnf_of_unimodular_is_identity_with_left_inverse(rng):
     # for unimodular A the Hermite form is I, so the transform U is A^-1
     from toric_ih.fixtures import random_unimodular_matrix

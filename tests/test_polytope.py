@@ -220,7 +220,7 @@ def test_support_face_simplex():
     assert support_face(p, (0, 0)).id == 0
 
 
-@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 5)])
+@pytest.mark.parametrize("v", [(1,), (1, 0), (1, 0, 0, 5)])
 def test_wrong_length_vectors_are_rejected(v):
     # a short or long vector is no direction of the cube, not a truncated or padded one
     p = cube(3)
@@ -228,7 +228,19 @@ def test_wrong_length_vectors_are_rejected(v):
         support_face(p, v)
     with pytest.raises(DimensionMismatchError):
         p.contains(v)
+    with pytest.raises(DimensionMismatchError, match=f"length {len(v)} in ambient dimension 3"):
+        p.translate(v)
     assert support_face(p, (1, 0, 0)).dim == 2 and p.contains((1, 0, 0))
+
+
+@pytest.mark.parametrize("n,u", [
+    (3, [(0, 1), (1, 0)]),
+    (2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (2, [(0, 1), (1, 0, 0)]),
+], ids=["small", "large", "ragged"])
+def test_apply_unimodular_rejects_a_matrix_of_the_wrong_size(n, u):
+    with pytest.raises(DimensionMismatchError, match=f"not {n} x {n}"):
+        cube(n).apply_unimodular(u)
 
 
 def test_support_face_unbounded():
@@ -332,7 +344,7 @@ def test_integer_paths_never_build_fraction_vertices():
     # cut with its multipliers, the stalks, the fan with its smoothness
     # test, and the blow-up read the stored (x, t) only; the Fraction view
     # of the polytope, of the cut polytope, of the cone over it, and of the
-    # blow-up's prime and figure stays unbuilt
+    # blow-up's figure stays unbuilt
     from toric_ih import counting, cutting, hypersurface, stalks
 
     lattice_p = square_pyramid()
@@ -371,5 +383,5 @@ def test_integer_paths_never_build_fraction_vertices():
             assert hypersurface.euler_relation_check(q.face_lattice())[0]
             for c in normal_fan(q).cones:
                 is_smooth_cone(c.rays)
-        for q in (p, cone.polytope, cut.polytope, blowup.prime, blowup.figure):
+        for q in (p, cone.polytope, cut.polytope, blowup.figure):
             assert q._vertices is None
