@@ -357,10 +357,9 @@ CONSTRUCTIONS = {
     "apply_unimodular": lambda rng, mp: [
         p.apply_unimodular(random_unimodular_matrix(rng, p.n) if p.n else [])
         for p in random_bases(rng)],
-    # one constructor, on the inputs of its seed and of 6703
     "cone_over_polytope": lambda rng, mp: [
-        cone_over_polytope(p).polytope
-        for p in compact_bases(rng) + compact_bases(random.Random(6703))],
+        cone_over_polytope(p).polytope for p in compact_bases(rng)],
+    "fixtures cone_over": lambda rng, mp: [cone_over(p) for p in compact_bases(rng)],
     "reduce_to_span": lambda rng, mp: [reduce_to_span(flat_points(rng, n, k))[0]
                                        for n in (2, 3, 4) for k in range(n) for _ in range(3)],
     "vertex_blowup figure": lambda rng, mp: [blown_up(c).figure for c in cone_fixtures().values()],
