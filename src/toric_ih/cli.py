@@ -280,7 +280,7 @@ def report_hypersurface(obj, args):
     secs = [
         section("newton polytope", items=[
             ("dimension", p.n),
-            ("vertices", len(p.vertices)),
+            ("vertices", len(p.homogenized)),
             ("lattice points", counting.face_counts(lat)[0][0]),
             ("interior points", genus),
             ("skeleton points", counting.skeleton_count(lat)),
@@ -323,7 +323,7 @@ def report_prime_cut(obj, args):
                                             ("faces cut", len(result.spec.entries))],
                 table=(["face", "functional", "base", "order"], spec_rows)),
         section("cut polytope", items=[
-            ("vertices", len(result.polytope.vertices)),
+            ("vertices", len(result.polytope.homogenized)),
             ("facets", len(result.polytope.rows)),
             ("prime", is_prime(result.polytope)),
         ]),

@@ -134,10 +134,6 @@ def _classified(rows, lo, hi):
         yield x, h, h, inner | at_h
 
 
-def _mask(active):
-    return sum(1 << j for j in active)
-
-
 def _rows(p: Polytope, k=1):
     """The integer rows of kP."""
     return [(a, k * b) for a, b in p.rows]
@@ -164,7 +160,7 @@ def _listing(obj, face: Face | None, strict: bool):
     lattice = obj.face_lattice() if isinstance(obj, Polytope) else obj
     if lattice.n == 0:
         return 1, ((),)
-    want = 0 if face is None else _mask(face.active)
+    want = 0 if face is None else lattice._active[face.id]
     pts = tuple(x + (t,) for x, s, e, mask in _pieces(lattice)
                 if (mask == want if strict else mask & want == want)
                 for t in range(s, e + 1))
@@ -240,16 +236,15 @@ def lattice_count(p: Polytope, k: int = 1, strict: bool = False) -> int:
 def _classify(lattice: FaceLattice):
     """Relative-interior lattice-point count of every face, by face id.
 
-    Read off the classified scan: each piece goes to the face whose active
-    rows are exactly the rows tight along it.
+    Read off the classified scan: each piece goes to the face whose
+    tight-row mask is the piece's (``by_active``).
     """
     inner = [0] * len(lattice.faces)
     if lattice.n == 0:
         inner[0] = 1
         return inner
-    face_of = {_mask(f.active): f.id for f in lattice.faces}
     for _, s, e, mask in _pieces(lattice):
-        inner[face_of[mask]] += e - s + 1
+        inner[lattice.by_active[mask]] += e - s + 1
     return inner
 
 

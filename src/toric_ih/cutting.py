@@ -30,10 +30,12 @@ rows: the AND of their bitmasks of minimizing vertices, each read off the
 original's lattice by the row's label (a facet's vertices, or those of the
 face a cut entry shaves).  A label bit's mask does not depend on eps, so
 the limit is a function of the label mask.  Those rows span, so the AND has
-at most one bit.  With none, the limit leaves the polytope, the vertex's
-normal cone lies in no vertex cone of the original (the fan does not
-refine), and the round is rejected, as is a cut that is not prime.  Both
-are functions of the signature, so checking both rounds changes no eps.
+at most one bit, the limit vertex's generator mask (``fid``); a face of
+the cut goes to the face whose tight-row mask (``by_active``) is the AND of
+those of its vertices' limits.  With none, the limit leaves the polytope,
+the vertex's normal cone lies in no vertex cone of the original (the fan
+does not refine), and the round is rejected, as is a cut that is not prime.
+Both are functions of the signature, so checking both rounds changes no eps.
 """
 
 from __future__ import annotations
@@ -181,16 +183,14 @@ def _build_cut(p: Polytope, lattice: FaceLattice, labels, stage):
     q = Polytope.from_hull(*stage)
     qlat = q.face_lattice()
     masks = [labels[row][1] for row in q.rows]
-    active_at = {f.vertex_ids[0]: frozenset(f.active) for f in lattice.of_dim(0)}
 
-    # the rows of p tight at the limit of each vertex of q, by vertex index
-    tight_at_limit = {vf.vertex_ids[0]: active_at[
-                          reduce(and_, (masks[j] for j in vf.active)).bit_length() - 1]
-                      for vf in qlat.of_dim(0)}
+    # the rows of p tight at the limit of each vertex of q, in vertex order:
+    # those of the vertex of p whose generator mask is the AND of its rows'
+    tight_at_limit = [lattice._active[lattice.fid[reduce(and_, (masks[j] for j in vf.active))]]
+                      for vf in qlat.of_dim(0)]
 
     # a row of p is tight at a face's limit barycenter iff tight at each vertex limit
-    face_map = {f.id: lattice.by_active[frozenset.intersection(
-                    *(tight_at_limit[i] for i in f.vertex_ids))].id
+    face_map = {f.id: lattice.by_active[reduce(and_, (tight_at_limit[i] for i in f.vertex_ids))]
                 for f in qlat.faces}
     return q, face_map
 
@@ -288,16 +288,16 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     if figure.n != p.n - 1:
         raise InvariantViolation("compact figure has the wrong dimension")
 
-    # each figure vertex by its primitive (y, t), as the figure keeps it
+    # each figure vertex's bit in the cone's generator masks, found by its
+    # primitive (y, t) as the figure keeps it: the apex is bit 0, ray k 1 + k
     ray_of_coord = {w: i for i, w in enumerate(gens)}
+    bit = [2 << ray_of_coord[w] for w in figure.homogenized]
 
     plat = p.face_lattice()
-    cone_face_by_rays = {frozenset(f.ray_ids): f.id for f in plat.faces if f.dim > 0}
     figlat = figure.face_lattice()
     face_map = {}
     for f in figlat.faces:
-        rays = frozenset(ray_of_coord[figure.homogenized[i]] for i in f.vertex_ids)
-        target = cone_face_by_rays.get(rays)
+        target = plat.fid.get(1 | sum(bit[i] for i in f.vertex_ids))
         if target is None or plat.faces[target].dim != f.dim + 1:
             raise InvariantViolation("figure faces do not match the cone faces")
         face_map[f.id] = target

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .counting import face_counts, lattice_count, skeleton_count
 from .errors import NotFullDimensionalError, UnboundedError
-from .lattice import lattice_vector
+from .lattice import _require_length, lattice_vector
 from .polytope import Face, FaceLattice, Polytope
 from .stalks import IntPoly, TatePoly
 
@@ -103,14 +104,19 @@ def newton_polytope(support: MonomialSupport) -> Polytope:
 
 
 def face_support(support: MonomialSupport, lattice: FaceLattice, face: Face) -> MonomialSupport:
-    """Support points lying on one face of the Newton polytope."""
+    """Support points lying on one face of the Newton polytope: those whose
+    tight rows, read off their int row values, hold the face's (as masks,
+    row j bit j).  Raises ValueError when a point lies outside the polytope.
+    """
     p = lattice.polytope
+    _require_length(support.exponents[0], p.n)
+    active = lattice._active[face.id]
     pts = []
     for m in support.exponents:
-        if not p.contains(m):
+        vals = [sum(map(mul, a, m)) - b for a, b in p.rows]
+        if min(vals) < 0:
             raise ValueError("support point outside the polytope")
-        if all(sum(a * x for a, x in zip(p.rows[j][0], m)) == p.rows[j][1]
-               for j in face.active):
+        if sum(1 << j for j, s in enumerate(vals) if not s) & active == active:
             pts.append(m)
     return MonomialSupport.of(pts)
 
@@ -174,6 +180,8 @@ def frontier_hodge(p: Polytope, lattice: FaceLattice | None = None,
     p = 0.
     """
     _require_lattice_polytope(p)
+    if components < 1:
+        raise ValueError(f"component count must be at least 1, not {components}")
     if p.n < 2:
         raise NotFullDimensionalError("need a polytope of dimension at least 2; "
                                       "reduce to affine span first")
@@ -268,10 +276,12 @@ def prime_cut_multipliers(cut, lattice: FaceLattice, cut_lattice: FaceLattice) -
     """Per-face multiplier classes of a prime cutting.
 
     For each face of the original polytope, sums (L-1)^(dim drop) over the
-    faces of the cut polytope degenerating onto it; evaluated at L = 1 this
-    counts the equal-dimension preimages.
+    faces of the cut polytope degenerating onto it, by the face map of the
+    ``CutResult`` ``cut``; evaluated at L = 1 this counts the equal-dimension
+    preimages.  Raises ValueError when the map misses a face of
+    ``cut_lattice`` or sends one to a larger face of ``lattice``.
     """
-    face_map = cut.face_map if hasattr(cut, "face_map") else dict(cut)
+    face_map = cut.face_map
     missing = [f.id for f in cut_lattice.faces if f.id not in face_map]
     if missing:
         raise ValueError(f"face map not total: missing faces {missing}")
@@ -289,16 +299,12 @@ def prime_cut_multipliers(cut, lattice: FaceLattice, cut_lattice: FaceLattice) -
 
 def curve_e_polynomial(p: Polytope, components: int = 1) -> EPoly2:
     """Class of the compactly supported cohomology of the punctured curve cut
-    out by a two-dimensional Newton polytope:
+    out by a two-dimensional Newton polytope, from ``frontier_hodge``'s h:
 
-        E = uv - l*(u + v) + (components - Pi).
+        E = uv - h(1)(u + v) - h(0) = uv - l*(u + v) + (components - Pi).
     """
     _require_lattice_polytope(p)
     if p.n != 2:
         raise ValueError("need a two-dimensional polytope")
-    lat = p.face_lattice()
-    g = face_counts(lat)[0][1]
-    pi = skeleton_count(lat)
-    return (EPoly2.lefschetz()
-            - g * (EPoly2.monomial(1, 0) + EPoly2.monomial(0, 1))
-            + (components - pi))
+    h = frontier_hodge(p, components=components)
+    return EPoly2.lefschetz() - h[1] * (EPoly2.monomial(1, 0) + EPoly2.monomial(0, 1)) - h[0]

@@ -29,7 +29,9 @@ rounds on the first stage alone.  Given a pointed polytope whose rows are
 among the input rows, ``hull_of_rows`` starts the double description from
 that polytope's homogenized cone, read off its face lattice, instead of a
 simplicial cone, and adds only the other rows; the result is the same.
-Faces are canonically identified by their maximal tight row set.
+Faces are canonically identified by their maximal tight row set; the face
+lattice keeps it and the face's generators as int masks, and every face
+lookup, here and in the other modules, reads those (``FaceLattice``).
 
 The face lattice comes from the generator-facet incidences in plain ints,
 as int bitmasks of generators per facet row.  A ``Polytope`` holds
@@ -500,7 +502,8 @@ class Polytope:
 
 @dataclass(frozen=True)
 class Face:
-    """A nonempty face, identified by its maximal tight row set."""
+    """A nonempty face, identified by its maximal tight row set; the tuples
+    serve reports and the face order, lookups the lattice's masks."""
 
     id: int
     dim: int
@@ -515,7 +518,10 @@ class FaceLattice:
 
     Face id 0 is the polytope itself; the remaining faces are sorted by
     (dimension, vertex ids, ray ids), which makes reports diff-stable.
-    Immutable after construction; queries are pure.
+    Face i has two int masks, its generators ``_gens[i]`` (vertex j is bit
+    j, ray k bit nv + k) and its tight rows ``_active[i]`` (row j is bit j);
+    ``fid`` and ``by_active`` map them back to i, and every face lookup
+    goes through them.  Immutable after construction; queries are pure.
     """
 
     def __init__(self, polytope: Polytope):
@@ -574,10 +580,11 @@ class FaceLattice:
 
         keys = {g: (found[g][1], _bits(g & vbits), _bits(g >> nv)) for g in found}
         order = [top] + sorted((g for g in found if g != top), key=keys.__getitem__)
-        fid = {g: i for i, g in enumerate(order)}
+        self._gens = order
+        self._active = [found[g][0] for g in order]
+        self.fid = fid = {g: i for i, g in enumerate(order)}
         self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *keys[g][1:])
                            for i, g in enumerate(order))
-        self._gens = order
         self._covers = [(fid[c], fid[g]) for c, g in covers]
 
     # -- tables built on first use -------------------------------------------
@@ -602,8 +609,10 @@ class FaceLattice:
     def _covers_up(self):
         """The faces one dimension above each face that contain it."""
         up = [[] for _ in self.faces]
-        for lo, hi in sorted(self._covers):
+        for lo, hi in self._covers:
             up[lo].append(hi)
+        for u in up:
+            u.sort()
         return tuple(map(tuple, up))
 
     @cached_property
@@ -629,11 +638,7 @@ class FaceLattice:
 
     @cached_property
     def by_active(self):
-        return {frozenset(f.active): f for f in self.faces}
-
-    @cached_property
-    def by_generators(self):
-        return {(frozenset(f.vertex_ids), frozenset(f.ray_ids)): f for f in self.faces}
+        return {a: i for i, a in enumerate(self._active)}
 
     # -- poset queries -------------------------------------------------------
 
@@ -694,9 +699,7 @@ class FaceLattice:
     @property
     def cone_vertex_id(self):
         """Face id of the apex when the polytope is a cone with a vertex."""
-        if self.polytope.is_cone_with_vertex:
-            return next(f.id for f in self.faces if f.dim == 0)
-        return None
+        return self.fid[1] if self.polytope.is_cone_with_vertex else None
 
 
 def support_face(p: Polytope, v) -> Face:
@@ -706,9 +709,8 @@ def support_face(p: Polytope, v) -> Face:
         if dot(r, v) < 0:
             raise UnboundedError("unbounded direction")
     lat = p.face_lattice()
-    vset = frozenset(_bits(lat.minimizing_vertices(v)))
-    rset = frozenset(k for k, r in enumerate(p.rays) if dot(r, v) == 0)
-    return lat.by_generators[(vset, rset)]
+    rays = sum(1 << k for k, r in enumerate(p.rays) if dot(r, v) == 0)
+    return lat.faces[lat.fid[lat.minimizing_vertices(v) | rays << len(p.homogenized)]]
 
 
 @dataclass(frozen=True)
@@ -737,19 +739,15 @@ def normal_fan(p: Polytope) -> Fan:
     rank.
     """
     lat = p.face_lattice()
-    cover = {}
-    for lo, hi in lat._covers:
-        cover.setdefault(lo, hi)
     echelons = [None] * len(lat.faces)
     cones = [None] * len(lat.faces)
     for f in (lat.top, *reversed(lat.faces[1:])):  # by dimension, descending
-        ech, old = [], ()
+        ech, new = [], lat._active[f.id]
         if f.id:
-            g = lat.faces[cover[f.id]]
-            ech, old = list(echelons[g.id]), g.active
-        for j in f.active:
-            if j not in old:
-                echelon_push(ech, p.rows[j][0])
+            g = lat._covers_up[f.id][0]
+            ech, new = list(echelons[g]), new & ~lat._active[g]
+        for j in _bits(new):
+            echelon_push(ech, p.rows[j][0])
         if len(ech) != f.codim:
             raise InvariantViolation("dual cone dimension differs from face codimension")
         echelons[f.id] = ech

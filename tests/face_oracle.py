@@ -18,7 +18,10 @@ round's shave rows from widths found by pairing.  ``vertex_limits_by_solving``
 builds one prime-cut round with the library's hull, checks primality and
 fan refinement with those cone tests, picks rows with ``fraction_rank``, and
 follows each vertex of the cut to eps = 0 by solving those rows at depth
-zero.  ``oracle_rational_chart`` charts rational points on their affine
+zero; the face map looks up the AND of the limits' tight-row masks in the
+lattice's ``by_active``.  ``oracle_face_support`` tests each support point
+with the ``Fraction`` ``Polytope.contains``, then pairs it with each active
+row of the face.  ``oracle_rational_chart`` charts rational points on their affine
 span by Cramer's rule on the directions' Gram matrix, the chart the
 blow-up takes for a figure whose span misses the lattice.  Apart from
 these, none of this shares code with the
@@ -29,7 +32,9 @@ the reference for their differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import and_
 
 from toric_ih.errors import InvariantViolation, NotFullDimensionalError
 from toric_ih.lattice import (
@@ -43,6 +48,7 @@ from toric_ih.lattice import (
     solve_integer_system,
     vsub,
 )
+from toric_ih.hypersurface import MonomialSupport
 from toric_ih.polytope import Face, Fan, FanCone, Polytope, normalize_row
 
 
@@ -264,12 +270,24 @@ def vertex_limits_by_solving(p, lattice, spec, eps):
                 rhs.append(b)
         w0 = solve_consistent(chosen, rhs)
         if w0 not in tight_of:
-            tight_of[w0] = frozenset(j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
+            tight_of[w0] = sum(1 << j for j, (a, b) in enumerate(p.rows) if dot(a, w0) == b)
         tight_at_limit[vf.vertex_ids[0]] = tight_of[w0]
-    face_map = {f.id: lattice.by_active[frozenset.intersection(
-                    *(tight_at_limit[i] for i in f.vertex_ids))].id
+    face_map = {f.id: lattice.by_active[reduce(and_, (tight_at_limit[i] for i in f.vertex_ids))]
                 for f in qlat.faces}
     # label bits: row j of p is bit j, cut entry k is bit len(p.rows) + k
     signature = frozenset((sum(1 << index_of[q.rows[j]] for j in f.active), face_map[f.id])
                           for f in qlat.faces)
     return q, face_map, signature
+
+
+def oracle_face_support(support, lattice, face):
+    """The support points on the face, each tested for containment and then
+    paired with the face's active rows one at a time."""
+    p = lattice.polytope
+    pts = []
+    for m in support.exponents:
+        if not p.contains(m):
+            raise ValueError("support point outside the polytope")
+        if all(dot(p.rows[j][0], m) == p.rows[j][1] for j in face.active):
+            pts.append(m)
+    return MonomialSupport.of(pts)

@@ -128,6 +128,16 @@ def test_hypersurface_on_support(tmp_path):
     assert item(curve, "euler characteristic") == -9
 
 
+def test_hypersurface_rejects_a_component_count_below_one(tmp_path, capsys):
+    path = write(tmp_path, "tri3.vrep", TRIANGLE)
+    for components in ("0", "-3"):
+        assert run(["hypersurface", path, "--components", components]) == (1, None)
+        assert "component count must be at least 1" in capsys.readouterr().err
+    code, report = run(["hypersurface", path, "--components", "2"])
+    assert code == 0
+    assert find_section(report, "middle cohomology frontier")["rows"] == [[1, 1], [0, 7]]
+
+
 def test_faces_and_fan(tmp_path):
     code, report = run(["faces", write(tmp_path, "o.vrep", OCTA)])
     assert code == 0

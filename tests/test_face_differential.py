@@ -103,6 +103,14 @@ def poset_matches(lat):
 def check_against_oracle(p):
     lat = p.face_lattice()
     assert lat.faces == oracle_faces(p)
+    # the masks every face lookup reads agree with the face tuples
+    nv = len(p.homogenized)
+    for f in lat.faces:
+        assert lat._active[f.id] == sum(1 << j for j in f.active)
+        gens = sum(1 << i for i in f.vertex_ids) | sum(1 << nv + k for k in f.ray_ids)
+        assert lat._gens[f.id] == gens
+        assert lat.by_active[lat._active[f.id]] == f.id
+        assert lat.fid[lat._gens[f.id]] == f.id
     poset_matches(lat)
     # the builder grades by cover depth; the rank of the active normals must agree
     assert all(f.dim == p.n - mat_rank([p.rows[j][0] for j in f.active]) for f in lat.faces)
@@ -188,6 +196,8 @@ def test_fan_rank_check_fires_on_a_corrupted_lattice(corrupt):
         bad = (replace(f, active=f.active[1:]) if corrupt.startswith("row")
                else replace(f, codim=f.codim + 1))
         lat.faces = tuple(bad if g.id == f.id else g for g in lat.faces)
+        if corrupt.startswith("row"):  # the same row out of the face's mask
+            lat._active[f.id] &= lat._active[f.id] - 1
         for route in (normal_fan, oracle_normal_fan):
             with pytest.raises(InvariantViolation, match="dual cone dimension"):
                 route(p)

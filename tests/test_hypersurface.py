@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_ih.counting import face_counts, lattice_count
+from toric_ih.counting import face_counts, lattice_count, lattice_points
 from toric_ih.cutting import prime_cut
 from toric_ih.fixtures import (
     cube,
@@ -31,7 +32,11 @@ from toric_ih.hypersurface import (
     tate_to_e,
     torus_class,
 )
+from toric_ih.errors import DimensionMismatchError, NotFullDimensionalError
+from toric_ih.lattice import dot
 from toric_ih.stalks import TatePoly
+
+from face_oracle import oracle_face_support
 
 L = EPoly2.lefschetz()
 U = EPoly2.monomial(1, 0)
@@ -71,6 +76,49 @@ def test_face_support():
                if {p.vertices[i] for i in f.vertex_ids}
                == {(F(3), F(0)), (F(0), F(3))})
     assert face_support(s, lat, hyp).exponents == ((0, 3), (3, 0))
+    with pytest.raises(DimensionMismatchError):
+        face_support(MonomialSupport.of([(0, 0, 0)]), lat, hyp)
+
+
+def _support_outcome(route, support, lat, face):
+    try:
+        return route(support, lat, face).exponents
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_face_support_matches_fraction_oracle():
+    # random supports on every face of their Newton polytope: the support
+    # itself, a sample of the polytope's lattice points (some faces get none,
+    # and both routes raise), and the support plus a point outside (both raise)
+    rng = random.Random(24061)
+    seen = set()
+    for _ in range(40):
+        d = rng.choice((2, 3))
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 8))]
+        try:
+            p = newton_polytope(MonomialSupport.of(pts))
+        except NotFullDimensionalError:
+            continue
+        lat = p.face_lattice()
+        inside = list(lattice_points(p)[1])
+        a, b = rng.choice(p.rows)  # step off a facet through a vertex on it
+        v = next(w[:-1] for w in p.homogenized if dot(a, w[:-1]) == b)
+        outside = tuple(x - c for x, c in zip(v, a))
+        for chosen in (pts, rng.sample(inside, rng.randint(1, len(inside))), pts + [outside]):
+            support = MonomialSupport.of(chosen)
+            for f in lat.faces:
+                got = _support_outcome(face_support, support, lat, f)
+                assert got == _support_outcome(oracle_face_support, support, lat, f)
+                seen.add(got if isinstance(got, str) else "points")
+    assert seen == {"points", "empty support", "support point outside the polytope"}
+
+
+def test_component_count_below_one_rejected():
+    for components in (0, -3):
+        for route in (frontier_hodge, curve_e_polynomial):
+            with pytest.raises(ValueError, match="component count must be at least 1"):
+                route(simplex(2, scale=3), components=components)
 
 
 # -- the pinned Hodge numbers ------------------------------------------------------

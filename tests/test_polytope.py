@@ -339,13 +339,16 @@ def test_reduce_to_span():
         (0, 1, 0), (1, 1, 0), (2, 0, 0)]
 
 
-def test_integer_paths_never_build_fraction_vertices():
+def test_integer_paths_never_build_fraction_vertices(monkeypatch):
     # counting, the hypersurface tables and the Euler relation, the prime
     # cut with its multipliers, the stalks, the fan with its smoothness
-    # test, and the blow-up read the stored (x, t) only; the Fraction view
-    # of the polytope, of the cut polytope, of the cone over it, and of the
-    # blow-up's figure stays unbuilt
-    from toric_ih import counting, cutting, hypersurface, stalks
+    # test, the blow-up, and the CLI's hypersurface and prime-cut reports
+    # read the stored (x, t) only; the Fraction view of the polytope, of the
+    # cut polytope, of the cone over it, and of the blow-up's figure stays
+    # unbuilt, and the reports build it for none of their polytopes
+    from argparse import Namespace
+
+    from toric_ih import cli, counting, cutting, hypersurface, stalks
 
     lattice_p = square_pyramid()
     rational_p = Polytope.from_points([(F(1, 2), 0, 0), (-1, 0, 0), (0, F(3, 2), 0),
@@ -385,3 +388,8 @@ def test_integer_paths_never_build_fraction_vertices():
                 is_smooth_cone(c.rays)
         for q in (p, cone.polytope, cut.polytope, blowup.figure):
             assert q._vertices is None
+        with monkeypatch.context() as m:
+            m.setattr(Polytope, "vertices", property(lambda q: pytest.fail("vertex view built")))
+            cli.report_prime_cut(p, Namespace(epsilon="1/8"))
+            if p.is_lattice:
+                cli.report_hypersurface(p, Namespace(components=1))
