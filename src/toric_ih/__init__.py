@@ -60,6 +60,7 @@ from .hypersurface import (
     high_weight_table,
     newton_polytope,
     prime_cut_multipliers,
+    support_by_face,
     tate_to_e,
     torus_class,
 )

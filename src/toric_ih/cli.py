@@ -293,10 +293,8 @@ def report_hypersurface(obj, args):
         secs.append(section("high weight table", table=(
             ["degree", "p", "q", "value"], [list(e) for e in table.entries])))
     if isinstance(obj, MonomialSupport):
-        rows = []
-        for f in lat.faces:
-            sup = hypersurface.face_support(obj, lat, f)
-            rows.append([f.id, f.dim, len(sup)])
+        on_face = hypersurface.support_by_face(obj, lat)
+        rows = [[f.id, f.dim, len(on_face[f.id])] for f in lat.faces]
         secs.append(section("support by face", table=(["face", "dim", "monomials"], rows)))
     if p.n == 2:
         e = hypersurface.curve_e_polynomial(p, components=components)

@@ -103,22 +103,30 @@ def newton_polytope(support: MonomialSupport) -> Polytope:
     return Polytope.from_points(support.exponents)
 
 
-def face_support(support: MonomialSupport, lattice: FaceLattice, face: Face) -> MonomialSupport:
-    """Support points lying on one face of the Newton polytope: those whose
-    tight rows, read off their int row values, hold the face's (as masks,
-    row j bit j).  Raises ValueError when a point lies outside the polytope.
+def support_by_face(support: MonomialSupport, lattice: FaceLattice) -> list[tuple]:
+    """The support points lying on each face of the Newton polytope, by face
+    id.  Each point's tight rows are read once, as a mask (row j bit j) off
+    its int row values, and the point lies on a face when that mask holds
+    the face's ``_active``.  Raises ValueError when a point lies outside the
+    polytope.
     """
     p = lattice.polytope
     _require_length(support.exponents[0], p.n)
-    active = lattice._active[face.id]
-    pts = []
+    tight = []
     for m in support.exponents:
         vals = [sum(map(mul, a, m)) - b for a, b in p.rows]
         if min(vals) < 0:
             raise ValueError("support point outside the polytope")
-        if sum(1 << j for j, s in enumerate(vals) if not s) & active == active:
-            pts.append(m)
-    return MonomialSupport.of(pts)
+        tight.append((m, sum(1 << j for j, s in enumerate(vals) if not s)))
+    return [tuple(m for m, t in tight if t & a == a) for a in lattice._active]
+
+
+def face_support(support: MonomialSupport, lattice: FaceLattice, face: Face) -> MonomialSupport:
+    """Support points lying on one face of the Newton polytope
+    (``support_by_face``).  Raises ValueError when a point lies outside the
+    polytope.
+    """
+    return MonomialSupport.of(support_by_face(support, lattice)[face.id])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,9 @@ that polytope's homogenized cone, read off its face lattice, instead of a
 simplicial cone, and adds only the other rows; the result is the same.
 Faces are canonically identified by their maximal tight row set; the face
 lattice keeps it and the face's generators as int masks, and every face
-lookup, here and in the other modules, reads those (``FaceLattice``).
+lookup, here and in the other modules, reads those (``FaceLattice``).  The
+face records (``Face``) are immutable named tuples; ``_replace`` gives a
+changed copy.
 
 The face lattice comes from the generator-facet incidences in plain ints,
 as int bitmasks of generators per facet row.  A ``Polytope`` holds
@@ -47,9 +49,12 @@ facet, and the inclusion-maximal nonempty results are the face's lower
 covers (Kaibel & Pfetsch 2002).  A face's dimension is n minus its cover depth below the
 polytope; ``normal_fan`` checks it against the rank of the face's active
 rows' normals, from the top down: a face's active rows hold those of each
-upper cover, so it starts from the integer echelon of one upper cover's
-normals and pushes only its other normals onto it.  Up- and down-sets are
-bitmasks over face ids, unioned along the covers on first use.  The
+upper cover, so it starts from the integer echelon of the upper cover the
+search first found it through, which the lattice records, and pushes only
+its other normals onto it.  ``is_smooth_cone`` clears the columns of unit
+entries by integer row operations before it takes minors.  Up- and
+down-sets are bitmasks over face ids, unioned along the covers on first
+use.  The
 lattice's ``minimizing_vertices`` and ``maximum`` read the vertices on
 their common scale (``_scaled``), also made on first use, for the bitmask
 of vertices where an integer functional is least and for its greatest
@@ -72,6 +77,7 @@ from functools import cached_property, partial, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_, mul
+from typing import NamedTuple
 
 from .errors import (
     EmptyPolyhedronError,
@@ -500,10 +506,10 @@ class Polytope:
                 f"{len(self.rays)} rays, {len(self.rows)} facets>")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A nonempty face, identified by its maximal tight row set; the tuples
-    serve reports and the face order, lookups the lattice's masks."""
+    serve reports and the face order, lookups the lattice's masks.  An
+    immutable named tuple: ``f._replace(...)`` gives a changed copy."""
 
     id: int
     dim: int
@@ -521,7 +527,9 @@ class FaceLattice:
     Face i has two int masks, its generators ``_gens[i]`` (vertex j is bit
     j, ray k bit nv + k) and its tight rows ``_active[i]`` (row j is bit j);
     ``fid`` and ``by_active`` map them back to i, and every face lookup
-    goes through them.  Immutable after construction; queries are pure.
+    goes through them.  ``_up[i]`` is the upper cover through which the
+    build first found face i (None at the top).  Immutable after
+    construction; queries are pure.
     """
 
     def __init__(self, polytope: Polytope):
@@ -545,7 +553,9 @@ class FaceLattice:
         # and a face's dimension is n minus its depth below the top.  A face
         # below H meets facet_j in H & facet_j & itself, so each face keeps
         # only the (j, H & facet_j) with a vertex for its own covers.
-        found = {top: (sum(1 << j for j, rg in enumerate(row_gens) if rg == top), n)}
+        # found[g] is (active rows, dimension, the upper cover g was first
+        # found through).
+        found = {top: (sum(1 << j for j, rg in enumerate(row_gens) if rg == top), n, None)}
         covers = []
         level = {top: [(j, rg) for j, rg in enumerate(row_gens) if rg != top and rg & vbits]}
         d = n
@@ -572,7 +582,7 @@ class FaceLattice:
                                 rest.append((j, s & t))
                         else:
                             act |= 1 << j
-                    found[s] = (act, d - 1)
+                    found[s] = (act, d - 1, g)
                     below[s] = rest
             level, d = below, d - 1
         if sorted(g for g in found if found[g][1] == 0) != [1 << i for i in range(nv)]:
@@ -585,6 +595,7 @@ class FaceLattice:
         self.fid = fid = {g: i for i, g in enumerate(order)}
         self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *keys[g][1:])
                            for i, g in enumerate(order))
+        self._up = [None] + [fid[found[g][2]] for g in order[1:]]
         self._covers = [(fid[c], fid[g]) for c, g in covers]
 
     # -- tables built on first use -------------------------------------------
@@ -619,9 +630,9 @@ class FaceLattice:
     def _above(self):
         """Up-sets as bitmasks over face ids: unions along the covers, from the top down."""
         above = [1 << i for i in range(len(self.faces))]
-        for f in sorted(self.faces, key=lambda f: f.dim, reverse=True):
-            for c in self._covers_up[f.id]:
-                above[f.id] |= above[c]
+        for i in reversed(range(1, len(above))):  # ids ascend by dimension after the top, 0
+            for c in self._covers_up[i]:
+                above[i] |= above[c]
         return above
 
     @cached_property
@@ -631,9 +642,9 @@ class FaceLattice:
         for lo, hi in self._covers:
             down[hi].append(lo)
         below = [1 << i for i in range(len(self.faces))]
-        for f in sorted(self.faces, key=lambda f: f.dim):
-            for c in down[f.id]:
-                below[f.id] |= below[c]
+        for i in (*range(1, len(below)), 0):  # ids ascend by dimension after the top, 0
+            for c in down[i]:
+                below[i] |= below[c]
         return below
 
     @cached_property
@@ -734,9 +745,10 @@ def normal_fan(p: Polytope) -> Fan:
     the facets containing the face; its dimension equals the face codimension.
     That is checked against the rank of those normals, from the top down: a
     face's active rows hold those of its upper covers, so it takes the
-    fraction-free echelon of one upper cover's normals and pushes only its
-    other normals onto it (``echelon_push``), and the echelon's size is the
-    rank.
+    fraction-free echelon of the upper cover the lattice recorded for it
+    (``_up``) and pushes only its other normals onto it (``echelon_push``),
+    and the echelon's size is the rank.  The rays come in row order, which
+    is sorted.
     """
     lat = p.face_lattice()
     echelons = [None] * len(lat.faces)
@@ -744,14 +756,14 @@ def normal_fan(p: Polytope) -> Fan:
     for f in (lat.top, *reversed(lat.faces[1:])):  # by dimension, descending
         ech, new = [], lat._active[f.id]
         if f.id:
-            g = lat._covers_up[f.id][0]
+            g = lat._up[f.id]
             ech, new = list(echelons[g]), new & ~lat._active[g]
         for j in _bits(new):
             echelon_push(ech, p.rows[j][0])
         if len(ech) != f.codim:
             raise InvariantViolation("dual cone dimension differs from face codimension")
         echelons[f.id] = ech
-        cones[f.id] = FanCone(f.id, f.codim, tuple(sorted(p.rows[j][0] for j in f.active)))
+        cones[f.id] = FanCone(f.id, f.codim, tuple(p.rows[j][0] for j in f.active))
     return Fan(tuple(cones))
 
 
@@ -762,7 +774,7 @@ def is_prime(p: Polytope) -> bool:
     (for compact polytopes: every vertex lies on exactly n facets).
     """
     lat = p.face_lattice()
-    return all(len(f.active) == f.codim for f in lat.faces)
+    return all(a.bit_count() == f.codim for a, f in zip(lat._active, lat.faces))
 
 
 def is_smooth_cone(rays) -> bool:
@@ -770,12 +782,42 @@ def is_smooth_cone(rays) -> bool:
     of their linear span.
 
     For d primitive generators in Z^n that is: the gcd of their d x d minors
-    is 1.  The gcd is 0 when the generators are dependent, and |det| when
-    d = n.
+    is 1.  The gcd is 0 when the generators are dependent (so when d > n),
+    and |det| when d = n.  Rays of different lengths raise
+    DimensionMismatchError.
+
+    Unit pivots shrink the matrix first.  Adding a multiple of one row to
+    another changes no d x d minor.  So while some entry is +-1, the other
+    rows clear its column, and the pivot row and that column are dropped:
+    with the column zero off the pivot, each minor through the column is
+    +-1 times a maximal minor of what is left, and each minor off it,
+    expanded along the pivot row, is an integer combination of those.  The
+    gcd of the minors is unchanged; the minors are taken of the block left
+    without a +-1 entry.
     """
     rr = [primitive(r) for r in rays]
-    if len(rr) < 2:  # a primitive ray's 1 x 1 minors have gcd 1
-        return True
+    n = len(rr[0]) if rr else 0
+    for r in rr:
+        _require_length(r, n)
+    if len(rr) > n:
+        return False
+    while True:
+        for i, r in enumerate(rr):
+            if 1 in r or -1 in r:
+                break
+        else:  # no row left, or none with a +-1 entry
+            break
+        prow = rr.pop(i)
+        c = prow.index(1 if 1 in prow else -1)
+        rest = []
+        for r in rr:
+            f = r[c] * prow[c]  # prow[c] is +-1, so r - f * prow is 0 at c
+            if f:
+                r = [x - f * y for x, y in zip(r, prow)]
+            rest.append(r[:c] + r[c + 1:])
+        rr = rest
+    if len(rr) < 2:  # the 1 x 1 minors of one row are its entries
+        return not rr or gcd(*rr[0]) == 1
     g = 0
     for cols in combinations(range(len(rr[0])), len(rr)):
         g = gcd(g, det_int([[r[c] for c in cols] for r in rr]))

@@ -6,8 +6,10 @@ import pytest
 
 from toric_ih.cli import main, parse_input, render, run
 from toric_ih.errors import ParseError
-from toric_ih.hypersurface import MonomialSupport
+from toric_ih.hypersurface import MonomialSupport, newton_polytope
 from toric_ih.polytope import Polytope
+
+from face_oracle import oracle_face_support
 
 
 def write(tmp_path, name, text):
@@ -126,6 +128,26 @@ def test_hypersurface_on_support(tmp_path):
     assert hw["rows"] == [[2, 1, 1, 1]]
     curve = find_section(report, "curve class")
     assert item(curve, "euler characteristic") == -9
+    # the triangle's three vertices and interior point: all four on the top
+    # face (id 0), one on each vertex, two on each edge
+    by_face = find_section(report, "support by face")
+    assert by_face["rows"] == ([[0, 2, 4]] + [[i, 0, 1] for i in (1, 2, 3)]
+                               + [[i, 1, 2] for i in (4, 5, 6)])
+
+
+def test_hypersurface_support_by_face_matches_fraction_oracle(tmp_path):
+    # points inside edges and facets too; each face's count against the
+    # per-face Fraction route
+    for text in ("support 2\n0 0\n3 0\n0 3\n1 1\n1 0\n2 1\n",
+                 "support 3\n0 0 0\n2 0 0\n0 2 0\n0 0 2\n1 0 0\n1 1 0\n0 1 1\n1 0 1\n"):
+        path = write(tmp_path, "s.support", text)
+        code, report = run(["hypersurface", path])
+        assert code == 0
+        support = parse_input(path)
+        lat = newton_polytope(support).face_lattice()
+        want = [[f.id, f.dim, len(oracle_face_support(support, lat, f).exponents)]
+                for f in lat.faces]
+        assert find_section(report, "support by face")["rows"] == want
 
 
 def test_hypersurface_rejects_a_component_count_below_one(tmp_path, capsys):

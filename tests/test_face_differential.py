@@ -4,7 +4,6 @@ the Fraction chart, and every constructed polytope's canonical data and
 handed-over incidences against the pairing oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -112,6 +111,9 @@ def check_against_oracle(p):
         assert lat.by_active[lat._active[f.id]] == f.id
         assert lat.fid[lat._gens[f.id]] == f.id
     poset_matches(lat)
+    # the upper cover each face was first found through, which normal_fan reads
+    assert lat._up[0] is None
+    assert all(lat._up[f.id] in lat._covers_up[f.id] for f in lat.faces[1:])
     # the builder grades by cover depth; the rank of the active normals must agree
     assert all(f.dim == p.n - mat_rank([p.rows[j][0] for j in f.active]) for f in lat.faces)
     fan = normal_fan(p)
@@ -193,8 +195,8 @@ def test_fan_rank_check_fires_on_a_corrupted_lattice(corrupt):
         lat = p.face_lattice()
         dim = {"vertex": 0, "edge": 1}.get(corrupt.split()[-1], p.n - 1)
         f = next(f for f in lat.faces if f.dim == dim)
-        bad = (replace(f, active=f.active[1:]) if corrupt.startswith("row")
-               else replace(f, codim=f.codim + 1))
+        bad = (f._replace(active=f.active[1:]) if corrupt.startswith("row")
+               else f._replace(codim=f.codim + 1))
         lat.faces = tuple(bad if g.id == f.id else g for g in lat.faces)
         if corrupt.startswith("row"):  # the same row out of the face's mask
             lat._active[f.id] &= lat._active[f.id] - 1
@@ -225,6 +227,13 @@ def test_blowup_chart_matches_oracle_on_cone_fixtures(c):
         check_blowup_against_oracle(cone, facet_normal_sum(cone), c)
 
 
+def test_normal_fan_leaves_the_upper_covers_unbuilt():
+    # the fan reads the one upper cover the build recorded per face
+    for p in (cube(3), octahedron(), cone_over(cube(3)), quadrant(3)):  # fresh lattices
+        normal_fan(p)
+        assert "_covers_up" not in vars(p.face_lattice())
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_is_smooth_cone_matches_oracle(d):
     rng = random.Random(7000 + d)
@@ -234,6 +243,21 @@ def test_is_smooth_cone_matches_oracle(d):
         if len(rays) > 2 and rng.random() < 0.2:  # dependent rays
             rays[0] = tuple(2 * a - b for a, b in zip(rays[1], rays[2]))
             rays = [r for r in rays if any(r)]
+        assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
+    # primitive rays with no +-1 entry, so no unit pivot: the minors decide
+    # on the whole matrix
+    for _ in range(150):
+        rays = [tuple(rng.choice((0, 2, -2, 3, -3, 5, -5)) for _ in range(d))
+                for _ in range(rng.randint(1, d))]
+        rays = [r for r in rays if gcd(*r) == 1]
+        assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
+    # non-primitive and Fraction rays, scaled to their primitive forms first,
+    # up to two more rays than coordinates
+    for _ in range(150):
+        k = rng.randint(1, d + 2)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        rays = [r for r in rays if any(r)]
+        rays = [tuple(rng.choice((1, 2, 3, F(1, 2), F(2, 3))) * x for x in r) for r in rays]
         assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
 
 

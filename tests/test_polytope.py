@@ -320,6 +320,12 @@ def test_is_smooth_cone_in_larger_ambient():
     assert not is_smooth_cone([(1, 0, 1), (1, 2, 1)])
 
 
+def test_is_smooth_cone_rejects_rays_of_mixed_length():
+    for rays in ([(1, 0), (0, 1, 5)], [(0, 0, 1), (0, 1)], [(2,), (1, 1)]):
+        with pytest.raises(DimensionMismatchError):
+            is_smooth_cone(rays)
+
+
 def test_fan_cones_close_under_faces():
     # larger faces give dual cones that are faces of the smaller ones
     for p in (cube(3), octahedron(), square_pyramid()):
