@@ -53,7 +53,6 @@ from .hypersurface import (
     closed_open_transform,
     curve_e_polynomial,
     euler_relation_check,
-    face_support,
     frontier_crosscheck,
     frontier_hodge,
     geometric_genus_count,

@@ -424,7 +424,10 @@ def _build_parser():
             sp.add_argument("--epsilon", default="1/8", help="initial shave depth (rational)")
         if name == "blowup":
             sp.add_argument("--direction", help="cocharacter 'a,b,...' interior to the dual cone")
-            sp.add_argument("--level", default="1", help="cutting level (positive rational)")
+            sp.add_argument("--level", default="1",
+                            help="cutting level c (positive rational); the figure is charted on"
+                                 " the cutting hyperplane's direction lattice, so at level c it"
+                                 " is a translate of c times the level-1 figure")
     return parser
 
 

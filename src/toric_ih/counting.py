@@ -356,15 +356,6 @@ class ConeOverPolytope:
             return 0
         return lattice_count(self.base, k) if k else 1
 
-    def slice_points(self, k: int):
-        if k < 0:
-            return ()
-        p = self.base
-        if p.n == 0:  # the walk needs a last coordinate; 0P .. kP are the point
-            return ((k,),)
-        fibers = _fibers(_rows(p, k), *_integer_box(p.homogenized, k))
-        return tuple(x + (t, k) for x, l, h, _ in fibers for t in range(l, h + 1))
-
 
 def cone_over_polytope(p: Polytope) -> ConeOverPolytope:
     """Home of a compact polytope at height one inside a pointed cone

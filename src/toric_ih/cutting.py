@@ -36,6 +36,11 @@ those of its vertices' limits.  With none, the limit leaves the polytope,
 the vertex's normal cone lies in no vertex cone of the original (the fan
 does not refine), and the round is rejected, as is a cut that is not prime.
 Both are functions of the signature, so checking both rounds changes no eps.
+
+The blow-up's figure, the slice of a cone at a level c, is charted once, on
+the direction lattice of the cutting hyperplane: its vertices scaled by the
+least m that puts a lattice point on the scaled hyperplane are read off one
+integer frame, and the chart is scaled back by 1/m.
 """
 
 from __future__ import annotations
@@ -43,13 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import and_, or_
 
 from .errors import (
     EmptyPolyhedronError,
     EpsilonUnstableError,
     InvariantViolation,
-    NonIntegralSpanError,
     NotFullDimensionalError,
     UnboundedError,
 )
@@ -58,12 +63,8 @@ from .lattice import (
     as_rat,
     dot,
     homogenized_frame,
-    integerize,
     lattice_vector,
     primitive,
-    rational_affine_basis,
-    solve_consistent,
-    vsub,
 )
 from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
 
@@ -237,15 +238,13 @@ class BlowupResult:
     """Data of the single-vertex toric blow-up of a cone.
 
     ``figure`` is the compact slice of the cone at the cutting level, the
-    exceptional facet of the truncated cone, reduced to full dimension in
-    its own span; ``face_map`` matches each face of the figure with the cone
-    face of one dimension higher that it spans; ``lattice_chart`` tells
-    whether the figure was charted in a lattice frame of its span.
+    exceptional facet of the truncated cone, charted on the direction
+    lattice of the cutting hyperplane; ``face_map`` matches each face of the
+    figure with the cone face of one dimension higher that it spans.
     """
 
     figure: Polytope
     face_map: dict
-    lattice_chart: bool
 
 
 def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
@@ -255,13 +254,16 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     dual cone); the slice is then a compact polytope of one dimension less
     whose faces correspond to the positive-dimensional faces of the cone.
 
-    The figure vertex on ray r is c r / <r, v>, the integer point
-    (a r, b <r, v>) homogenized for c = a / b.  When its span holds a
-    lattice point, the figure is charted in ints: the frame is
-    ``homogenized_frame`` of those points, which is ``affine_frame`` of the
-    figure vertices, and each vertex's primitive (y, t) is read off the
-    frame's Hermite transform (``AffineLatticeFrame.chart``).  Otherwise a
-    rational chart of the span solves for each vertex over Q.
+    The figure is charted in ints on the direction lattice of the
+    hyperplane, the same at every level.  For c = a / b, the hyperplane
+    <., v> = m c holds a lattice point when m c is a multiple of gcd(v), so
+    the least such m gives m c = k = lcm(a, gcd(v)), and m = k b / a.  The
+    points k r / <r, v>, one on each ray r, are the integer points
+    (k r, <r, v>) homogenized.  The frame is ``homogenized_frame`` of those
+    points, which is ``affine_frame`` of the points, and each figure
+    vertex's primitive (y, m t) is the frame's chart (y, t) of its point
+    (``AffineLatticeFrame.chart``) scaled by 1/m.  So the figure at level c
+    is a translate of c times the figure at level 1.
     """
     if not p.is_cone_with_vertex or p.homogenized[0] != (0,) * p.n + (1,):
         raise ValueError("need a cone with vertex at the origin")
@@ -272,18 +274,11 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     for r in p.rays:
         if dot(r, v) <= 0:
             raise ValueError("not interior to dual cone")
-    ws = [(*(c.numerator * x for x in r), c.denominator * dot(r, v)) for r in p.rays]
-    try:
-        frame = homogenized_frame(ws)
-        gens = [primitive(frame.chart(w)) for w in ws]
-        lattice_chart = True
-    except NonIntegralSpanError:
-        figure_vertices = [tuple(Fraction(x, w[-1]) for x in w[:-1]) for w in ws]
-        base, dirs = rational_affine_basis(figure_vertices)
-        cols = [[d[i] for d in dirs] for i in range(p.n)]
-        gens = [integerize((*solve_consistent(cols, list(vsub(w, base))), 1))
-                for w in figure_vertices]
-        lattice_chart = False
+    k = lcm(c.numerator, gcd(*v))
+    m = k * c.denominator // c.numerator
+    ws = [(*(k * x for x in r), dot(r, v)) for r in p.rays]
+    frame = homogenized_frame(ws)
+    gens = [primitive((*y, m * t)) for *y, t in map(frame.chart, ws)]
     figure = Polytope.from_homogenized(gens)
     if figure.n != p.n - 1:
         raise InvariantViolation("compact figure has the wrong dimension")
@@ -303,4 +298,4 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
         face_map[f.id] = target
     if len(face_map) != len(plat.faces) - 1:
         raise InvariantViolation("figure faces do not exhaust the cone faces")
-    return BlowupResult(figure, face_map, lattice_chart)
+    return BlowupResult(figure, face_map)

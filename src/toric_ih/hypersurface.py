@@ -30,7 +30,7 @@ from operator import mul
 from .counting import face_counts, lattice_count, skeleton_count
 from .errors import NotFullDimensionalError, UnboundedError
 from .lattice import _require_length, lattice_vector
-from .polytope import Face, FaceLattice, Polytope
+from .polytope import FaceLattice, Polytope
 from .stalks import IntPoly, TatePoly
 
 
@@ -119,14 +119,6 @@ def support_by_face(support: MonomialSupport, lattice: FaceLattice) -> list[tupl
             raise ValueError("support point outside the polytope")
         tight.append((m, sum(1 << j for j, s in enumerate(vals) if not s)))
     return [tuple(m for m, t in tight if t & a == a) for a in lattice._active]
-
-
-def face_support(support: MonomialSupport, lattice: FaceLattice, face: Face) -> MonomialSupport:
-    """Support points lying on one face of the Newton polytope
-    (``support_by_face``).  Raises ValueError when a point lies outside the
-    polytope.
-    """
-    return MonomialSupport.of(support_by_face(support, lattice)[face.id])
 
 
 @dataclass(frozen=True)

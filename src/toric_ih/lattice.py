@@ -73,10 +73,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def integerize(u) -> tuple[int, ...]:
     """Scale a rational vector by a positive integer to clear denominators."""
     u = tuple(u)
@@ -99,9 +95,8 @@ def primitive(u) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra (dense, row based; desk scale only): greedy independent rows,
-# rank and determinant by fraction-free elimination on ints, rational solves
-# over Q.
+# Linear algebra (dense, row based; desk scale only): rank and determinant by
+# fraction-free elimination on ints.
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
@@ -113,37 +108,6 @@ def mat_vec(rows, x):
 
 def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def solve_consistent(rows, rhs):
-    """One solution of rows @ x = rhs over Q, or None if inconsistent.
-
-    Gauss-Jordan elimination of the augmented rows; free variables are 0.
-    """
-    if not rows:
-        return None
-    n = len(rows[0])
-    m = [[as_rat(c) for c in r] + [as_rat(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    for c in range(n + 1):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if c == n:
-            return None  # pivot in the rhs column
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = m[i][n]
-    return tuple(x)
 
 
 def det_int(rows) -> int:
@@ -177,25 +141,6 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def independent_rows(rows, limit=None):
-    """Indices of the greedy pick of linearly independent rows, in order.
-
-    Row i is picked when it is independent of the rows picked before it,
-    until ``limit`` rows are picked.  One incremental fraction-free echelon
-    on plain ints: each picked row is stored reduced against the earlier
-    ones, with its pivot column, so a new row costs one pass over the
-    echelon, not a rank of the whole pick.  Rational rows are integerized.
-    """
-    echelon = []  # (pivot column, reduced row)
-    picked = []
-    for i, row in enumerate(rows):
-        if len(picked) == limit:
-            break
-        if echelon_push(echelon, integerize(row)):
-            picked.append(i)
-    return picked
-
-
 def echelon_push(echelon, row) -> bool:
     """Reduce the int row against a fraction-free echelon, a list of
     (pivot column, reduced row), and append it when it is independent of
@@ -216,8 +161,12 @@ def echelon_push(echelon, row) -> bool:
 
 
 def mat_rank(rows) -> int:
-    """Rank over Q: the size of the greedy pick of independent rows."""
-    return len(independent_rows(rows))
+    """Rank over Q: the size of one fraction-free echelon of the rows,
+    rational rows integerized."""
+    echelon = []
+    for row in rows:
+        echelon_push(echelon, integerize(row))
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +314,11 @@ class AffineLatticeFrame:
             raise ValueError("point not on the affine span")
         return (*vals[:self.dim], t)
 
-    def to_coords(self, point) -> tuple[Fraction, ...]:
-        """Coordinates of a span point in this frame."""
-        *y, t = self.chart(integerize((*point, 1)))
-        return tuple(Fraction(c, t) for c in y)
-
     def from_coords(self, coords) -> tuple:
+        """The span point with the given coordinates in this frame; raises
+        DimensionMismatchError unless there is one coordinate per basis vector."""
         p = rat_vector(self.base)
-        for c, b in zip(coords, self.basis):
+        for c, b in zip(_require_length(coords, self.dim), self.basis):
             p = tuple(x + as_rat(c) * y for x, y in zip(p, b))
         if all(x.denominator == 1 for x in p):
             return tuple(int(x) for x in p)
@@ -410,18 +356,6 @@ def affine_frame(points) -> AffineLatticeFrame:
     (callers counting lattice points treat that face as contributing 0).
     """
     return homogenized_frame([integerize((*p, 1)) for p in points])
-
-
-def rational_affine_basis(points):
-    """(base, directions): a rational chart of the affine span.
-
-    Only the linear structure is meaningful; use affine_frame when lattice
-    points matter.
-    """
-    pts = [rat_vector(p) for p in points]
-    p0 = pts[0]
-    dirs = [vsub(p, p0) for p in pts[1:]]
-    return p0, tuple(dirs[i] for i in independent_rows(dirs))
 
 
 def unimodular_image(obj, u_rows):

@@ -657,11 +657,6 @@ class FaceLattice:
     def top(self) -> Face:
         return self.faces[0]
 
-    def leq(self, a: int, b: int) -> bool:
-        """Containment: face a is a face of face b."""
-        ga = self._gens[a]
-        return ga & self._gens[b] == ga
-
     def up_set(self, a: int) -> int:
         """Bitmask over face ids (face i is bit i) of the faces containing face a, a included."""
         return self._above[a]

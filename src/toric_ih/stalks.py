@@ -101,6 +101,10 @@ class IntPoly:
         return other is not None and self._d == other._d
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        const = (0,) * len(self._vars)
+        if self._d.keys() <= {const}:
+            return hash(self._d.get(const, 0))
         return hash(frozenset(self._d.items()))
 
     def __add__(self, other):

@@ -1,5 +1,5 @@
 """Lattice-chart oracle: the original Fraction frame of an affine span and
-its Fraction coordinates.
+its Fraction coordinates, with the rational solve they take.
 
 ``oracle_span_equations`` clears the denominators of the span's directions
 one Fraction at a time and pairs the first point with each equation in
@@ -7,7 +7,8 @@ Fractions; ``oracle_affine_frame`` clears the right-hand sides' denominators
 the same way, then solves the integer system.  ``oracle_to_coords`` solves
 the frame's basis for a point by Gauss-Jordan elimination over Q
 (``solve_consistent``) and checks the solution by mapping it back
-(``from_coords``).  None of them reads the frame's Hermite transform; they
+(``from_coords``).  ``solve_consistent`` and ``vsub`` serve the other
+Fraction oracles too.  None of them reads the frame's Hermite transform; they
 are the reference for the integer chart's differential tests and for
 ``conftest.brute_span_lattice_points``.
 """
@@ -19,14 +20,48 @@ from fractions import Fraction
 from toric_ih.errors import NonIntegralSpanError
 from toric_ih.lattice import (
     AffineLatticeFrame,
+    as_rat,
     identity_rows,
     integerize,
     pairing,
     rat_vector,
-    solve_consistent,
     solve_integer_system,
-    vsub,
 )
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def solve_consistent(rows, rhs):
+    """One solution of rows @ x = rhs over Q, or None if inconsistent.
+
+    Gauss-Jordan elimination of the augmented rows; free variables are 0.
+    """
+    if not rows:
+        return None
+    n = len(rows[0])
+    m = [[as_rat(c) for c in r] + [as_rat(b)] for r, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(n + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if c == n:
+            return None  # pivot in the rhs column
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = m[i][n]
+    return tuple(x)
 
 
 def oracle_span_equations(points):

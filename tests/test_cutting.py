@@ -21,6 +21,8 @@ from toric_ih.errors import (
     NotFullDimensionalError,
 )
 from toric_ih.fixtures import (
+    cone_fixtures,
+    cone_over,
     cone_over_polygon,
     cube,
     octahedron,
@@ -30,6 +32,7 @@ from toric_ih.fixtures import (
     square_pyramid,
     standard_fixtures,
 )
+from toric_ih.identities import facet_normal_sum
 from toric_ih.lattice import mat_vec, pairing
 from toric_ih.polytope import Polytope, is_prime, support_face
 from toric_ih.stalks import (
@@ -40,9 +43,9 @@ from toric_ih.stalks import (
     stalk_polynomials,
 )
 
+from chart_oracle import oracle_affine_frame, oracle_to_coords
 from face_oracle import (
     cut_rows,
-    oracle_rational_chart,
     vertex_limits_by_solving,
     vertex_normal_cone_contains,
 )
@@ -146,8 +149,8 @@ def test_face_map_respects_closure():
     lat, cut_lat = p.face_lattice(), r.polytope.face_lattice()
     for t1 in cut_lat.faces:
         for t2 in cut_lat.faces:
-            if cut_lat.leq(t1.id, t2.id):
-                assert lat.leq(r.face_map[t1.id], r.face_map[t2.id])
+            if cut_lat.up_set(t1.id) >> t2.id & 1:
+                assert lat.up_set(r.face_map[t1.id]) >> r.face_map[t2.id] & 1
 
 
 def test_untouched_faces_have_unique_equal_dim_preimage():
@@ -374,19 +377,40 @@ def test_blowup_rejects_non_cone():
 
 
 def test_blowup_rational_level():
-    # the line x + 2y = 1/3 meets no lattice point: the figure gets a rational chart
+    # the line x + 2y = 1/3 meets no lattice point, x + 2y = 1 (m = 3) does:
+    # the points 3 (0, 1/6) and 3 (1/3, 0), one on each ray, are charted in
+    # the frame of that line, and the chart is divided by 3
     b = vertex_blowup(quadrant(2), (1, 2), F(1, 3))
     assert b.figure.n == 1
-    assert b.lattice_chart is False
-    # the figure vertices (1/3, 0) and (0, 1/6), charted from the first along their difference
-    figure_vertices = [(F(1, 3), F(0)), (F(0), F(1, 6))]
-    assert oracle_rational_chart(figure_vertices) == [(F(0),), (F(1),)]
-    assert b.figure == Polytope.from_points(oracle_rational_chart(figure_vertices))
-    # x + y = 2 does: a lattice chart
+    points = [(0, F(1, 2)), (1, 0)]
+    frame = oracle_affine_frame(points)
+    assert [oracle_to_coords(frame, w) for w in points] == [(F(1, 2),), (F(0),)]
+    assert b.figure == Polytope.from_points([(F(1, 6),), (F(0),)])
+    # a third of the figure at level 1
+    assert vertex_blowup(quadrant(2), (1, 2), 1).figure == Polytope.from_points([(0,), (F(1, 2),)])
+    # x + y = 2 holds lattice points: m = 1
     b = vertex_blowup(quadrant(2), (1, 1), 2)
     assert b.figure.n == 1
-    assert b.lattice_chart is True
     assert len(b.figure.vertices) == 2
+
+
+def blowup_cones():
+    """The cone fixtures and the cones over 20 seeded random lattice polytopes."""
+    rng = random.Random(5)
+    return list(cone_fixtures().values()) + [
+        cone_over(random_lattice_polytope(rng, rng.choice((2, 3)), 7, 2)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("c", [2, F(1, 3), F(3, 2), F(2, 7)])
+def test_blowup_figure_is_a_translate_of_the_dilated_level_one_figure(c):
+    # one chart on the hyperplane's direction lattice at every level
+    for cone in blowup_cones():
+        v = facet_normal_sum(cone)
+        for w in (v, tuple(2 * x for x in v)):
+            got = vertex_blowup(cone, w, c).figure
+            want = vertex_blowup(cone, w, 1).figure.dilate(c)
+            assert got == want.translate(tuple(a - b for a, b in zip(got.vertices[0],
+                                                                      want.vertices[0])))
 
 
 def seed_prime_cut(p, epsilon=F(1, 8)):

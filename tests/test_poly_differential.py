@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poly_oracle as old
 from toric_ih.hypersurface import EPoly2, tate_to_e, torus_class
-from toric_ih.stalks import TatePoly
+from toric_ih.stalks import ONE, TatePoly
 
 derandomized = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -43,7 +43,7 @@ def same_comparisons(a, b, ra, rb, c):
     if a == b:
         assert hash(a) == hash(b)
     if a == c:
-        assert hash(a) == hash(type(a).one() * c)
+        assert hash(a) == hash(type(a).one() * c) == hash(c)
 
 
 @derandomized
@@ -84,6 +84,14 @@ def test_constructors_match_oracle(k):
     same_e(torus_class(k), old.torus_class(k))
     for cls, ref in ((TatePoly, old.TatePoly), (EPoly2, old.EPoly2)):
         assert (repr(cls.zero()), repr(cls.one())) == (repr(ref.zero()), repr(ref.one()))
+
+
+def test_constants_hash_as_their_ints():
+    # a constant polynomial equals its int, so the two hash alike and share a set slot
+    for poly, c in ((ONE, 1), (TatePoly.zero(), 0), (EPoly2.one(), 1),
+                    (EPoly2.zero(), 0), (3 * ONE, 3), (-2 * EPoly2.one(), -2)):
+        assert poly == c and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
 
 
 def test_the_two_rings_stay_apart():

@@ -26,7 +26,7 @@ from toric_ih.polytope import (
     support_face,
 )
 
-from conftest import poset_isomorphic
+from conftest import face_leq, poset_isomorphic
 from face_oracle import vertex_normal_cone_contains
 
 
@@ -183,7 +183,7 @@ def test_face_interval_cube_vertex_is_boolean():
     atoms = [f.id for f in members if f.dim == 1]
     seen = set()
     for f in members:
-        below = frozenset(a for a in atoms if lat.leq(a, f.id))
+        below = frozenset(a for a in atoms if lat.up_set(a) >> f.id & 1)
         assert len(below) == f.dim
         seen.add(below)
     assert len(seen) == 8
@@ -202,8 +202,8 @@ def test_face_interval_matches_cone_poset():
     v = lat.of_dim(0)[0]
     octant = quadrant(3).face_lattice()
     assert poset_isomorphic(
-        [f.id for f in lat.faces_above(v.id, strict=False)], lat.leq,
-        [f.id for f in octant.faces], octant.leq,
+        [f.id for f in lat.faces_above(v.id, strict=False)], face_leq(lat),
+        [f.id for f in octant.faces], face_leq(octant),
         grade_a=lambda i: lat.faces[i].dim - v.dim,
         grade_b=lambda i: octant.faces[i].dim,
     )
