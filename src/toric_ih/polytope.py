@@ -719,9 +719,9 @@ def support_face(p: Polytope, v) -> Face:
     return lat.faces[lat.fid[lat.minimizing_vertices(v) | rays << len(p.homogenized)]]
 
 
-@dataclass(frozen=True)
-class FanCone:
-    """A cone of the dual fan, tagged with the face it is dual to."""
+class FanCone(NamedTuple):
+    """A cone of the dual fan, tagged with the face it is dual to; an
+    immutable named tuple, like ``Face``."""
 
     face_id: int
     dim: int
@@ -778,7 +778,10 @@ def is_smooth_cone(rays) -> bool:
 
     For d primitive generators in Z^n that is: the gcd of their d x d minors
     is 1.  The gcd is 0 when the generators are dependent (so when d > n),
-    and |det| when d = n.  Rays of different lengths raise
+    and |det| when d = n.  A ray of ints with gcd 1, such as a facet normal
+    of ``normal_fan``, is taken as it is; any other ray (non-primitive, or
+    with ``Fraction`` entries) is first scaled to its primitive form, and a
+    zero ray raises ValueError.  Rays of different lengths raise
     DimensionMismatchError.
 
     Unit pivots shrink the matrix first.  Adding a multiple of one row to
@@ -790,7 +793,13 @@ def is_smooth_cone(rays) -> bool:
     gcd of the minors is unchanged; the minors are taken of the block left
     without a +-1 entry.
     """
-    rr = [primitive(r) for r in rays]
+    rr = []
+    for r in rays:
+        try:
+            g = gcd(*r)
+        except TypeError:  # a non-int entry, such as a Fraction
+            g = 0
+        rr.append(r if g == 1 else primitive(r))
     n = len(rr[0]) if rr else 0
     for r in rr:
         _require_length(r, n)

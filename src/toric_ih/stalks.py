@@ -16,9 +16,13 @@ Q and b = dim Q, seeded with m = 1 on the whole polytope:
 The recursion runs purely on the abstract interval poset; no transverse slice
 is ever constructed, so there is no geometry (and no rounding) involved
 beyond the face lattice itself.  It runs on plain int coefficient lists:
-faces are grouped by dimension and stalk as bitmasks, so a sum is one
-popcount per group against S and one product with (t - 1)^k per relative
-dimension.
+faces are grouped by dimension and stalk as bitmasks, and a term table for
+a bottom dimension b holds, for each group above b, its bitmask and its
+stalk times (t - 1)^(dim - b - 1), truncated.  A sum over S is then one
+popcount per table entry against S times that entry's short row.  The
+recursion goes down by dimension, so it builds one table per dimension b,
+when it reaches the first face of dimension b: every group above b is
+complete by then, and the table serves every face of that dimension.
 
 For a compact polytope, all faces summed from the empty bottom give the
 class of the intersection cohomology of the projective toric variety:
@@ -225,38 +229,58 @@ def _tm1(k: int) -> tuple[int, ...]:
     return tuple((-1) ** (k - i) * comb(k, i) for i in range(k + 1))
 
 
+def _terms(groups, bottom: int, size: int) -> list[tuple[int, list[int]]]:
+    """The term table of the interval sums from a bottom of dimension
+    ``bottom`` (-1 for the empty face): for each group (dim, stalk) of
+    ``groups`` with dim > bottom, its bitmask and the coefficients of t^0 ..
+    t^(size - 1) of stalk * (t - 1)^(dim - bottom - 1).
+
+    ``groups`` maps (dim, stalk coefficients) to the bitmask of the faces
+    with that dimension and stalk.
+    """
+    table = []
+    for (dim, cs), mask in groups.items():
+        if dim > bottom:
+            tk = _tm1(dim - bottom - 1)
+            row = [0] * size
+            for i, c in enumerate(cs[:size]):
+                for j, x in enumerate(tk[:size - i], i):
+                    row[j] += c * x
+            table.append((mask, row))
+    return table
+
+
+def _table_sum(table, faces: int, size: int) -> list[int]:
+    """Coefficients of t^0 .. t^(size - 1) of the interval sum over the
+    faces in the bitmask ``faces``: each table entry's row times the
+    popcount of its mask against them."""
+    out = [0] * size
+    for mask, row in table:
+        mult = (faces & mask).bit_count()
+        if mult:
+            for i, c in enumerate(row):
+                out[i] += mult * c
+    return out
+
+
 def _interval_sum(groups, faces: int, bottom: int, size: int) -> list[int]:
     """Coefficients of t^0 .. t^(size - 1), lowest degree first, of the sum
     over the faces G in the bitmask ``faces`` of (t - 1)^(dim G - bottom - 1)
     * m_G, where ``bottom`` is the dimension of the interval's bottom face
-    (-1 for the empty face).
-
-    ``groups`` maps (dim, stalk coefficients) to the bitmask of the faces
-    with that dimension and stalk, so a group's share is its stalk times one
-    popcount, and each distinct exponent costs one product with (t - 1)^k.
-    """
-    rows = {}
-    for (dim, cs), mask in groups.items():
-        mult = (faces & mask).bit_count()
-        if mult:
-            row = rows.setdefault(dim - bottom - 1, [0] * size)
-            for i, c in enumerate(cs[:size]):
-                row[i] += mult * c
-    out = [0] * size
-    for k, row in rows.items():
-        tk = _tm1(k)
-        for i, c in enumerate(row):
-            if c:
-                for j, x in enumerate(tk[:size - i], i):
-                    out[j] += c * x
-    return out
+    (-1 for the empty face) and every face in ``faces`` lies above it."""
+    return _table_sum(_terms(groups, bottom, size), faces, size)
 
 
 def _stalks(lattice: FaceLattice):
     """(stalk by face id, groups): the truncated recursion from the top down,
     memoized on the lattice.  ``groups`` maps (dim, stalk coefficients) to a
-    bitmask over face ids, as ``_interval_sum`` takes it; values are
-    immutable, so the memo is safe to publish across threads."""
+    bitmask over face ids, as ``_terms`` takes it; values are immutable, so
+    the memo is safe to publish across threads.
+
+    Faces come by descending dimension, so when the first face of dimension
+    b is reached every group above b is complete: its term table is built
+    then, once, and serves every face of dimension b.
+    """
     cached = lattice._memo.get("stalks.stalks")
     if cached is not None:
         return cached
@@ -265,17 +289,20 @@ def _stalks(lattice: FaceLattice):
             "unsupported shape: need a compact polytope or a cone with a vertex")
     coeffs: dict[int, tuple[int, ...]] = {}
     groups: dict[tuple[int, tuple[int, ...]], int] = {}
+    table_dim, up_set = None, lattice.up_set
     for face in sorted(lattice.faces, key=lambda f: -f.dim):
         if face.codim == 0:
             m = [1]
         else:
             size = (face.codim + 1) // 2  # the powers t^k with k < codim / 2
-            above = lattice.up_set(face.id) & ~(1 << face.id)
-            acc = _interval_sum(groups, above, face.dim, size)
+            if face.dim != table_dim:
+                table, table_dim = _terms(groups, face.dim, size), face.dim
+            # the table holds higher dimensions only, so no mask has the face's own bit
+            acc = _table_sum(table, up_set(face.id), size)
             m = [acc[0]] + [acc[k] - acc[k - 1] for k in range(1, size)]  # (1 - t) * acc
             while m and not m[-1]:
                 m.pop()
-            if not m or m[0] != 1 or any(c < 0 for c in m):
+            if not m or m[0] != 1 or min(m) < 0:
                 raise InvariantViolation(f"stalk polynomial of face {face.id} is not "
                                          f"1 + nonnegative terms: {TatePoly(m)}")
             if 2 * (len(m) - 1) >= face.codim:
@@ -323,7 +350,11 @@ def stalk_table(lattice: FaceLattice) -> tuple[StalkEntry, ...]:
 
 def global_ih_class(lattice: FaceLattice) -> TatePoly:
     """Intersection cohomology class of the projective toric variety of a
-    compact polytope: coefficient of t^k is dim IH^{2k}; odd degrees vanish."""
+    compact polytope: coefficient of t^k is dim IH^{2k}; odd degrees vanish.
+    Memoized on the lattice once checked, so ``ih_betti_numbers`` reads it."""
+    cached = lattice._memo.get("stalks.global")
+    if cached is not None:
+        return cached
     if not lattice.is_compact:
         raise UnsupportedShapeError("global class needs a compact polytope")
     d = lattice.n
@@ -335,6 +366,7 @@ def global_ih_class(lattice: FaceLattice) -> TatePoly:
         raise InvariantViolation(f"global class is not palindromic: {h}")
     if not h.is_unimodal_to_middle(d):
         raise InvariantViolation(f"global class is not unimodal to the middle: {h}")
+    lattice._memo["stalks.global"] = h
     return h
 
 

@@ -261,6 +261,33 @@ def test_is_smooth_cone_matches_oracle(d):
         rays = [r for r in rays if any(r)]
         rays = [tuple(rng.choice((1, 2, 3, F(1, 2), F(2, 3))) * x for x in r) for r in rays]
         assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
+    # int rays, some scaled off their primitive forms, given as lists or
+    # tuples: the primitive ones are taken as they are
+    for _ in range(150):
+        rays = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
+        rays = [[rng.choice((1, 1, 2, -3)) * x for x in r] for r in rays if any(r)]
+        rays = [r if rng.random() < 0.5 else tuple(r) for r in rays]
+        assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays)
+
+
+@pytest.mark.parametrize("rays, smooth", [
+    ([(2, 0), (0, 3)], True),
+    ([(2, 0, 0), (0, 3, 3)], True),
+    ([(2, 0), (2, 4)], False),
+    ([[1, 0], [0, 1]], True),
+    ([[1, 0, 1], [1, 2, 1]], False),
+    ([[4, 6], (0, 5)], False),
+    ([(F(1, 2), 0), (0, F(2, 3))], True),
+    ([(F(1, 2), F(1, 2)), (F(3), 1)], False),
+    ([[F(2), 1], (1, 2)], False),
+    ([(True, False), (False, True)], True),
+    ([(True, True), (True, False)], True),
+    ([(True, True, False), (True, False, True), (False, True, True)], False),
+    ([(True, 2), (0, 2)], True),
+])
+def test_is_smooth_cone_takes_any_ray_form(rays, smooth):
+    # non-primitive int rays, lists, Fraction rays and bool entries
+    assert is_smooth_cone(rays) == oracle_is_smooth_cone(rays) == smooth
 
 
 # -- every polytope's own incidences against the pairing oracle ---------------

@@ -321,8 +321,15 @@ def test_is_smooth_cone_in_larger_ambient():
 
 
 def test_is_smooth_cone_rejects_rays_of_mixed_length():
-    for rays in ([(1, 0), (0, 1, 5)], [(0, 0, 1), (0, 1)], [(2,), (1, 1)]):
+    for rays in ([(1, 0), (0, 1, 5)], [(0, 0, 1), (0, 1)], [(2,), (1, 1)],
+                 [[1, 0], [0, 1, 5]], [(F(1, 2), 0), (0, 1, 0)], [(True, False), (2, 0, 1)]):
         with pytest.raises(DimensionMismatchError):
+            is_smooth_cone(rays)
+
+
+def test_is_smooth_cone_rejects_a_zero_ray():
+    for rays in ([(0, 0), (1, 0)], [[0, 0, 0]], [(F(0), 0)], [(False, False), (True, False)]):
+        with pytest.raises(ValueError):
             is_smooth_cone(rays)
 
 

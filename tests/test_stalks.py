@@ -1,9 +1,11 @@
+from argparse import Namespace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_ih import cli, stalks
 from toric_ih.errors import PoincareDualityError, UnsupportedShapeError
 from toric_ih.fixtures import (
     cone_over,
@@ -156,6 +158,25 @@ def test_global_octahedron():
     h = global_ih_class(lat)
     assert h == TatePoly((1, 5, 5, 1))
     assert ih_betti_numbers(lat) == (1, 0, 5, 0, 5, 0, 1)
+
+
+def test_global_class_is_computed_and_checked_once(monkeypatch):
+    # ih_betti_numbers, and the ih report that calls both, read the class
+    # global_ih_class keeps on the lattice
+    sums = []
+    interval_sum = stalks._interval_sum
+
+    def counted(*args):
+        sums.append(args[2])
+        return interval_sum(*args)
+
+    monkeypatch.setattr(stalks, "_interval_sum", counted)
+    lat = octahedron().face_lattice()
+    h = global_ih_class(lat)
+    assert ih_betti_numbers(lat) == (1, 0, 5, 0, 5, 0, 1)
+    assert global_ih_class(lat) is h is lat._memo["stalks.global"]
+    cli.report_ih(lat.polytope, Namespace())
+    assert sums == [-1]
 
 
 def test_global_needs_compact():
@@ -342,3 +363,27 @@ def test_global_class_equals_interval_sum_on_cone(rng):
             if f.id != apex:
                 acc = acc + (T - 1) ** (f.dim - 1) * ms[f.id]
         assert acc == global_ih_class(base.face_lattice())
+
+
+@pytest.mark.parametrize("make", [lambda: cube(5), lambda: cross_polytope(5),
+                                  lambda: cone_over(octahedron())],
+                         ids=["cube-5", "cross-5", "cone-octahedron"])
+def test_stalks_build_one_term_table_per_dimension(make, monkeypatch):
+    # the recursion goes down by dimension and builds the table of a bottom
+    # dimension once, when it reaches the first face of that dimension; it
+    # sums no interval from the groups again
+    bottoms = []
+    terms = stalks._terms
+
+    def counted(groups, bottom, size):
+        bottoms.append(bottom)
+        return terms(groups, bottom, size)
+
+    def forbidden(*args):
+        raise AssertionError("the recursion called _interval_sum")
+
+    monkeypatch.setattr(stalks, "_terms", counted)
+    monkeypatch.setattr(stalks, "_interval_sum", forbidden)
+    lat = make().face_lattice()
+    stalk_polynomials(lat)
+    assert bottoms == list(range(lat.n - 1, -1, -1))
