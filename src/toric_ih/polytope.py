@@ -46,7 +46,10 @@ the sorted generator order; ``translate``, ``dilate`` and
 incidences off the polytope's own.  No row is paired with a vertex.  A
 level-by-level search from the polytope intersects each face with each
 facet, and the inclusion-maximal nonempty results are the face's lower
-covers (Kaibel & Pfetsch 2002).  A face's dimension is n minus its cover depth below the
+covers (Kaibel & Pfetsch 2002).  Each face keeps these candidates keyed by
+generator set, each with the OR of the rows that give it, so a cover's
+tight rows are its upper cover's OR its own key's rows, and the face
+records are sorted level by level.  A face's dimension is n minus its cover depth below the
 polytope; ``normal_fan`` checks it against the rank of the face's active
 rows' normals, from the top down: a face's active rows hold those of each
 upper cover, so it starts from the integer echelon of the upper cover the
@@ -552,50 +555,71 @@ class FaceLattice:
         # the rows j not active on H; each is already a closed generator set,
         # and a face's dimension is n minus its depth below the top.  A face
         # below H meets facet_j in H & facet_j & itself, so each face keeps
-        # only the (j, H & facet_j) with a vertex for its own covers.
-        # found[g] is (active rows, dimension, the upper cover g was first
-        # found through).
-        found = {top: (sum(1 << j for j, rg in enumerate(row_gens) if rg == top), n, None)}
+        # its candidates as a dict from each generator set H & facet_j with
+        # a vertex to the OR of the rows j giving it.  A maximal candidate s
+        # lies in no other, so the rows tight on s are H's plus the rows of
+        # s itself, and s's candidates are the others intersected with s.
+        # levels[k] maps each face at depth k to its candidates; act[g] is
+        # g's tight rows and up[g] the upper cover g was first found through.
+        act = {top: sum(1 << j for j, rg in enumerate(row_gens) if rg == top)}
+        up = {top: None}
+        subs = {}
+        for j, rg in enumerate(row_gens):
+            if rg != top and rg & vbits:
+                subs[rg] = subs.get(rg, 0) | 1 << j
         covers = []
-        level = {top: [(j, rg) for j, rg in enumerate(row_gens) if rg != top and rg & vbits]}
-        d = n
+        levels = []
+        level = {top: subs}
         while level:
+            levels.append(level)
             below = {}
             for g, subs in level.items():
                 kept = []
-                for s in sorted({t for _, t in subs}, key=int.bit_count, reverse=True):
+                for s in sorted(subs, key=int.bit_count, reverse=True):
                     for k in kept:
                         if s & k == s:
                             break  # a strict subset of a larger H & facet_j
                     else:
                         kept.append(s)
+                a = act[g]
                 for s in kept:
                     covers.append((s, g))
-                    if s in found:
-                        if found[s][1] != d - 1:
-                            raise InvariantViolation("face lattice is not graded by cover depth")
+                    if s in below:
                         continue
-                    act, rest = found[g][0], []
-                    for j, t in subs:
-                        if s & ~t:
-                            if s & t & vbits:
-                                rest.append((j, s & t))
-                        else:
-                            act |= 1 << j
-                    found[s] = (act, d - 1, g)
-                    below[s] = rest
-            level, d = below, d - 1
-        if sorted(g for g in found if found[g][1] == 0) != [1 << i for i in range(nv)]:
+                    if s in act:
+                        raise InvariantViolation("face lattice is not graded by cover depth")
+                    act[s] = a | subs[s]
+                    up[s] = g
+                    below[s] = own = {}
+                    for t, rows in subs.items():
+                        u = s & t
+                        if u != s and u & vbits:
+                            own[u] = own.get(u, 0) | rows
+            level = below
+        if len(levels) != n + 1 or sorted(levels[-1]) != [1 << i for i in range(nv)]:
             raise InvariantViolation("depth n does not hold exactly the vertices")
 
-        keys = {g: (found[g][1], _bits(g & vbits), _bits(g >> nv)) for g in found}
-        order = [top] + sorted((g for g in found if g != top), key=keys.__getitem__)
+        # Records level by level, vertices first: within a level the faces
+        # sort by (vertex ids, ray ids); a compact polytope has no ray ids.
+        # tuple.__new__ makes each Face without the named tuple's own
+        # constructor, about a third of its cost.
+        new = tuple.__new__
+        order = [top]
+        faces = [new(Face, (0, n, 0, _bits(act[top]), tuple(range(nv)),
+                            tuple(range(len(p.rays)))))]
+        for dim, level in enumerate(reversed(levels[1:])):
+            if p.rays:
+                keyed = sorted((_bits(g & vbits), _bits(g >> nv), g) for g in level)
+            else:
+                keyed = sorted((_bits(g), (), g) for g in level)
+            for vids, rids, g in keyed:
+                faces.append(new(Face, (len(order), dim, n - dim, _bits(act[g]), vids, rids)))
+                order.append(g)
         self._gens = order
-        self._active = [found[g][0] for g in order]
+        self._active = [act[g] for g in order]
         self.fid = fid = {g: i for i, g in enumerate(order)}
-        self.faces = tuple(Face(i, found[g][1], n - found[g][1], _bits(found[g][0]), *keys[g][1:])
-                           for i, g in enumerate(order))
-        self._up = [None] + [fid[found[g][2]] for g in order[1:]]
+        self.faces = tuple(faces)
+        self._up = [None] + [fid[up[g]] for g in order[1:]]
         self._covers = [(fid[c], fid[g]) for c, g in covers]
 
     # -- tables built on first use -------------------------------------------

@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 from operator import add
+from typing import NamedTuple
 
 from .errors import InvariantViolation, PoincareDualityError, UnsupportedShapeError
 from .lattice import as_rat
@@ -321,9 +322,9 @@ def stalk_polynomials(lattice: FaceLattice) -> dict[int, TatePoly]:
     return _stalks(lattice)[0]
 
 
-@dataclass(frozen=True)
-class StalkEntry:
-    """One nonzero local system rank: degree j = 2k, Tate twist -k."""
+class StalkEntry(NamedTuple):
+    """One nonzero local system rank: degree j = 2k, Tate twist -k.  An
+    immutable named tuple, like ``Face``."""
 
     face_id: int
     degree: int
@@ -339,12 +340,9 @@ def stalk_table(lattice: FaceLattice) -> tuple[StalkEntry, ...]:
     """
     ms = stalk_polynomials(lattice)
     entries = []
-    for face in lattice.faces:
-        m = ms[face.id]
-        for k in range(m.degree + 1):
-            r = m.coeff(k)
-            if r:
-                entries.append(StalkEntry(face.id, 2 * k, r, -k))
+    for i in range(len(lattice.faces)):
+        for (k,), r in ms[i].terms:  # the nonzero terms, by degree
+            entries.append(StalkEntry(i, 2 * k, r, -k))
     return tuple(entries)
 
 

@@ -19,6 +19,7 @@ from toric_ih.fixtures import (
     cross_polytope,
     quadrant,
     cube,
+    random_lattice_polytope,
     octahedron,
     point,
     random_unimodular_matrix,
@@ -370,6 +371,28 @@ def test_handed_over_incidence_on_every_cut_round(monkeypatch):
 
     for q in cut_round_polytopes(monkeypatch, seeded_polytopes()):
         check_handed_over(q)
+
+
+def test_prime_cuts_match_oracle(monkeypatch):
+    # the cut route: prime_cut builds its polytope by Polytope.from_hull of
+    # a hull started from the input's own cone, and these are the largest
+    # lattices it builds
+    starts = []
+
+    def recording_hull(rows, start=None):
+        starts.append(start)
+        return hull_of_rows(rows, start)
+
+    monkeypatch.setattr(cutting, "hull_of_rows", recording_hull)
+    rng = random.Random(6900)
+    bases = [FIXTURES["square-pyramid"], FIXTURES["octahedron"]]
+    bases += [random_lattice_polytope(rng, 3, npoints=rng.randint(6, 9), bound=2)
+              for _ in range(4)]
+    for p in bases:
+        starts.clear()
+        cut = cutting.prime_cut(p)
+        assert cut.polytope != p and starts and all(s is p for s in starts)
+        check_against_oracle(cut.polytope)
 
 
 def random_bases(rng):

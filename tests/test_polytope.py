@@ -3,14 +3,17 @@ from itertools import product
 
 import pytest
 
+from toric_ih import polytope
 from toric_ih.errors import (
     DimensionMismatchError,
     EmptyPolyhedronError,
+    InvariantViolation,
     NotFullDimensionalError,
     NotPointedError,
     UnboundedError,
 )
 from toric_ih.fixtures import (
+    cross_polytope,
     cube,
     octahedron,
     quadrant,
@@ -19,6 +22,7 @@ from toric_ih.fixtures import (
     square_pyramid,
 )
 from toric_ih.polytope import (
+    FaceLattice,
     Polytope,
     is_prime,
     is_smooth_cone,
@@ -157,6 +161,39 @@ def test_cover_relations_are_graded(rng):
                 assert lat.faces[gid].dim == f.dim + 1
         # euler characteristic of the face poset
         assert sum((-1) ** f.dim for f in lat.faces) == 1
+
+
+def handing_over(n, nv, masks):
+    """A polytope of nv vertices on a line of Q^n whose incidence hands over
+    the generator masks given, one row each; the build reads nothing else."""
+    homogenized = [(i,) + (0,) * (n - 1) + (1,) for i in range(nv)]
+    return Polytope(n, homogenized, (), [((1,) + (0,) * (n - 1), 0)] * len(masks),
+                    lambda p: masks)
+
+
+@pytest.mark.parametrize("nv, masks, message", [
+    (5, [0b11101, 0b10111, 0b11001, 0b10110, 0b11000, 0b1100], "not graded by cover depth"),
+    (3, [0b1, 0b100, 0b100, 0b100], "depth n does not hold exactly the vertices"),
+    (2, [0b1, 0b10], "depth n does not hold exactly the vertices"),
+])
+def test_lattice_build_rejects_incidences_of_no_polygon(nv, masks, message):
+    # corrupted incidences: a face met at two cover depths, a search whose
+    # depth 2 is not the vertex set, and one that meets the vertices at depth 1
+    with pytest.raises(InvariantViolation, match=message):
+        FaceLattice(handing_over(2, nv, masks))
+
+
+def test_lattice_build_scans_each_face_at_most_twice(monkeypatch):
+    # on compact input a face's record reads its vertex ids and tight rows,
+    # one bit scan each: no ray ids, and no second pass over sort keys
+    real, calls = polytope._bits, []
+    monkeypatch.setattr(polytope, "_bits", lambda m: calls.append(m) or real(m))
+    for p in (cube(4), cross_polytope(4)):
+        row_gens = p.face_lattice().row_gens
+        calls.clear()
+        lat = FaceLattice(Polytope(p.n, p.homogenized, p.rays, p.rows, lambda q: row_gens))
+        assert lat.faces == p.face_lattice().faces
+        assert 0 < len(calls) <= 2 * len(lat.faces)
 
 
 def interval_counts(lat, fid):
