@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, cutting, fixtures, hypersurface, identities, stalks
-from .errors import InvariantViolation, ParseError, ToricError
+from .errors import InvariantViolation, ParseError, ToricError, UnsupportedShapeError
 from .lattice import as_rat
 from .polytope import Polytope, is_prime, is_smooth_cone, normal_fan
 from .hypersurface import MonomialSupport
@@ -364,12 +364,14 @@ def report_blowup(obj, args):
 
 
 def report_check(obj, args):
-    """The identity tables over the bundled fixtures (and a polyhedral input file)."""
+    """The identity tables over the bundled fixtures (and the input file's polytope)."""
     compact, cones = fixtures.standard_fixtures(), fixtures.cone_fixtures()
-    if isinstance(obj, Polytope) and obj.is_compact:
-        compact["input"] = obj
-    if isinstance(obj, Polytope) and obj.is_cone_with_vertex:
-        cones["input"] = obj
+    if obj is not None:
+        p = _require_polytope(obj)
+        if not (p.is_compact or p.is_cone_with_vertex):
+            raise UnsupportedShapeError(
+                "unsupported shape: need a compact polytope or a cone with a vertex")
+        (compact if p.is_compact else cones)["input"] = p
     cut = {name: compact[name] for name in ("square-pyramid", "octahedron")}
     runs = [(identities.COMPACT, compact), (identities.CONES, cones), (identities.PRIME_CUT, cut)]
     rows = [row for table, inputs in runs for name, p in inputs.items()

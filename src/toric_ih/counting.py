@@ -45,7 +45,7 @@ from operator import mul
 
 from .errors import UnboundedError
 from .lattice import as_rat
-from .polytope import Face, FaceLattice, Polytope, _integer_box, _scaled, cone_over
+from .polytope import Face, FaceLattice, Polytope, _bits, _integer_box, _scaled, cone_over
 
 
 def _fibers(rows, lo, hi):
@@ -258,8 +258,8 @@ def face_counts(lattice: FaceLattice):
     if "counting.face_counts" not in memo:
         inner = _classify(lattice)
         memo["counting.face_counts"] = tuple(
-            (sum(inner[g.id] for g in lattice.faces_below(f.id, strict=False)), inner[f.id])
-            for f in lattice.faces)
+            (sum(inner[g] for g in _bits(below)), inner[f])
+            for f, below in enumerate(lattice._below))
     return memo["counting.face_counts"]
 
 

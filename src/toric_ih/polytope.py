@@ -47,22 +47,23 @@ incidences off the polytope's own.  No row is paired with a vertex.  A
 level-by-level search from the polytope intersects each face with each
 facet, and the inclusion-maximal nonempty results are the face's lower
 covers (Kaibel & Pfetsch 2002).  Each face keeps these candidates keyed by
-generator set, each with the OR of the rows that give it, so a cover's
-tight rows are its upper cover's OR its own key's rows, and the face
-records are sorted level by level.  A face's dimension is n minus its cover depth below the
-polytope; ``normal_fan`` checks it against the rank of the face's active
+generator set, each with the OR of the rows that give it, so a cover's tight
+rows are its upper cover's OR its own key's rows, and the face records are
+sorted level by level.  A face's dimension is n minus its cover depth below
+the polytope; ``normal_fan`` checks it against the rank of the face's active
 rows' normals, from the top down: a face's active rows hold those of each
 upper cover, so it starts from the integer echelon of the upper cover the
-search first found it through, which the lattice records, and pushes only
-its other normals onto it.  ``is_smooth_cone`` clears the columns of unit
-entries by integer row operations before it takes minors.  Up- and
-down-sets are bitmasks over face ids, unioned along the covers on first
-use.  The
-lattice's ``minimizing_vertices`` and ``maximum`` read the vertices on
-their common scale (``_scaled``), also made on first use, for the bitmask
-of vertices where an integer functional is least and for its greatest
-value; lattice-point counts read their boxes off the same integers
-(``_integer_box``).
+search first found it through, and pushes only its other normals onto it.
+``is_smooth_cone`` clears the columns of unit entries by integer row
+operations before it takes minors.  The lattice's one poset record is its
+cover pairs in search order, level by level from the top, so a face's pairs
+as the lower cover come first; the upper cover each face was first found
+through and the up- and down-sets (bitmasks over face ids) are each one pass
+over it, on first use.  The lattice's ``minimizing_vertices`` and
+``maximum`` read the vertices on their common scale (``_scaled``), also made
+on first use, for the bitmask of vertices where an integer functional is
+least and for its greatest value; lattice-point counts read their boxes off
+the same integers (``_integer_box``).
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
 zero point, which the cone-over-a-polytope construction needs); callers with
@@ -530,9 +531,10 @@ class FaceLattice:
     Face i has two int masks, its generators ``_gens[i]`` (vertex j is bit
     j, ray k bit nv + k) and its tight rows ``_active[i]`` (row j is bit j);
     ``fid`` and ``by_active`` map them back to i, and every face lookup
-    goes through them.  ``_up[i]`` is the upper cover through which the
-    build first found face i (None at the top).  Immutable after
-    construction; queries are pure.
+    goes through them.  ``_covers``, the one poset record, lists the
+    (lower, upper) cover pairs in the order the build found them, and
+    ``_up``, ``_above`` and ``_below`` are each one pass over it.
+    Immutable after construction; queries are pure.
     """
 
     def __init__(self, polytope: Polytope):
@@ -559,10 +561,9 @@ class FaceLattice:
         # a vertex to the OR of the rows j giving it.  A maximal candidate s
         # lies in no other, so the rows tight on s are H's plus the rows of
         # s itself, and s's candidates are the others intersected with s.
-        # levels[k] maps each face at depth k to its candidates; act[g] is
-        # g's tight rows and up[g] the upper cover g was first found through.
+        # levels[k] maps each face at depth k to its candidates and act[g] is
+        # g's tight rows.  covers gets the (lower, upper) pairs level by level.
         act = {top: sum(1 << j for j, rg in enumerate(row_gens) if rg == top)}
-        up = {top: None}
         subs = {}
         for j, rg in enumerate(row_gens):
             if rg != top and rg & vbits:
@@ -589,7 +590,6 @@ class FaceLattice:
                     if s in act:
                         raise InvariantViolation("face lattice is not graded by cover depth")
                     act[s] = a | subs[s]
-                    up[s] = g
                     below[s] = own = {}
                     for t, rows in subs.items():
                         u = s & t
@@ -619,7 +619,6 @@ class FaceLattice:
         self._active = [act[g] for g in order]
         self.fid = fid = {g: i for i, g in enumerate(order)}
         self.faces = tuple(faces)
-        self._up = [None] + [fid[up[g]] for g in order[1:]]
         self._covers = [(fid[c], fid[g]) for c, g in covers]
 
     # -- tables built on first use -------------------------------------------
@@ -641,34 +640,27 @@ class FaceLattice:
                 for g, w in enumerate(gens)]
 
     @cached_property
-    def _covers_up(self):
-        """The faces one dimension above each face that contain it."""
-        up = [[] for _ in self.faces]
-        for lo, hi in self._covers:
-            up[lo].append(hi)
-        for u in up:
-            u.sort()
-        return tuple(map(tuple, up))
+    def _up(self):
+        """Each face's first upper cover in ``_covers``, None at the top."""
+        up = [None] * len(self.faces)
+        for lo, hi in reversed(self._covers):
+            up[lo] = hi
+        return up
 
     @cached_property
     def _above(self):
-        """Up-sets as bitmasks over face ids: unions along the covers, from the top down."""
+        """Up-sets as bitmasks over face ids, folded forward along ``_covers``."""
         above = [1 << i for i in range(len(self.faces))]
-        for i in reversed(range(1, len(above))):  # ids ascend by dimension after the top, 0
-            for c in self._covers_up[i]:
-                above[i] |= above[c]
+        for lo, hi in self._covers:
+            above[lo] |= above[hi]
         return above
 
     @cached_property
     def _below(self):
-        """Down-sets as bitmasks over face ids: unions along the covers, from the vertices up."""
-        down = [[] for _ in self.faces]
-        for lo, hi in self._covers:
-            down[hi].append(lo)
+        """Down-sets as bitmasks over face ids, folded backward along ``_covers``."""
         below = [1 << i for i in range(len(self.faces))]
-        for i in (*range(1, len(below)), 0):  # ids ascend by dimension after the top, 0
-            for c in down[i]:
-                below[i] |= below[c]
+        for lo, hi in reversed(self._covers):
+            below[hi] |= below[lo]
         return below
 
     @cached_property

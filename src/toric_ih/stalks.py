@@ -196,7 +196,12 @@ class TatePoly(IntPoly):
 
     @property
     def coeffs(self):
-        return tuple(self.coeff(k) for k in range(self.degree + 1))
+        cs = []
+        for (k,), c in self._d.items():
+            if k >= len(cs):
+                cs += [0] * (k + 1 - len(cs))
+            cs[k] = c
+        return tuple(cs)
 
     @property
     def degree(self) -> int:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from toric_ih import identities
 from toric_ih.cli import fmt_vec, main, parse_input, render, run
 from toric_ih.errors import ParseError
 from toric_ih.fixtures import cone_fixtures
@@ -335,6 +336,24 @@ def test_check_with_translated_cone_input(tmp_path):
     assert code == 0
     sec = find_section(report, "consistency checks")
     assert ["input: summand symmetry", "pass"] in sec["rows"]
+
+
+def test_check_with_support_input_checks_its_newton_polytope(tmp_path):
+    path = write(tmp_path, "s.support", SUPPORT)
+    code, report = run(["check", path])
+    assert code == 0
+    sec = find_section(report, "consistency checks")
+    newton = newton_polytope(parse_input(path))
+    rows = identities.evaluate(identities.COMPACT, "input", newton)
+    assert rows and all(result == "pass" for _, result in rows)
+    assert [r for r in sec["rows"] if r[0].startswith("input:")] == rows
+
+
+def test_check_rejects_an_unbounded_input_that_is_no_cone(tmp_path, capsys):
+    # a half-strip: two vertices and a ray, neither compact nor a cone with a vertex
+    path = write(tmp_path, "strip.vrep", "vrep 2\n0 0\n1 0\nrays\n0 1\n")
+    assert main(["check", path]) == 1
+    assert "unsupported shape" in capsys.readouterr().err
 
 
 def test_check_fails_on_wrong_summand_table(monkeypatch):

@@ -89,6 +89,9 @@ def poset_matches(lat):
     def leq(a, b):
         return gens[a][0] <= gens[b][0] and gens[a][1] <= gens[b][1]
 
+    ups = [[] for _ in lat.faces]
+    for lo, hi in lat._covers:
+        ups[lo].append(hi)
     for f in lat.faces:
         above = tuple(g for g in lat.faces if leq(f.id, g.id))
         below = tuple(g for g in lat.faces if leq(g.id, f.id))
@@ -96,7 +99,7 @@ def poset_matches(lat):
         assert lat.faces_above(f.id) == tuple(g for g in above if g.id != f.id)
         assert lat.faces_below(f.id, strict=False) == below
         assert lat.faces_below(f.id) == tuple(g for g in below if g.id != f.id)
-        assert lat._covers_up[f.id] == tuple(g.id for g in above if g.dim == f.dim + 1)
+        assert sorted(ups[f.id]) == [g.id for g in above if g.dim == f.dim + 1]
         assert lat.up_set(f.id) == sum(1 << g.id for g in above)
 
 
@@ -111,10 +114,18 @@ def check_against_oracle(p):
         assert lat._gens[f.id] == gens
         assert lat.by_active[lat._active[f.id]] == f.id
         assert lat.fid[lat._gens[f.id]] == f.id
+    # the order the folds of _covers rely on: a face's last pair as the lower
+    # cover comes before its first pair as the upper cover
+    last_lo, first_hi = {}, {}
+    for k, (lo, hi) in enumerate(lat._covers):
+        last_lo[lo] = k
+        first_hi.setdefault(hi, k)
+    assert all(last_lo[f] < first_hi[f] for f in last_lo.keys() & first_hi.keys())
     poset_matches(lat)
     # the upper cover each face was first found through, which normal_fan reads
     assert lat._up[0] is None
-    assert all(lat._up[f.id] in lat._covers_up[f.id] for f in lat.faces[1:])
+    covers = set(lat._covers)
+    assert all((f.id, lat._up[f.id]) in covers for f in lat.faces[1:])
     # the builder grades by cover depth; the rank of the active normals must agree
     assert all(f.dim == p.n - mat_rank([p.rows[j][0] for j in f.active]) for f in lat.faces)
     fan = normal_fan(p)
@@ -230,11 +241,12 @@ def test_blowup_chart_matches_oracle_on_cone_fixtures(c):
         check_blowup_against_oracle(cone, facet_normal_sum(cone), c)
 
 
-def test_normal_fan_leaves_the_upper_covers_unbuilt():
-    # the fan reads the one upper cover the build recorded per face
+def test_normal_fan_leaves_the_up_and_down_sets_unbuilt():
+    # the fan reads one upper cover per face, folded from the cover list
     for p in (cube(3), octahedron(), cone_over(cube(3)), quadrant(3)):  # fresh lattices
         normal_fan(p)
-        assert "_covers_up" not in vars(p.face_lattice())
+        built = vars(p.face_lattice())
+        assert "_up" in built and "_above" not in built and "_below" not in built
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
