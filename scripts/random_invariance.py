@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Randomized invariance sweep, a larger budget than the test suite uses.
 
-Draws random lattice polytopes, runs the shared identity tables on each and
-on its cone, checks the alternating identity on a random assignment, checks
-the classified scan's counts of P against the one-walk dilate counts, and
-confirms invariance under random unimodular changes of lattice basis.
+Draws random lattice polytopes, runs the shared identity tables on each
+(the prime-cut table too) and on its cone, checks the alternating identity
+on a random assignment, checks the classified scan's counts of P against
+the one-walk dilate counts, and confirms invariance under random unimodular
+changes of lattice basis.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from toric_ih.fixtures import (
     random_unimodular_matrix,
 )
 from toric_ih.hypersurface import alternating_identity_holds
-from toric_ih.identities import COMPACT, CONES, evaluate
+from toric_ih.identities import COMPACT, CONES, PRIME_CUT, evaluate
 from toric_ih.lattice import unimodular_image
 from toric_ih.stalks import global_ih_class
 
@@ -32,7 +33,8 @@ from toric_ih.stalks import global_ih_class
 def check_one(rng, dim):
     p = random_lattice_polytope(rng, dim, npoints=rng.randint(5, 9), bound=2)
     lat = p.face_lattice()
-    rows = evaluate(COMPACT, "polytope", p) + evaluate(CONES, "cone", cone_over(p))
+    rows = (evaluate(COMPACT, "polytope", p) + evaluate(PRIME_CUT, "polytope", p)
+            + evaluate(CONES, "cone", cone_over(p)))
     assert all(result == "pass" for _, result in rows), (p.vertices, rows)
     assert alternating_identity_holds(lat, {f.id: rng.randint(-50, 50) for f in lat.faces})
     assert face_counts(lat)[0] == (lattice_count(p), lattice_count(p, strict=True))

@@ -8,19 +8,25 @@ with eps.  Exactness is restored by a stability protocol: the round at eps is
 accepted when the round at eps/2 has the same signature; otherwise eps is
 halved and the next round compared.
 
-A round is decided on the integer hull of its rows (``hull_of_rows``)
-alone.  The rows of a round are the polytope's own rows plus the cut rows,
-so the hull starts from the polytope's homogenized cone, whose generators
-and tight rows its face lattice keeps once for every round, and adds only
-the cut rows.  Each row of the cut carries a label bit: row j of the
-original is bit j, cut entry k is bit m + k (m rows).  The cut is compact,
-so it is prime when each vertex lies on exactly n facets, and a vertex's
-label mask is the OR of the bits of its facets.  The round's signature is
-the set of its vertices' label masks.  In a prime cut every subset of a vertex's
-facets is the active set of a face, and every face's set is one, so this
-set determines each face's label mask and, through the limits below, its
-limit face: comparing it decides as comparing every face would.  Only the
-accepted round builds its polytope, its face lattice and the face map.
+A round is decided in plain ints, on the integer hull of its rows
+(``hull_of_canonical``) alone.  The rows of a round are the polytope's own
+rows plus the cut rows.  The polytope's rows are canonical already, and
+each cut row is put in canonical form from the numerators and denominators
+of its base, width and eps, so the rows go to the hull's integer stage
+without being normalized again.  What does not depend on eps (the
+polytope's labeled rows, each cut entry's primitive functional and vertex
+mask) is read once per cut (``_round_base``).  The hull starts from the
+polytope's homogenized cone, whose generators and tight rows its face
+lattice keeps once for every round, and adds only the cut rows.  Each row
+of the cut carries a label bit: row j of the original is bit j, cut entry k
+is bit m + k (m rows).  The cut is compact, so it is prime when each vertex
+lies on exactly n facets, and a vertex's label mask is the OR of the bits
+of its facets.  The round's signature is the set of its vertices' label
+masks.  In a prime cut every subset of a vertex's facets is the active set
+of a face, and every face's set is one, so this set determines each face's
+label mask and, through the limits below, its limit face: comparing it
+decides as comparing every face would.  Only the accepted round builds its
+polytope, its face lattice and the face map.
 
 The limit face map sends each face of the cut polytope to the smallest face
 of the original containing the eps -> 0 limit of its barycenter.  At depth
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import and_, or_
+from operator import and_
 
 from .errors import (
     EmptyPolyhedronError,
@@ -66,7 +72,7 @@ from .lattice import (
     lattice_vector,
     primitive,
 )
-from .polytope import FaceLattice, Polytope, _bits, hull_of_rows, normalize_row
+from .polytope import FaceLattice, Polytope, _bits, hull_of_canonical
 
 ROUNDS = 12  # halvings of eps before prime_cut gives up
 
@@ -129,38 +135,65 @@ def choose_cut_functionals(p: Polytope) -> CutSpec:
     return CutSpec(tuple(entries))
 
 
-def _labeled_rows(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
-    """The rows of the round at eps in canonical form, each with its
-    (label bit, depth-0 mask): a dict in row order, p's rows first.
+def _round_base(p: Polytope, lattice: FaceLattice, spec: CutSpec):
+    """What every round shares, in ints: (own, cuts).  ``own`` maps p's
+    canonical rows, in row order, to their (label bit, depth-0 mask); each
+    of ``cuts`` is (functional, its gcd, base, width, order, depth-0 mask)
+    of one cut entry, base and width as (numerator, denominator) pairs.
 
-    Cut entry e is the row <e.functional, x> >= base + width * eps^order.  The
-    depth-0 mask is the bitmask of the vertices of p where the row's normal
-    is least, read off p's lattice by label: row j of p gives facet j's
-    vertices, and entry e, whose functional lies in the relative interior of
-    the normal cone of face e.face_id, that face's vertices.  Raises
+    The depth-0 mask is the bitmask of the vertices of p where the row's
+    normal is least, read off p's lattice by label: row j of p gives facet
+    j's vertices, and entry e, whose functional lies in the relative
+    interior of the normal cone of face e.face_id, that face's vertices.
+    """
+    own = {row: (1 << j, rg) for j, (row, rg) in enumerate(zip(p.rows, lattice.row_gens))}
+    cuts = [(e.functional, gcd(*e.functional), (e.base.numerator, e.base.denominator),
+             (e.width.numerator, e.width.denominator), e.order, lattice.vertex_mask(e.face_id))
+            for e in spec.entries]
+    return own, cuts
+
+
+def _labeled_rows(base, eps: Fraction):
+    """The rows of the round at eps in canonical form, each with its
+    (label bit, depth-0 mask): a dict in row order, p's rows first, from
+    the ``_round_base`` of p.
+
+    Cut entry e is the row <e.functional, x> >= base + width * eps^order.
+    With eps = en / ed, its right-hand side is num / den for den =
+    lcm(base_den, width_den * ed^order) and num = base_num * (den /
+    base_den) + width_num * en^order * (den / (width_den * ed^order)), so
+    (functional * den, num) divided by the gcd of its entries is the
+    row's primitive integer form, the one ``normalize_row`` gives.  Raises
     ValueError when a cut row collides with another row.
     """
-    labels = {row: (1 << j, rg) for j, (row, rg) in enumerate(zip(p.rows, lattice.row_gens))}
-    for e in spec.entries:
-        rhs = e.base + e.width * eps ** e.order
-        canon = normalize_row(e.functional, rhs)
+    own, cuts = base
+    labels = dict(own)
+    en, ed = eps.numerator, eps.denominator
+    for functional, g, (bn, bd), (wn, wd), order, mask in cuts:
+        q = wd * ed ** order
+        den = lcm(bd, q)
+        num = bn * (den // bd) + wn * en ** order * (den // q)
+        h = gcd(den * g, num)
+        canon = tuple(x * den // h for x in functional), num // h
         if canon in labels:
             raise ValueError("cut row collides with another row")
-        labels[canon] = (1 << len(labels), lattice.vertex_mask(e.face_id))
+        labels[canon] = (1 << len(labels), mask)
     return labels
 
 
-def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
+def _cut_once(p: Polytope, base, eps: Fraction):
     """Decide one round at eps on the hull's integers; returns (labels,
-    stage, signature), stage being the round's ``hull_of_rows`` result.
+    stage, signature), stage being the round's ``hull_of_canonical``
+    result on the rows of ``_labeled_rows``, sorted.
 
     Raises ValueError when a cut row collides with another row, the cut is
     not full-dimensional, not prime, or its fan does not refine p's (each a
     signal to shrink eps).
     """
-    labels = _labeled_rows(p, lattice, spec, eps)
+    labels = _labeled_rows(base, eps)
+    rows = sorted(labels)
     try:
-        stage = hull_of_rows(labels, p)
+        stage = hull_of_canonical(p.n, rows, p)
     except NotFullDimensionalError:
         raise ValueError("cut polytope is not full-dimensional") from None
     n, cons, hull, tight, facets = stage
@@ -168,14 +201,18 @@ def _cut_once(p: Polytope, lattice: FaceLattice, spec: CutSpec, eps: Fraction):
     fbits = sum(1 << i for i in facets)
     if any((z & fbits).bit_count() != n for z in tight):
         raise ValueError("cut is not prime")
-    row_labels = {i: labels[cons[i][:n], -cons[i][n]] for i in facets}
+    row_labels = {i: labels[rows[i]] for i in facets}
 
     signature = set()
     for z in tight:
-        vertex = [row_labels[i] for i in _bits(z & fbits)]
-        if not reduce(and_, (mask for _, mask in vertex)):
+        label, limit = 0, -1
+        for i in _bits(z & fbits):
+            bit, mask = row_labels[i]
+            label |= bit
+            limit &= mask
+        if not limit:
             raise ValueError("fan does not refine")
-        signature.add(reduce(or_, (bit for bit, _ in vertex)))
+        signature.add(label)
     return labels, stage, frozenset(signature)
 
 
@@ -213,11 +250,12 @@ def prime_cut(p: Polytope, epsilon=Fraction(1, 8)) -> CutResult:
         raise ValueError("epsilon must be positive")
     if not spec.entries:
         return CutResult(p, {f.id: f.id for f in lattice.faces}, eps, spec)
+    base = _round_base(p, lattice, spec)
 
     def round_at(e):
         """(round, None), or (None, the reason the round at e is rejected)."""
         try:
-            return _cut_once(p, lattice, spec, e), None
+            return _cut_once(p, base, e), None
         except (ValueError, EmptyPolyhedronError) as exc:
             return None, str(exc)
 

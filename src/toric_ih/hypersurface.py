@@ -30,7 +30,7 @@ from operator import mul
 from .counting import face_counts, lattice_count, skeleton_count
 from .errors import NotFullDimensionalError, UnboundedError
 from .lattice import _require_length, lattice_vector
-from .polytope import FaceLattice, Polytope
+from .polytope import FaceLattice, Polytope, _bits
 from .stalks import IntPoly, TatePoly
 
 
@@ -220,20 +220,21 @@ def closed_open_transform(lattice: FaceLattice, assignment: dict, direction: str
     missing = [f.id for f in lattice.faces if f.id not in assignment]
     if missing:
         raise ValueError(f"partial assignment: missing faces {missing}")
+    below = lattice._below
     if direction == "open_to_closed":
         out = {}
         for f in lattice.faces:
             acc = assignment[f.id]
-            for g in lattice.faces_below(f.id):
-                acc = acc + assignment[g.id]
+            for g in _bits(below[f.id] ^ 1 << f.id):
+                acc = acc + assignment[g]
             out[f.id] = acc
         return out
     if direction == "closed_to_open":
         out = {}
         for f in sorted(lattice.faces, key=lambda x: x.dim):
             acc = assignment[f.id]
-            for g in lattice.faces_below(f.id):
-                acc = acc - out[g.id]
+            for g in _bits(below[f.id] ^ 1 << f.id):
+                acc = acc - out[g]
             out[f.id] = acc
         return out
     raise ValueError(f"unknown direction {direction!r}")
@@ -278,22 +279,35 @@ def prime_cut_multipliers(cut, lattice: FaceLattice, cut_lattice: FaceLattice) -
     For each face of the original polytope, sums (L-1)^(dim drop) over the
     faces of the cut polytope degenerating onto it, by the face map of the
     ``CutResult`` ``cut``; evaluated at L = 1 this counts the equal-dimension
-    preimages.  Raises ValueError when the map misses a face of
+    preimages.  The faces are counted by (image, drop) in ints, and each
+    face's class is built once from its counts by the binomial expansion of
+    (L-1)^drop.  Raises ValueError when the map misses a face of
     ``cut_lattice`` or sends one to a larger face of ``lattice``.
     """
     face_map = cut.face_map
     missing = [f.id for f in cut_lattice.faces if f.id not in face_map]
     if missing:
         raise ValueError(f"face map not total: missing faces {missing}")
-    lm1 = EPoly2.lefschetz() - 1
-    powers = [lm1 ** k for k in range(cut_lattice.n + 1)]  # (L-1)^drop, drop <= n
-    out = {f.id: EPoly2.zero() for f in lattice.faces}
+    dims = [f.dim for f in lattice.faces]
+    n = cut_lattice.n
+    counts = [[0] * (n + 1) for _ in dims]  # counts[sigma][drop]
     for tau in cut_lattice.faces:
         sigma = face_map[tau.id]
-        drop = tau.dim - lattice.faces[sigma].dim
+        drop = tau.dim - dims[sigma]
         if drop < 0:
             raise ValueError("face map increases codimension the wrong way")
-        out[sigma] = out[sigma] + powers[drop]
+        counts[sigma][drop] += 1
+    # (L-1)^drop = sum over i of C(drop, i) (-1)^(drop-i) L^i, with L = uv
+    binomials = [[(-1) ** (drop - i) * comb(drop, i) for i in range(drop + 1)]
+                 for drop in range(n + 1)]
+    out = {}
+    for f in lattice.faces:
+        coeffs = [0] * (n + 1)
+        for drop, c in enumerate(counts[f.id]):
+            if c:
+                for i, b in enumerate(binomials[drop]):
+                    coeffs[i] += c * b
+        out[f.id] = EPoly2._of({(i, i): c for i, c in enumerate(coeffs)})
     return out
 
 

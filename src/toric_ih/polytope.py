@@ -21,19 +21,21 @@ the primitive integer point (x, t), t > 0, that the double description
 finds (V->H homogenizes each input point to it), and the vertices sort on
 the int keys x * (den // t), den the lcm of the t (``_scaled``), which sort
 as the points x / t do.  The Fraction vertices x / t are a view, built on
-first read.  H->V runs in two stages: ``hull_of_rows`` is the integer
-stage (canonical rows, hull rays, tight bitmasks, facet indices, and every
-error), and ``Polytope.from_hull`` builds the polytope from its result;
-``from_inequalities`` is the two in sequence, and the prime cut decides its
-rounds on the first stage alone.  Given a pointed polytope whose rows are
-among the input rows, ``hull_of_rows`` starts the double description from
-that polytope's homogenized cone, read off its face lattice, instead of a
-simplicial cone, and adds only the other rows; the result is the same.
-Faces are canonically identified by their maximal tight row set; the face
-lattice keeps it and the face's generators as int masks, and every face
-lookup, here and in the other modules, reads those (``FaceLattice``).  The
-face records (``Face``) are immutable named tuples; ``_replace`` gives a
-changed copy.
+first read.  H->V runs in two stages.  ``hull_of_rows`` makes the rows
+canonical, raises the row errors, and hands the sorted canonical rows to
+``hull_of_canonical``, the integer stage (hull rays, tight bitmasks, facet
+indices, and the hull's errors); ``Polytope.from_hull`` builds the
+polytope from that result.  ``from_inequalities`` is the stages in
+sequence, and the prime cut, whose rows are canonical as it makes them,
+decides its rounds on the integer stage alone.  Given a pointed polytope
+whose rows are among the input rows, the integer stage starts the double
+description from that polytope's homogenized cone, read off its face
+lattice, instead of a simplicial cone, and adds only the other rows; the
+result is the same.  Faces are canonically identified by their maximal
+tight row set; the face lattice keeps it and the face's generators as int
+masks, and every face lookup, here and in the other modules, reads those
+(``FaceLattice``).  The face records (``Face``) are immutable named tuples;
+``_replace`` gives a changed copy.
 
 The face lattice comes from the generator-facet incidences in plain ints,
 as int bitmasks of generators per facet row.  A ``Polytope`` holds
@@ -300,19 +302,16 @@ def _cone_row_gens(p, rank, cone):
 
 
 def hull_of_rows(rows, start=None):
-    """The integer stage of ``Polytope.from_inequalities``: (n, cons, hull,
+    """H->V of ``Polytope.from_inequalities`` up to the polytope: the rows
+    made canonical, then their ``hull_of_canonical`` result (n, cons, hull,
     tight, facets).
 
-    ``cons`` holds the sorted canonical rows (a, b) as (a, -b), then
-    (0, ..., 0, 1); ``hull`` and ``tight`` are the extreme rays (x, t) of the
-    homogenized cone and their tight bitmasks over cons; ``facets`` are the
-    indices of the facet rows in cons, ascending.  Raises the errors of
-    ``from_inequalities``, in the same order.
-
-    ``start``, internal, is a compact polytope whose canonical rows are all
-    among ``rows``: the double description then starts from its homogenized
-    cone (``_cone_start``) and adds only the other rows.  The result is the
-    same.
+    Each row (a, b) becomes its primitive integer form; a zero row is
+    dropped when it holds and raises EmptyPolyhedronError when it does not.
+    Raises ValueError on rows of mixed dimension, NotPointedError when no
+    row is left (outside ambient rank zero), and then the errors of the
+    integer stage, all in the order ``from_inequalities`` raises them.
+    ``start`` is passed on to the integer stage.
     """
     norm = set()
     n = None
@@ -330,7 +329,26 @@ def hull_of_rows(rows, start=None):
         norm.add((na, nb))
     if not norm and n != 0:  # in ambient rank zero the hull is the point
         raise NotPointedError("not pointed")
-    cons = [a + (-b,) for a, b in sorted(norm)] + [(0,) * n + (1,)]
+    return hull_of_canonical(n, sorted(norm), start)
+
+
+def hull_of_canonical(n, rows, start=None):
+    """The integer stage of H->V on sorted distinct canonical nonzero rows
+    (a, b) in ambient rank n: (n, cons, hull, tight, facets).
+
+    ``cons`` holds the rows as (a, -b), then (0, ..., 0, 1); ``hull`` and
+    ``tight`` are the extreme rays (x, t) of the homogenized cone and their
+    tight bitmasks over cons; ``facets`` are the indices of the facet rows
+    in cons, ascending.  Raises NotPointedError when the normals have rank
+    below n, EmptyPolyhedronError when no ray has t > 0, and
+    NotFullDimensionalError when a row is tight on every ray.
+
+    ``start``, internal, is a compact polytope whose canonical rows are all
+    among ``rows``: the double description then starts from its homogenized
+    cone (``_cone_start``) and adds only the other rows.  The result is the
+    same.
+    """
+    cons = [a + (-b,) for a, b in rows] + [(0,) * n + (1,)]
     warm = None if start is None else _cone_start(start, cons)
     try:
         hull, tight = _extreme_rays(cons, n + 1, warm)

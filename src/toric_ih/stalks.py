@@ -52,7 +52,9 @@ class IntPoly:
     The ring shared by ``TatePoly`` (in t) and ``EPoly2`` (in u, v): a dict
     from exponent tuples to nonzero ints, built from a dict or from pairs
     (exponents, coefficient).  An int on either side of an operation is the
-    constant polynomial.  A subclass names its variables in ``_vars`` and
+    constant polynomial, and a constant equals its int, so constants of the
+    two rings with one value are equal too; other polynomials of the two
+    rings never are.  A subclass names its variables in ``_vars`` and
     its print order of exponent tuples in ``_order``.
     """
 
@@ -101,16 +103,25 @@ class IntPoly:
     def __bool__(self):
         return bool(self._d)
 
+    def _constant(self):
+        """The value of a constant polynomial; None for any other."""
+        const = (0,) * len(self._vars)
+        return self._d.get(const, 0) if self._d.keys() <= {const} else None
+
     def __eq__(self, other):
+        if type(other) is type(self):
+            return self._d == other._d
+        if isinstance(other, IntPoly):
+            # constants of two rings are equal when their values are, as they hash
+            c = self._constant()
+            return c is not None and c == other._constant()
         other = self._coerce(other)
         return other is not None and self._d == other._d
 
     def __hash__(self):
         # a constant equals its int, so it hashes as that int
-        const = (0,) * len(self._vars)
-        if self._d.keys() <= {const}:
-            return hash(self._d.get(const, 0))
-        return hash(frozenset(self._d.items()))
+        c = self._constant()
+        return hash(frozenset(self._d.items())) if c is None else hash(c)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -21,9 +21,12 @@ follows each vertex of the cut to eps = 0 by solving those rows at depth
 zero; the face map looks up the AND of the limits' tight-row masks in the
 lattice's ``by_active``.  ``oracle_face_support`` tests each support point
 with the ``Fraction`` ``Polytope.contains``, then pairs it with each active
-row of the face.  Apart from these, none of this shares code with the
-integer routines in ``toric_ih.lattice`` and ``toric_ih.polytope``; it is
-the reference for their differential tests.
+row of the face.  ``oracle_closed_open_transform`` sums over each face's
+``faces_below`` records, and ``oracle_prime_cut_multipliers`` adds one
+``EPoly2`` power (L-1)^drop per face of the cut.  Apart from these, none
+of this shares code with the integer routines in ``toric_ih.lattice``,
+``toric_ih.polytope`` and ``toric_ih.hypersurface``; it is the reference
+for their differential tests.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from toric_ih.lattice import (
     primitive,
     solve_integer_system,
 )
-from toric_ih.hypersurface import MonomialSupport
+from toric_ih.hypersurface import EPoly2, MonomialSupport
 from toric_ih.polytope import Face, Fan, FanCone, Polytope, normalize_row
 
 from chart_oracle import solve_consistent, vsub
@@ -249,3 +252,39 @@ def oracle_face_support(support, lattice, face):
         if all(dot(p.rows[j][0], m) == p.rows[j][1] for j in face.active):
             pts.append(m)
     return MonomialSupport.of(pts)
+
+
+def oracle_closed_open_transform(lattice, assignment, direction):
+    """Open -> closed sums a value over the ``faces_below`` records of each
+    face; closed -> open subtracts, faces taken by dimension."""
+    out = {}
+    if direction == "open_to_closed":
+        for f in lattice.faces:
+            acc = assignment[f.id]
+            for g in lattice.faces_below(f.id):
+                acc = acc + assignment[g.id]
+            out[f.id] = acc
+    else:
+        for f in sorted(lattice.faces, key=lambda x: x.dim):
+            acc = assignment[f.id]
+            for g in lattice.faces_below(f.id):
+                acc = acc - out[g.id]
+            out[f.id] = acc
+    return out
+
+
+def oracle_prime_cut_multipliers(cut, lattice, cut_lattice):
+    """Per face of the original, the sum of (L-1)^drop over the faces of the
+    cut that the face map sends to it, one ``EPoly2`` addition per cut face."""
+    missing = [f.id for f in cut_lattice.faces if f.id not in cut.face_map]
+    if missing:
+        raise ValueError(f"face map not total: missing faces {missing}")
+    lm1 = EPoly2.lefschetz() - 1
+    out = {f.id: EPoly2.zero() for f in lattice.faces}
+    for tau in cut_lattice.faces:
+        sigma = cut.face_map[tau.id]
+        drop = tau.dim - lattice.faces[sigma].dim
+        if drop < 0:
+            raise ValueError("face map increases codimension the wrong way")
+        out[sigma] = out[sigma] + lm1 ** drop
+    return out

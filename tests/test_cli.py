@@ -486,6 +486,37 @@ def test_check_fails_on_wrong_top_frontier_number(monkeypatch):
     assert skeletons and set(skeletons) == {"pass"}
 
 
+def test_check_fails_on_an_uncut_prime_cut(monkeypatch):
+    # a cut that leaves the polytope as it is, with the identity face map:
+    # the non-simple inputs of the prime-cut table are then not prime
+    from toric_ih import cutting
+
+    def uncut(p, lattice, labels, stage):
+        return p, {f.id: f.id for f in lattice.faces}
+
+    monkeypatch.setattr(cutting, "_build_cut", uncut)
+    code, report = run(["check"])
+    assert code == 2
+    sec = find_section(report, "consistency checks")
+    assert item(sec, "all passed") is False
+    assert ["square-pyramid: prime cut is prime", "FAIL"] in sec["rows"]
+    assert ["octahedron: prime cut is prime", "FAIL"] in sec["rows"]
+
+
+def test_identities_read_is_prime_at_call_time(monkeypatch):
+    # the prime rows look is_prime up through polytope when they run
+    from toric_ih import polytope
+    from toric_ih.fixtures import simplex
+
+    p = simplex(2)
+    rows = dict(map(tuple, identities.evaluate(identities.PRIME_CUT, "s", p)))
+    assert rows == {"s: prime cut is prime": "pass"}
+    monkeypatch.setattr(polytope, "is_prime", lambda q: False)
+    rows = dict(map(tuple, identities.evaluate(identities.PRIME_CUT + identities.COMPACT, "s", p)))
+    assert rows["s: prime cut is prime"] == "FAIL"
+    assert "s: prime has trivial stalks" not in rows and "s: h-polynomial oracle" not in rows
+
+
 @pytest.mark.parametrize("s", [300, 3000])
 def test_big_triangle_counts(tmp_path, s):
     path = write(tmp_path, "t.vrep", f"vrep 2\n0 0\n{s} 0\n0 {s}\n")

@@ -6,10 +6,13 @@ import pytest
 
 from toric_ih import cutting
 from toric_ih.cutting import (
+    CutEntry,
     CutResult,
+    CutSpec,
     _build_cut,
     _cut_once,
     _labeled_rows,
+    _round_base,
     choose_cut_functionals,
     prime_cut,
     vertex_blowup,
@@ -24,6 +27,7 @@ from toric_ih.fixtures import (
     cone_fixtures,
     cone_over,
     cone_over_polygon,
+    cross_polytope,
     cube,
     octahedron,
     quadrant,
@@ -34,7 +38,8 @@ from toric_ih.fixtures import (
 )
 from toric_ih.identities import facet_normal_sum
 from toric_ih.lattice import mat_vec, pairing
-from toric_ih.polytope import Polytope, is_prime, support_face
+from toric_ih import polytope
+from toric_ih.polytope import Polytope, is_prime, normalize_row, support_face
 from toric_ih.stalks import (
     T,
     TatePoly,
@@ -49,6 +54,11 @@ from face_oracle import (
     vertex_limits_by_solving,
     vertex_normal_cone_contains,
 )
+
+
+def cut_once(p, lattice, spec, eps):
+    """_cut_once of the round at eps, on the round base of p, lattice and spec."""
+    return _cut_once(p, _round_base(p, lattice, spec), eps)
 
 
 def apex_face(p):
@@ -135,7 +145,7 @@ def test_octahedron_from_a_coarse_epsilon_retries():
     p = octahedron()
     lat = p.face_lattice()
     with pytest.raises(ValueError, match="not full-dimensional"):
-        _cut_once(p, lat, choose_cut_functionals(p), F(1, 2))
+        cut_once(p, lat, choose_cut_functionals(p), F(1, 2))
     r = prime_cut(p, epsilon=F(1, 2))
     assert r.epsilon < F(1, 2)
     assert r.history == ((F(1, 2), "cut polytope is not full-dimensional"),
@@ -201,7 +211,7 @@ def test_fan_refines_matches_vertex_cone_oracle():
             if not is_prime(q):
                 continue
             try:
-                _cut_once(p, lat, spec, eps)
+                cut_once(p, lat, spec, eps)
                 refines = True
             except ValueError as exc:
                 assert str(exc) == "fan does not refine"
@@ -452,9 +462,9 @@ UNSTABLE = Polytope.from_points([(-2, -2, 2, 0), (1, 0, -2, 0), (1, 1, -2, -1), 
 def test_prime_cut_matches_seed_loop_and_builds_each_cut_once(monkeypatch):
     built = []
 
-    def recording_cut(p, lattice, spec, eps):
+    def recording_cut(p, base, eps):
         built.append(eps)
-        return _cut_once(p, lattice, spec, eps)
+        return _cut_once(p, base, eps)
 
     monkeypatch.setattr(cutting, "_cut_once", recording_cut)
     rng = random.Random(11)
@@ -496,7 +506,7 @@ def test_label_masks_match_minimizing_vertices():
         spec = choose_cut_functionals(p)
         for k in range(3, 12):
             try:
-                labels = _labeled_rows(p, lattice, spec, F(1, 2 ** k))
+                labels = _labeled_rows(_round_base(p, lattice, spec), F(1, 2 ** k))
             except ValueError:
                 continue
             try:
@@ -521,7 +531,7 @@ def test_vertex_limits_match_the_solving_oracle():
         signatures = []
         for k in range(3, 12):
             eps = F(1, 2 ** k)
-            got, got_error = round_outcome(_cut_once, p, lattice, spec, eps)
+            got, got_error = round_outcome(cut_once, p, lattice, spec, eps)
             want, want_error = round_outcome(vertex_limits_by_solving, p, lattice, spec, eps)
             assert got_error == want_error, (p.vertices, eps)
             if got:
@@ -536,3 +546,97 @@ def test_vertex_limits_match_the_solving_oracle():
                 agree.add(this[0] == half[0])
     assert {"accepted", "cut is not prime", "fan does not refine"} <= seen
     assert agree == {True, False}
+
+
+# -- the rounds in ints ---------------------------------------------------------------
+
+CUT_EPS = [F(1, 2 ** k) for k in range(14)] + [F(3, 7), F(2, 9), F(5, 11), F(7, 5)]
+
+
+def oracle_labeled_rows(p, spec, eps):
+    """The canonical rows of the round at eps, p's rows first, each cut row
+    normalized from its Fraction right-hand side; ValueError on a repeat."""
+    rows = [normalize_row(a, b) for a, b in list(p.rows) + cut_rows(p, spec, eps)]
+    if len(set(rows)) < len(rows):
+        raise ValueError("cut row collides with another row")
+    return rows
+
+
+def colliding_specs(p, spec, eps):
+    """Specs whose round at eps repeats a row: an entry listed twice, and an
+    entry along facet 0's normal whose cut row at eps is facet 0's row."""
+    (a, b), e = p.rows[0], spec.entries[0]
+    scale = 3
+    top = max(pairing(x, a) for x in p.vertices) * scale
+    base = (scale * b - top * eps ** 2) / (1 - eps ** 2)
+    along = CutEntry(e.face_id, tuple(scale * x for x in a), base, 2, top - base)
+    return [CutSpec(spec.entries + spec.entries[:1]), CutSpec((along,) + spec.entries)]
+
+
+def cut_row_inputs():
+    """The compact fixtures, RETRY and UNSTABLE, seeded random 2- to
+    4-polytopes, and rational-vertex images of the random ones."""
+    rng = random.Random(7300)
+    polys = [p for p in standard_fixtures().values() if p.is_compact] + [RETRY, UNSTABLE]
+    polys += [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
+              for d in (2, 3, 4) for _ in range(3)]
+    polys += [p.dilate(F(rng.randint(1, 5), rng.choice((3, 7)))).translate(
+        tuple(F(rng.randint(-4, 4), rng.choice((2, 5))) for _ in range(p.n))) for p in polys[-9:]]
+    return polys
+
+
+def test_integer_cut_rows_match_normalized_fraction_rows():
+    # each round's rows from the ints of base, width and eps are normalize_row of
+    # the oracle's Fraction rows, on rational-vertex polytopes and non-dyadic eps,
+    # with each cut row's label bit and its face's vertex mask; the 5-polytopes
+    # shave 2-faces, at order 3
+    polys = cut_row_inputs() + [cross_polytope(5), cross_polytope(5).dilate(F(5, 3))]
+    rounds = collisions = rational = 0
+    orders = set()
+    for p in polys:
+        lattice, spec = p.face_lattice(), choose_cut_functionals(p)
+        rational += not p.is_lattice
+        if not spec.entries:
+            continue
+        orders.update(e.order for e in spec.entries)
+        base = _round_base(p, lattice, spec)
+        for eps in CUT_EPS:
+            labels = _labeled_rows(base, eps)
+            assert list(labels) == oracle_labeled_rows(p, spec, eps), (p.vertices, eps)
+            m = len(p.rows)
+            assert list(labels.values())[m:] == [
+                (1 << m + k, lattice.vertex_mask(e.face_id)) for k, e in enumerate(spec.entries)]
+            rounds += 1
+        for eps in (F(1, 8), F(3, 7)):
+            for bad in colliding_specs(p, spec, eps):
+                with pytest.raises(ValueError, match="collides") as got:
+                    _labeled_rows(_round_base(p, lattice, bad), eps)
+                with pytest.raises(ValueError) as want:
+                    oracle_labeled_rows(p, bad, eps)
+                assert str(got.value) == str(want.value)
+                collisions += 1
+    assert rounds > 250 and collisions > 40 and rational >= 10 and orders == {1, 2, 3}
+
+
+def test_rounds_normalize_no_row(monkeypatch):
+    # prime_cut hands its canonical rows straight to the hull's integer stage:
+    # no round calls normalize_row or the normalizing hull_of_rows
+    polys = cut_row_inputs()
+    for q in polys:
+        q.face_lattice()
+    hulls = []
+    canonical = polytope.hull_of_canonical
+
+    def counted(*args):
+        hulls.append(args)
+        return canonical(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a prime-cut round normalized its rows")
+
+    for module in (polytope, cutting):
+        monkeypatch.setattr(module, "normalize_row", forbidden, raising=False)
+        monkeypatch.setattr(module, "hull_of_rows", forbidden, raising=False)
+    monkeypatch.setattr(cutting, "hull_of_canonical", counted)
+    cuts = [prime_cut(q) for q in polys]
+    assert sum(r.polytope is not q for r, q in zip(cuts, polys)) > 12 and len(hulls) > 30

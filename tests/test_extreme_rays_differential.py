@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from toric_ih import cutting, polytope
-from toric_ih.cutting import _cut_once, choose_cut_functionals
+from toric_ih.cutting import _cut_once, _round_base, choose_cut_functionals
 from toric_ih.errors import EmptyPolyhedronError, NotFullDimensionalError, ToricError
 from toric_ih.fixtures import random_lattice_polytope
 from toric_ih.lattice import dot, mat_rank
@@ -112,7 +112,7 @@ def cut_systems(p, eps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "_extreme_rays", record)
         try:
-            _cut_once(p, lattice, choose_cut_functionals(p), eps)
+            _cut_once(p, _round_base(p, lattice, choose_cut_functionals(p)), eps)
         except ValueError:
             pass  # a rejected round still built its cut
     return calls
@@ -147,25 +147,26 @@ def test_cut_systems_of_seeded_4_polytopes_match_scan(seeded_polytopes):
 # -- the warm start from a polytope's own cone against the cold start ----------------
 
 def warm_and_cold_stages(monkeypatch, run, *args):
-    """Each hull_of_rows call that run(*args) makes in cutting, warm as made
-    and cold without its start: (warm outcome, cold outcome) pairs, an
-    outcome being the stage or the error's type and message."""
+    """Each integer-stage hull call that run(*args) makes in cutting, warm
+    as made, and the cold public ``hull_of_rows`` of its rows: (warm
+    outcome, cold outcome) pairs, an outcome being the stage or the error's
+    type and message."""
     calls = []
-    real = polytope.hull_of_rows
+    real = polytope.hull_of_canonical
 
-    def outcome(rows, start=None):
+    def outcome(hull, *args):
         try:
-            return real(rows, start)
+            return hull(*args)
         except (ToricError, ValueError) as exc:
             return type(exc), str(exc)
 
-    def record(rows, start=None):
+    def record(n, rows, start=None):
         assert start is not None  # every hull call in cutting starts warm
-        calls.append((outcome(rows, start), outcome(rows)))
-        return real(rows, start)
+        calls.append((outcome(real, n, rows, start), outcome(polytope.hull_of_rows, rows)))
+        return real(n, rows, start)
 
     with monkeypatch.context() as mp:
-        mp.setattr(cutting, "hull_of_rows", record)
+        mp.setattr(cutting, "hull_of_canonical", record)
         run(*args)
     return calls
 
@@ -173,7 +174,7 @@ def warm_and_cold_stages(monkeypatch, run, *args):
 def decide_round(p, lattice, spec, eps):
     """_cut_once, a rejected round's error dropped: it still built its hull."""
     try:
-        _cut_once(p, lattice, spec, eps)
+        _cut_once(p, _round_base(p, lattice, spec), eps)
     except (ValueError, EmptyPolyhedronError):
         pass
 

@@ -30,6 +30,7 @@ from toric_ih.identities import at_apex, facet_normal_sum
 from toric_ih.lattice import mat_rank, mat_vec
 from toric_ih.polytope import (
     Polytope,
+    hull_of_canonical,
     hull_of_rows,
     is_smooth_cone,
     normal_fan,
@@ -360,17 +361,26 @@ def test_handed_over_incidence_on_fixtures(name):
     check_handed_over(Polytope.from_inequalities(p.rows))
 
 
+def warm_hull_matching_cold(n, rows, start):
+    """The integer stage of a round, which starts warm, checked against the
+    cold public ``hull_of_rows`` of the same rows."""
+    assert start is not None  # every hull call in cutting starts warm
+    stage = hull_of_canonical(n, rows, start)
+    assert stage == hull_of_rows(rows)
+    return stage
+
+
 def cut_round_polytopes(monkeypatch, polys):
     """The polytope of every round's integer hull of ``prime_cut`` on polys
     (prime_cut itself builds only the accepted round's)."""
     built = []
 
-    def recording_hull(rows, start=None):
-        stage = hull_of_rows(rows, start)
+    def recording_hull(n, rows, start=None):
+        stage = warm_hull_matching_cold(n, rows, start)
         built.append(stage)
         return stage
 
-    monkeypatch.setattr(cutting, "hull_of_rows", recording_hull)
+    monkeypatch.setattr(cutting, "hull_of_canonical", recording_hull)
     for p in polys:
         cutting.prime_cut(p)
     assert len(built) > len(polys)
@@ -391,11 +401,11 @@ def test_prime_cuts_match_oracle(monkeypatch):
     # lattices it builds
     starts = []
 
-    def recording_hull(rows, start=None):
+    def recording_hull(n, rows, start=None):
         starts.append(start)
-        return hull_of_rows(rows, start)
+        return warm_hull_matching_cold(n, rows, start)
 
-    monkeypatch.setattr(cutting, "hull_of_rows", recording_hull)
+    monkeypatch.setattr(cutting, "hull_of_canonical", recording_hull)
     rng = random.Random(6900)
     bases = [FIXTURES["square-pyramid"], FIXTURES["octahedron"]]
     bases += [random_lattice_polytope(rng, 3, npoints=rng.randint(6, 9), bound=2)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from toric_ih.counting import face_counts, lattice_count, lattice_points
 from toric_ih.cutting import prime_cut
 from toric_ih.fixtures import (
+    cone_fixtures,
     cube,
     lattice_polygon,
     octahedron,
     random_lattice_polytope,
     simplex,
     square_pyramid,
+    standard_fixtures,
 )
 from toric_ih.hypersurface import (
     EPoly2,
@@ -36,7 +39,11 @@ from toric_ih.errors import DimensionMismatchError, NotFullDimensionalError
 from toric_ih.lattice import dot
 from toric_ih.stalks import TatePoly
 
-from face_oracle import oracle_face_support
+from face_oracle import (
+    oracle_closed_open_transform,
+    oracle_face_support,
+    oracle_prime_cut_multipliers,
+)
 
 L = EPoly2.lefschetz()
 U = EPoly2.monomial(1, 0)
@@ -231,6 +238,28 @@ def test_alternating_identity_random(rng):
         assert alternating_identity_holds(lat, a)
 
 
+def random_class(rng):
+    return EPoly2({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-5, 5)
+                   for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("direction", ["open_to_closed", "closed_to_open"])
+def test_closed_open_transform_matches_faces_below_route(direction):
+    # the sums over each face's down-set bits against the faces_below records,
+    # on int and EPoly2 assignments over every fixture and cone fixture
+    rng = random.Random(7100 + (direction == "closed_to_open"))
+    lattices = [p.face_lattice() for p in (*standard_fixtures().values(), *cone_fixtures().values())]
+    lattices += [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5)).face_lattice()
+                 for d in (2, 3, 4) for _ in range(3)]
+    for lat in lattices:
+        for value in (lambda: rng.randint(-50, 50), lambda: random_class(rng)):
+            a = {f.id: value() for f in lat.faces}
+            want = oracle_closed_open_transform(lat, a, direction)
+            got = closed_open_transform(lat, a, direction)
+            assert got == want and list(got) == list(want)
+            assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+
+
 def test_closed_open_partial_assignment():
     lat = cube(2).face_lattice()
     with pytest.raises(ValueError, match="partial"):
@@ -286,6 +315,39 @@ def test_prime_cut_multipliers_already_prime():
     result = prime_cut(p)
     mult = prime_cut_multipliers(result, p.face_lattice(), result.polytope.face_lattice())
     assert all(m == EPoly2.one() for m in mult.values())
+
+
+def test_prime_cut_multipliers_match_the_epoly2_sum():
+    # the multipliers from (face, drop) counts against one EPoly2 addition per
+    # cut face, on the fixtures and seeded random 2- to 4-polytopes, rational ones too
+    rng = random.Random(7200)
+    polys = [p for p in standard_fixtures().values() if p.is_compact]
+    polys += [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5), bound=2)
+              for d in (2, 3, 4) for _ in range(4)]
+    polys += [p.dilate(F(2, 3)) for p in polys[-6:]]
+    cut_faces = 0
+    for p in polys:
+        lat, cut = p.face_lattice(), prime_cut(p)
+        cut_lat = cut.polytope.face_lattice()
+        want = oracle_prime_cut_multipliers(cut, lat, cut_lat)
+        got = prime_cut_multipliers(cut, lat, cut_lat)
+        assert got == want and list(got) == list(want), p.vertices
+        assert [repr(m) for m in got.values()] == [repr(m) for m in want.values()]
+        cut_faces += len(cut_lat.faces) - len(lat.faces)
+    assert cut_faces > 4000  # the cuts add faces
+
+
+def test_prime_cut_multipliers_raise_as_the_epoly2_sum():
+    p = square_pyramid()
+    lat, cut = p.face_lattice(), prime_cut(p)
+    cut_lat = cut.polytope.face_lattice()
+    partial = replace(cut, face_map={k: v for k, v in cut.face_map.items() if k})
+    upward = replace(cut, face_map={**cut.face_map, cut_lat.of_dim(0)[0].id: lat.top.id})
+    for bad, message in ((partial, r"not total: missing faces \[0\]$"),
+                         (upward, "increases codimension the wrong way")):
+        for multipliers in (prime_cut_multipliers, oracle_prime_cut_multipliers):
+            with pytest.raises(ValueError, match=message):
+                multipliers(bad, lat, cut_lat)
 
 
 def test_curve_e_polynomials():

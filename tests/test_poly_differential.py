@@ -1,6 +1,7 @@
 """Differential tests: the sparse ``TatePoly`` and ``EPoly2`` subclasses of
 one integer ring against the dense and sorted-term classes they replaced."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -95,8 +96,24 @@ def test_constants_hash_as_their_ints():
 
 
 def test_the_two_rings_stay_apart():
-    assert TatePoly.zero() != EPoly2.zero() and TatePoly.one() != EPoly2.one()
+    # polynomials of the two rings are unequal unless both are constants
+    t, uv = TatePoly.t(), EPoly2.lefschetz()
+    for a, b in ((t, uv), (t, EPoly2.monomial(1, 0)), (t + 1, uv + 1), (t, EPoly2.one()),
+                 (ONE, uv), (2 * ONE, EPoly2.one())):
+        assert a != b and b != a
     with pytest.raises(TypeError):
         TatePoly.one() + EPoly2.one()
     with pytest.raises(AttributeError):
         TatePoly.one()._d = {}
+
+
+def test_constants_are_equal_across_the_rings():
+    # a constant of either ring equals its int, so equality is transitive:
+    # constants of one value are equal across the rings, and a set of them
+    # has one element whatever the order they go in
+    for c in (0, 1, -3):
+        tate, e = TatePoly.one() * c, EPoly2.one() * c
+        assert tate == e and e == tate and hash(tate) == hash(e)
+        for order in itertools.permutations((tate, c, e)):
+            assert len(set(order)) == 1
+    assert len({TatePoly.one(), 1, EPoly2.one()}) == len({1, TatePoly.one(), EPoly2.one()}) == 1
