@@ -65,8 +65,6 @@ from .hypersurface import (
 )
 from .lattice import (
     AffineLatticeFrame,
-    affine_frame,
-    pairing,
     primitive,
     unimodular_image,
 )
@@ -78,8 +76,6 @@ from .polytope import (
     is_prime,
     is_smooth_cone,
     normal_fan,
-    reduce_to_span,
-    support_face,
 )
 from .stalks import (
     StalkEntry,

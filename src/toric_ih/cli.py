@@ -76,7 +76,8 @@ def parse_input(path):
     if not lines:
         raise ParseError("empty file: missing header")
     lineno, head = lines[0]
-    if len(head) != 2 or head[0] not in ("vrep", "hrep", "support") or not head[1].isdigit():
+    if (len(head) != 2 or head[0] not in ("vrep", "hrep", "support")
+            or not (head[1].isascii() and head[1].isdigit())):
         raise ParseError("malformed header: want 'vrep N', 'hrep N' or 'support N'", lineno)
     kind, n = head[0], int(head[1])
     if n <= 0:

@@ -298,10 +298,9 @@ def vertex_blowup(p: Polytope, v, c) -> BlowupResult:
     the least such m gives m c = k = lcm(a, gcd(v)), and m = k b / a.  The
     points k r / <r, v>, one on each ray r, are the integer points
     (k r, <r, v>) homogenized.  The frame is ``homogenized_frame`` of those
-    points, which is ``affine_frame`` of the points, and each figure
-    vertex's primitive (y, m t) is the frame's chart (y, t) of its point
-    (``AffineLatticeFrame.chart``) scaled by 1/m.  So the figure at level c
-    is a translate of c times the figure at level 1.
+    points, and each figure vertex's primitive (y, m t) is the frame's chart
+    (y, t) of its point (``AffineLatticeFrame.chart``) scaled by 1/m.  So the
+    figure at level c is a translate of c times the figure at level 1.
     """
     if not p.is_cone_with_vertex or p.homogenized[0] != (0,) * p.n + (1,):
         raise ValueError("need a cone with vertex at the origin")

@@ -62,13 +62,6 @@ def _require_square(rows, n):
     return rows
 
 
-def pairing(u, v) -> Fraction:
-    """The perfect pairing of a rational character with a cocharacter."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum((as_rat(a) * as_rat(b) for a, b in zip(u, v)), Fraction(0))
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 
@@ -314,19 +307,11 @@ class AffineLatticeFrame:
             raise ValueError("point not on the affine span")
         return (*vals[:self.dim], t)
 
-    def from_coords(self, coords) -> tuple:
-        """The span point with the given coordinates in this frame; raises
-        DimensionMismatchError unless there is one coordinate per basis vector."""
-        p = rat_vector(self.base)
-        for c, b in zip(_require_length(coords, self.dim), self.basis):
-            p = tuple(x + as_rat(c) * y for x, y in zip(p, b))
-        if all(x.denominator == 1 for x in p):
-            return tuple(int(x) for x in p)
-        return p
-
 
 def homogenized_frame(ws) -> AffineLatticeFrame:
-    """``affine_frame`` of the points x / t given as int tuples (x, t), t > 0.
+    """The lattice frame of the affine span of the points x / t given as int
+    tuples (x, t), t > 0; raises NonIntegralSpanError when the span holds no
+    lattice point.
 
     The span's equations C y = e are the saturated integer kernel of its
     directions x t0 - x0 t, with e = <c, x0> / t0, so the frame's base
@@ -347,15 +332,6 @@ def homogenized_frame(ws) -> AffineLatticeFrame:
     if base is None:
         raise NonIntegralSpanError("non-integral span: no lattice point on the affine span")
     return AffineLatticeFrame(base, kernel)
-
-
-def affine_frame(points) -> AffineLatticeFrame:
-    """Lattice frame of the affine span of rational points.
-
-    Raises NonIntegralSpanError when the span contains no lattice point
-    (callers counting lattice points treat that face as contributing 0).
-    """
-    return homogenized_frame([integerize((*p, 1)) for p in points])
 
 
 def unimodular_image(obj, u_rows):

@@ -61,18 +61,17 @@ operations before it takes minors.  The lattice's one poset record is its
 cover pairs in search order, level by level from the top, so a face's pairs
 as the lower cover come first; the upper cover each face was first found
 through and the up- and down-sets (bitmasks over face ids) are each one pass
-over it, on first use.  The lattice's ``minimizing_vertices`` and
-``maximum`` read the vertices on their common scale (``_scaled``), also made
-on first use, for the bitmask of vertices where an integer functional is
-least and for its greatest value; lattice-point counts read their boxes off
+over it, on first use.  The lattice's ``maximum`` reads the vertices on
+their common scale (``_scaled``), also made on first use, for the greatest
+value of an integer functional; lattice-point counts read their boxes off
 the same integers (``_integer_box``).
 
 Only full-dimensional pointed polyhedra are supported (plus the ambient-rank
-zero point, which the cone-over-a-polytope construction needs); callers with
-lower-dimensional data reduce to the affine span first.  A vector or a
-matrix of the wrong size for the ambient space raises DimensionMismatchError.
-Other modules keep their results for a Polytope or a FaceLattice in its
-``_memo`` dict, under keys "module.name" that name the module.
+zero point, which the cone-over-a-polytope construction needs).  A vector
+or a matrix of the wrong size for the ambient space raises
+DimensionMismatchError.  Other modules keep their results for a Polytope or
+a FaceLattice in its ``_memo`` dict, under keys "module.name" that name the
+module.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ from .lattice import (
     echelon_push,
     identity_rows,
     integerize,
-    lattice_vector,
     mat_vec,
     primitive,
     rat_vector,
@@ -301,7 +299,7 @@ def _cone_row_gens(p, rank, cone):
     return [1 | sum(2 << rank[i] for i in _bits(rg)) for rg in p.face_lattice().row_gens]
 
 
-def hull_of_rows(rows, start=None):
+def hull_of_rows(rows):
     """H->V of ``Polytope.from_inequalities`` up to the polytope: the rows
     made canonical, then their ``hull_of_canonical`` result (n, cons, hull,
     tight, facets).
@@ -311,7 +309,6 @@ def hull_of_rows(rows, start=None):
     Raises ValueError on rows of mixed dimension, NotPointedError when no
     row is left (outside ambient rank zero), and then the errors of the
     integer stage, all in the order ``from_inequalities`` raises them.
-    ``start`` is passed on to the integer stage.
     """
     norm = set()
     n = None
@@ -329,7 +326,7 @@ def hull_of_rows(rows, start=None):
         norm.add((na, nb))
     if not norm and n != 0:  # in ambient rank zero the hull is the point
         raise NotPointedError("not pointed")
-    return hull_of_canonical(n, sorted(norm), start)
+    return hull_of_canonical(n, sorted(norm))
 
 
 def hull_of_canonical(n, rows, start=None):
@@ -465,10 +462,6 @@ class Polytope:
                    partial(_rows_row_gens, tight, facets, order + rays))
 
     # -- basic queries -------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.n
 
     @property
     def is_compact(self) -> bool:
@@ -695,27 +688,13 @@ class FaceLattice:
         """Bitmask over face ids (face i is bit i) of the faces containing face a, a included."""
         return self._above[a]
 
-    def _faces_in(self, mask, a, strict):
-        if strict:
-            mask &= ~(1 << a)
-        return tuple(self.faces[i] for i in _bits(mask))
-
     def faces_above(self, a: int, strict=True):
-        return self._faces_in(self._above[a], a, strict)
-
-    def faces_below(self, a: int, strict=True):
-        return self._faces_in(self._below[a], a, strict)
+        mask = self._above[a] & ~(1 << a) if strict else self._above[a]
+        return tuple(self.faces[i] for i in _bits(mask))
 
     def vertex_mask(self, a: int) -> int:
         """Bitmask of the vertices of face a (vertex i is bit i)."""
         return self._gens[a] & self._vbits
-
-    def minimizing_vertices(self, a) -> int:
-        """Bitmask of the vertices (vertex i is bit i) where the integer
-        functional <., a> attains its minimum over the vertices."""
-        vals = [dot(v, a) for v in self._scaled_vertices[1]]
-        low = min(vals)
-        return sum(1 << i for i, x in enumerate(vals) if x == low)
 
     def maximum(self, a) -> Fraction:
         """The maximum of the integer functional <., a> over the vertices."""
@@ -740,17 +719,6 @@ class FaceLattice:
     def cone_vertex_id(self):
         """Face id of the apex when the polytope is a cone with a vertex."""
         return self.fid[1] if self.polytope.is_cone_with_vertex else None
-
-
-def support_face(p: Polytope, v) -> Face:
-    """The face where <., v> attains its minimum over the polyhedron."""
-    v = _require_length(lattice_vector(v), p.n)
-    for r in p.rays:
-        if dot(r, v) < 0:
-            raise UnboundedError("unbounded direction")
-    lat = p.face_lattice()
-    rays = sum(1 << k for k, r in enumerate(p.rays) if dot(r, v) == 0)
-    return lat.faces[lat.fid[lat.minimizing_vertices(v) | rays << len(p.homogenized)]]
 
 
 class FanCone(NamedTuple):
@@ -862,20 +830,6 @@ def is_smooth_cone(rays) -> bool:
         if g == 1:
             return True
     return False
-
-
-def reduce_to_span(points):
-    """Rewrite a lower-dimensional point set in lattice coordinates on its span.
-
-    Returns (polytope, frame): the polytope is full-dimensional in frame
-    coordinates and frame.from_coords maps its points back to the ambient
-    space.  Raises NonIntegralSpanError when the span misses the lattice.
-    """
-    from .lattice import homogenized_frame
-
-    ws = [integerize((*p, 1)) for p in points]
-    frame = homogenized_frame(ws)
-    return Polytope.from_homogenized(primitive(frame.chart(w)) for w in ws), frame
 
 
 def cone_over(p: Polytope) -> Polytope:

@@ -1,16 +1,18 @@
 """Lattice-chart oracle: the original Fraction frame of an affine span and
 its Fraction coordinates, with the rational solve they take.
 
+``pairing`` is the Fraction pairing of a rational point with a functional.
+``from_coords`` maps frame coordinates back to the span point.
 ``oracle_span_equations`` clears the denominators of the span's directions
 one Fraction at a time and pairs the first point with each equation in
 Fractions; ``oracle_affine_frame`` clears the right-hand sides' denominators
 the same way, then solves the integer system.  ``oracle_to_coords`` solves
 the frame's basis for a point by Gauss-Jordan elimination over Q
 (``solve_consistent``) and checks the solution by mapping it back
-(``from_coords``).  ``solve_consistent`` and ``vsub`` serve the other
-Fraction oracles too.  None of them reads the frame's Hermite transform; they
-are the reference for the integer chart's differential tests and for
-``conftest.brute_span_lattice_points``.
+(``from_coords``).  ``pairing``, ``solve_consistent`` and ``vsub`` serve
+the other Fraction oracles too.  None of them reads the frame's Hermite
+transform; they are the reference for the integer chart's differential
+tests and for ``conftest.brute_span_lattice_points``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from toric_ih.lattice import (
     as_rat,
     identity_rows,
     integerize,
-    pairing,
     rat_vector,
     solve_integer_system,
 )
@@ -31,6 +32,24 @@ from toric_ih.lattice import (
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def pairing(u, v) -> Fraction:
+    """<u, v> in Fractions, for rational u and v of one length."""
+    assert len(u) == len(v), (u, v)
+    return sum((as_rat(a) * as_rat(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def from_coords(frame: AffineLatticeFrame, coords) -> tuple:
+    """The span point with the given coordinates in the frame, as ints when
+    it is a lattice point."""
+    assert len(coords) == frame.dim, (coords, frame)
+    p = rat_vector(frame.base)
+    for c, b in zip(coords, frame.basis):
+        p = tuple(x + as_rat(c) * y for x, y in zip(p, b))
+    if all(x.denominator == 1 for x in p):
+        return tuple(int(x) for x in p)
+    return p
 
 
 def solve_consistent(rows, rhs):
@@ -100,6 +119,6 @@ def oracle_to_coords(frame: AffineLatticeFrame, point) -> tuple[Fraction, ...]:
         return ()
     cols = [[Fraction(b[i]) for b in frame.basis] for i in range(len(p))]
     y = solve_consistent(cols, list(vsub(p, frame.base)))
-    if y is None or frame.from_coords(y) != p:
+    if y is None or from_coords(frame, y) != p:
         raise ValueError("point not on the affine span")
     return y

@@ -21,8 +21,19 @@ from itertools import product
 from operator import mul
 
 from toric_ih.errors import NonIntegralSpanError, UnboundedError
-from toric_ih.lattice import dot, rat_vector
-from toric_ih.polytope import reduce_to_span
+from toric_ih.lattice import dot, homogenized_frame, integerize, primitive, rat_vector
+from toric_ih.polytope import Polytope
+
+from chart_oracle import from_coords
+
+
+def reduce_to_span(points):
+    """(polytope, frame): the points in lattice coordinates on their affine
+    span, where their hull is full-dimensional; ``from_coords`` maps its
+    points back.  Raises NonIntegralSpanError when the span misses the lattice."""
+    ws = [integerize((*p, 1)) for p in points]
+    frame = homogenized_frame(ws)
+    return Polytope.from_homogenized(primitive(frame.chart(w)) for w in ws), frame
 
 
 def oracle_fibers(rows, lo, hi):
@@ -81,7 +92,7 @@ def oracle_face_points(lattice, face, strict=False):
         chart, frame = reduce_to_span([lattice.polytope.vertices[i] for i in face.vertex_ids])
     except NonIntegralSpanError:
         return ()
-    return tuple(sorted(tuple(frame.from_coords(y)) for y in oracle_scan(chart, strict)))
+    return tuple(sorted(from_coords(frame, y) for y in oracle_scan(chart, strict)))
 
 
 def oracle_face_counts(lattice):

@@ -12,21 +12,25 @@ lattice basis of their span and takes a determinant.
 ``oracle_normal_fan`` takes the rank of each face's active normals afresh
 with ``mat_rank``, and ``oracle_euler_relation_check`` sums (-1)^codim over
 each face's ``faces_above`` records.
-``vertex_normal_cone_contains`` tests one direction against one vertex's
-normal cone by pairing it with every vertex.  ``cut_rows`` gives a prime-cut
-round's shave rows from widths found by pairing.  ``vertex_limits_by_solving``
-builds one prime-cut round with the library's hull, checks primality and
-fan refinement with those cone tests, picks rows with ``fraction_rank``, and
-follows each vertex of the cut to eps = 0 by solving those rows at depth
-zero; the face map looks up the AND of the limits' tight-row masks in the
-lattice's ``by_active``.  ``oracle_face_support`` tests each support point
-with the ``Fraction`` ``Polytope.contains``, then pairs it with each active
-row of the face.  ``oracle_closed_open_transform`` sums over each face's
-``faces_below`` records, and ``oracle_prime_cut_multipliers`` adds one
-``EPoly2`` power (L-1)^drop per face of the cut.  Apart from these, none
-of this shares code with the integer routines in ``toric_ih.lattice``,
-``toric_ih.polytope`` and ``toric_ih.hypersurface``; it is the reference
-for their differential tests.
+``minimizing_vertices`` pairs a functional with every vertex for the
+bitmask of those where it is least, and ``vertex_normal_cone_contains``
+tests one direction against one vertex's normal cone the same way.
+``cut_rows`` gives a prime-cut round's shave rows from widths found by
+pairing.  ``vertex_limits_by_solving`` builds one prime-cut round with the
+library's hull, checks primality and fan refinement with those cone tests,
+picks rows with ``fraction_rank``, and follows each vertex of the cut to
+eps = 0 by solving those rows at depth zero; the face map looks up the AND
+of the limits' tight-row masks in the lattice's ``by_active``.
+``oracle_face_support`` tests each support point with the ``Fraction``
+``Polytope.contains``, then pairs it with each active row of the face.
+``oracle_down_sets`` takes each face's down-set by inclusion of the faces'
+vertex and ray ids, not from the lattice's cover records;
+``oracle_closed_open_transform`` sums over those down-sets, and
+``oracle_prime_cut_multipliers`` adds one ``EPoly2`` power (L-1)^drop per
+face of the cut.  Apart from these, none of this shares code with the
+integer routines in ``toric_ih.lattice``, ``toric_ih.polytope`` and
+``toric_ih.hypersurface``; it is the reference for their differential
+tests.
 """
 
 from __future__ import annotations
@@ -42,14 +46,13 @@ from toric_ih.lattice import (
     det_int,
     dot,
     mat_rank,
-    pairing,
     primitive,
     solve_integer_system,
 )
 from toric_ih.hypersurface import EPoly2, MonomialSupport
 from toric_ih.polytope import Face, Fan, FanCone, Polytope, normalize_row
 
-from chart_oracle import solve_consistent, vsub
+from chart_oracle import pairing, solve_consistent, vsub
 
 
 def fraction_rank(rows) -> int:
@@ -176,6 +179,13 @@ def oracle_euler_relation_check(lattice):
     return not violations, tuple(violations)
 
 
+def minimizing_vertices(p: Polytope, a) -> int:
+    """Bitmask of the vertices (vertex i is bit i) where <., a> is least."""
+    vals = [pairing(v, a) for v in p.vertices]
+    low = min(vals)
+    return sum(1 << i for i, x in enumerate(vals) if x == low)
+
+
 def vertex_normal_cone_contains(p: Polytope, vertex_face: Face, w) -> bool:
     """Is w in the dual cone of a vertex? (<., w> is minimized over p there)."""
     v = p.vertices[vertex_face.vertex_ids[0]]
@@ -254,20 +264,31 @@ def oracle_face_support(support, lattice, face):
     return MonomialSupport.of(pts)
 
 
+def oracle_down_sets(lattice):
+    """Per face id, the faces contained in it, itself included, in face
+    order: those whose vertex and ray ids are among its own."""
+    gens = [(set(f.vertex_ids), set(f.ray_ids)) for f in lattice.faces]
+    return [tuple(g for g in lattice.faces if gens[g.id][0] <= vs and gens[g.id][1] <= rs)
+            for vs, rs in gens]
+
+
 def oracle_closed_open_transform(lattice, assignment, direction):
-    """Open -> closed sums a value over the ``faces_below`` records of each
-    face; closed -> open subtracts, faces taken by dimension."""
+    """Open -> closed sums a value over each face's proper down-set
+    (``oracle_down_sets``); closed -> open subtracts, faces taken by
+    dimension."""
+    below = [[g for g in down if g.id != f.id]
+             for f, down in zip(lattice.faces, oracle_down_sets(lattice))]
     out = {}
     if direction == "open_to_closed":
         for f in lattice.faces:
             acc = assignment[f.id]
-            for g in lattice.faces_below(f.id):
+            for g in below[f.id]:
                 acc = acc + assignment[g.id]
             out[f.id] = acc
     else:
         for f in sorted(lattice.faces, key=lambda x: x.dim):
             acc = assignment[f.id]
-            for g in lattice.faces_below(f.id):
+            for g in below[f.id]:
                 acc = acc - out[g.id]
             out[f.id] = acc
     return out

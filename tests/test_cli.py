@@ -64,6 +64,16 @@ def test_parse_malformed_header(tmp_path):
         parse_input(write(tmp_path, "x.vrep", "polytope 2\n0 0\n"))
 
 
+@pytest.mark.parametrize("rank", ["\u00b2", "\u0662"], ids=["superscript-two", "arabic-indic-two"])
+def test_non_ascii_digit_rank_is_a_malformed_header(tmp_path, capsys, rank):
+    # str.isdigit() takes both; int() rejects the first and reads the second as 2
+    path = write(tmp_path, "x.vrep", f"vrep {rank}\n0 0\n1 0\n0 1\n")
+    with pytest.raises(ParseError, match="line 1: malformed header"):
+        parse_input(path)
+    assert run(["faces", path]) == (1, None)
+    assert capsys.readouterr().err.startswith("error: line 1: malformed header")
+
+
 def test_parse_wrong_arity(tmp_path):
     with pytest.raises(ParseError, match="line 3.*expected 2"):
         parse_input(write(tmp_path, "x.vrep", "vrep 2\n0 0\n1 2 3\n"))

@@ -37,9 +37,9 @@ from toric_ih.fixtures import (
     standard_fixtures,
 )
 from toric_ih.identities import facet_normal_sum
-from toric_ih.lattice import mat_vec, pairing
+from toric_ih.lattice import mat_vec
 from toric_ih import polytope
-from toric_ih.polytope import Polytope, is_prime, normalize_row, support_face
+from toric_ih.polytope import Polytope, is_prime, normalize_row
 from toric_ih.stalks import (
     T,
     TatePoly,
@@ -48,9 +48,10 @@ from toric_ih.stalks import (
     stalk_polynomials,
 )
 
-from chart_oracle import oracle_affine_frame, oracle_to_coords
+from chart_oracle import oracle_affine_frame, oracle_to_coords, pairing
 from face_oracle import (
     cut_rows,
+    minimizing_vertices,
     vertex_limits_by_solving,
     vertex_normal_cone_contains,
 )
@@ -315,8 +316,10 @@ def test_prime_cut_needs_compact():
 def test_blowup_quadrant():
     b = vertex_blowup(quadrant(2), (1, 1), 1)
     truncated = Polytope.from_inequalities(list(quadrant(2).rows) + [((1, 1), 1)])
-    cap = support_face(truncated, (1, 1))  # the compact face, where the figure lies
-    assert {truncated.vertices[i] for i in cap.vertex_ids} == {(F(1), F(0)), (F(0), F(1))}
+    # the compact face on the two cut points, where the figure lies, is an edge
+    cap = next(f for f in truncated.face_lattice().faces if not f.ray_ids
+               and {truncated.vertices[i] for i in f.vertex_ids} == {(F(1), F(0)), (F(0), F(1))})
+    assert cap.dim == 1
     assert b.figure.n == 1
     assert global_ih_class(b.figure.face_lattice()) == 1 + T
 
@@ -514,7 +517,7 @@ def test_label_masks_match_minimizing_vertices():
             except (EmptyPolyhedronError, NotFullDimensionalError):
                 continue
             for row in q.rows:
-                assert labels[row][1] == lattice.minimizing_vertices(row[0]), (p.vertices, k, row)
+                assert labels[row][1] == minimizing_vertices(p, row[0]), (p.vertices, k, row)
                 checked += 1
     assert checked > 1000
 

@@ -27,20 +27,20 @@ from toric_ih.fixtures import (
 )
 from toric_ih.hypersurface import euler_relation_check
 from toric_ih.identities import at_apex, facet_normal_sum
-from toric_ih.lattice import mat_rank, mat_vec
+from toric_ih.lattice import mat_rank
 from toric_ih.polytope import (
     Polytope,
     hull_of_canonical,
     hull_of_rows,
     is_smooth_cone,
     normal_fan,
-    reduce_to_span,
 )
 
 from chart_oracle import oracle_affine_frame, oracle_to_coords
 from face_oracle import (
     fraction_rank,
     oracle_euler_relation_check,
+    oracle_down_sets,
     oracle_faces,
     oracle_is_smooth_cone,
     oracle_normal_fan,
@@ -84,7 +84,8 @@ def test_mat_rank_edge_cases():
 
 
 def poset_matches(lat):
-    """Every poset query agrees with containment of the faces' generator sets."""
+    """Every poset query and the down-set masks agree with containment of
+    the faces' generator sets."""
     gens = [(set(f.vertex_ids), set(f.ray_ids)) for f in lat.faces]
 
     def leq(a, b):
@@ -93,13 +94,12 @@ def poset_matches(lat):
     ups = [[] for _ in lat.faces]
     for lo, hi in lat._covers:
         ups[lo].append(hi)
+    down = oracle_down_sets(lat)
     for f in lat.faces:
         above = tuple(g for g in lat.faces if leq(f.id, g.id))
-        below = tuple(g for g in lat.faces if leq(g.id, f.id))
         assert lat.faces_above(f.id, strict=False) == above
         assert lat.faces_above(f.id) == tuple(g for g in above if g.id != f.id)
-        assert lat.faces_below(f.id, strict=False) == below
-        assert lat.faces_below(f.id) == tuple(g for g in below if g.id != f.id)
+        assert lat._below[f.id] == sum(1 << g.id for g in down[f.id])
         assert sorted(ups[f.id]) == [g.id for g in above if g.dim == f.dim + 1]
         assert lat.up_set(f.id) == sum(1 << g.id for g in above)
 
@@ -433,19 +433,6 @@ def rational_vector(rng, n):
     return tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
 
 
-def flat_points(rng, n, k):
-    """Lattice points spanning a k-dimensional affine subspace of Q^n (k < n):
-    a random k-dimensional cloud in the first k coordinates, moved by a
-    unimodular map and a lattice translation."""
-    u = random_unimodular_matrix(rng, n)
-    t = [rng.randint(-2, 2) for _ in range(n)]
-    while True:
-        cloud = [tuple(rng.randint(-2, 2) for _ in range(k)) + (0,) * (n - k)
-                 for _ in range(k + 2)]
-        if mat_rank([[x - y for x, y in zip(c, cloud[0])] for c in cloud]) == k:
-            return [tuple(x + y for x, y in zip(mat_vec(u, c), t)) for c in cloud]
-
-
 def blown_up(p):
     """The blow-up of a cone at its apex along its facet normal sum, as ``check`` does it."""
     return cutting.vertex_blowup(at_apex(p), facet_normal_sum(p), F(3, 2))
@@ -468,8 +455,6 @@ CONSTRUCTIONS = {
     "cone_over_polytope": lambda rng, mp: [
         cone_over_polytope(p).polytope for p in compact_bases(rng)],
     "fixtures cone_over": lambda rng, mp: [cone_over(p) for p in compact_bases(rng)],
-    "reduce_to_span": lambda rng, mp: [reduce_to_span(flat_points(rng, n, k))[0]
-                                       for n in (2, 3, 4) for k in range(n) for _ in range(3)],
     "vertex_blowup figure": lambda rng, mp: [blown_up(c).figure for c in cone_fixtures().values()],
     "prime_cut": lambda rng, mp: [cutting.prime_cut(FIXTURES[n]).polytope for n in CUT_INPUTS],
 }

@@ -41,6 +41,7 @@ from toric_ih.stalks import TatePoly
 
 from face_oracle import (
     oracle_closed_open_transform,
+    oracle_down_sets,
     oracle_face_support,
     oracle_prime_cut_multipliers,
 )
@@ -214,8 +215,10 @@ def test_closed_open_all_ones_on_square():
     lat = cube(2).face_lattice()
     ones = {f.id: 1 for f in lat.faces}
     closed = closed_open_transform(lat, ones, "open_to_closed")
+    down = oracle_down_sets(lat)
     for f in lat.faces:
-        assert closed[f.id] == len(lat.faces_below(f.id, strict=False))
+        assert lat._below[f.id] == sum(1 << g.id for g in down[f.id])
+        assert closed[f.id] == len(down[f.id])
     assert closed[lat.top.id] == 9
     assert alternating_identity_holds(lat, ones)
 
@@ -245,13 +248,15 @@ def random_class(rng):
 
 @pytest.mark.parametrize("direction", ["open_to_closed", "closed_to_open"])
 def test_closed_open_transform_matches_faces_below_route(direction):
-    # the sums over each face's down-set bits against the faces_below records,
-    # on int and EPoly2 assignments over every fixture and cone fixture
+    # the sums over each face's down-set bits against the oracle's down-sets by
+    # generator inclusion, on int and EPoly2 assignments over every fixture and
+    # cone fixture
     rng = random.Random(7100 + (direction == "closed_to_open"))
     lattices = [p.face_lattice() for p in (*standard_fixtures().values(), *cone_fixtures().values())]
     lattices += [random_lattice_polytope(rng, d, npoints=rng.randint(d + 2, d + 5)).face_lattice()
                  for d in (2, 3, 4) for _ in range(3)]
     for lat in lattices:
+        assert lat._below == [sum(1 << g.id for g in down) for down in oracle_down_sets(lat)]
         for value in (lambda: rng.randint(-50, 50), lambda: random_class(rng)):
             a = {f.id: value() for f in lat.faces}
             want = oracle_closed_open_transform(lat, a, direction)

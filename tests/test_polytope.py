@@ -10,7 +10,6 @@ from toric_ih.errors import (
     InvariantViolation,
     NotFullDimensionalError,
     NotPointedError,
-    UnboundedError,
 )
 from toric_ih.fixtures import (
     cross_polytope,
@@ -27,11 +26,10 @@ from toric_ih.polytope import (
     is_prime,
     is_smooth_cone,
     normal_fan,
-    support_face,
 )
 
 from conftest import face_leq, poset_isomorphic
-from face_oracle import vertex_normal_cone_contains
+from face_oracle import minimizing_vertices, vertex_normal_cone_contains
 
 
 # -- representation conversion ----------------------------------------------
@@ -245,28 +243,17 @@ def test_face_interval_matches_cone_poset():
     )
 
 
-# -- support faces and normal fans -------------------------------------------
-
-def test_support_face_simplex():
-    p = simplex(2)
-    f = support_face(p, (1, 1))
-    assert [p.vertices[i] for i in f.vertex_ids] == [(F(0), F(0))]
-    f = support_face(p, (0, -1))
-    assert [p.vertices[i] for i in f.vertex_ids] == [(F(0), F(1))]
-    assert support_face(p, (0, 0)).id == 0
-
+# -- wrong sizes and normal fans ---------------------------------------------
 
 @pytest.mark.parametrize("v", [(1,), (1, 0), (1, 0, 0, 5)])
 def test_wrong_length_vectors_are_rejected(v):
-    # a short or long vector is no direction of the cube, not a truncated or padded one
+    # a short or long vector is no point of the cube, not a truncated or padded one
     p = cube(3)
-    with pytest.raises(DimensionMismatchError, match=f"length {len(v)} in ambient dimension 3"):
-        support_face(p, v)
     with pytest.raises(DimensionMismatchError):
         p.contains(v)
     with pytest.raises(DimensionMismatchError, match=f"length {len(v)} in ambient dimension 3"):
         p.translate(v)
-    assert support_face(p, (1, 0, 0)).dim == 2 and p.contains((1, 0, 0))
+    assert p.contains((1, 0, 0))
 
 
 @pytest.mark.parametrize("n,u", [
@@ -277,11 +264,6 @@ def test_wrong_length_vectors_are_rejected(v):
 def test_apply_unimodular_rejects_a_matrix_of_the_wrong_size(n, u):
     with pytest.raises(DimensionMismatchError, match=f"not {n} x {n}"):
         cube(n).apply_unimodular(u)
-
-
-def test_support_face_unbounded():
-    with pytest.raises(UnboundedError):
-        support_face(quadrant(2), (-1, 0))
 
 
 def test_normal_fan_segment():
@@ -315,13 +297,13 @@ def test_generic_direction_in_unique_max_cone(rng):
             v = tuple(rng.randint(-7, 7) for _ in range(p.n))
             if not any(v):
                 continue
-            f = support_face(p, v)
-            if f.dim != 0:
+            least = minimizing_vertices(p, v)
+            if least & (least - 1):
                 continue  # not generic for this fan
             hits += 1
             containing = [u for u in vertices
                           if vertex_normal_cone_contains(p, u, v)]
-            assert containing == [f]
+            assert containing == [lat.faces[lat.fid[least]]]
         assert hits > 50
 
 
@@ -377,15 +359,6 @@ def test_fan_cones_close_under_faces():
         for f in lat.faces:
             for g in lat.faces_above(f.id):
                 assert set(fan.cones[g.id].rays) <= set(fan.cones[f.id].rays)
-
-
-def test_reduce_to_span():
-    from toric_ih.polytope import reduce_to_span
-
-    reduced, frame = reduce_to_span([(0, 1, 0), (2, 0, 0), (1, 1, 0)])
-    assert reduced.n == 2
-    assert sorted(frame.from_coords(v) for v in reduced.vertices) == [
-        (0, 1, 0), (1, 1, 0), (2, 0, 0)]
 
 
 def test_integer_paths_never_build_fraction_vertices(monkeypatch):
